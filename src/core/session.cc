@@ -38,32 +38,12 @@ RequestOptions Session::MakeRequest(const SessionRequestOptions& opts) const {
 Result<QueryAnswer> Session::Query(const std::string& doc,
                                    std::string_view query,
                                    const SessionQueryOptions& options,
-                                   uint64_t deadline_ms,
-                                   uint64_t max_memory_bytes) {
-  SessionRequestOptions req;
-  req.deadline_ms = deadline_ms;
-  req.max_memory_bytes = max_memory_bytes;
-  return Query(doc, query, options, req);
-}
-
-Result<QueryAnswer> Session::Query(const std::string& doc,
-                                   std::string_view query,
-                                   const SessionQueryOptions& options,
                                    const SessionRequestOptions& req) {
   QueryOptions qo;
   qo.view = role_;
   qo.mode = options.mode;
   qo.use_tax = options.use_tax;
   return engine_->Query(doc, query, qo, MakeRequest(req));
-}
-
-Result<std::vector<QueryAnswer>> Session::QueryBatch(
-    const std::string& doc, const std::vector<SessionBatchItem>& items,
-    uint64_t deadline_ms, uint64_t max_memory_bytes) {
-  SessionRequestOptions req;
-  req.deadline_ms = deadline_ms;
-  req.max_memory_bytes = max_memory_bytes;
-  return QueryBatch(doc, items, req);
 }
 
 Result<std::vector<QueryAnswer>> Session::QueryBatch(
@@ -80,16 +60,6 @@ Result<std::vector<QueryAnswer>> Session::QueryBatch(
     batch.push_back(std::move(b));
   }
   return engine_->QueryBatch(doc, batch, MakeRequest(req));
-}
-
-Result<UpdateResult> Session::Update(const std::string& doc,
-                                     std::string_view statement, bool dry_run,
-                                     uint64_t deadline_ms,
-                                     uint64_t max_memory_bytes) {
-  SessionRequestOptions req;
-  req.deadline_ms = deadline_ms;
-  req.max_memory_bytes = max_memory_bytes;
-  return Update(doc, statement, dry_run, req);
 }
 
 Result<UpdateResult> Session::Update(const std::string& doc,

@@ -81,37 +81,23 @@ class Session {
   const std::string& role() const { return role_; }
   Smoqe* engine() const { return engine_; }
 
-  /// Query through the bound view. `deadline_ms` / `max_memory_bytes`
-  /// follow RequestOptions semantics (0 = engine default).
+  /// Query through the bound view. `req` follows RequestOptions
+  /// semantics (0 / false / null = engine default).
   Result<QueryAnswer> Query(const std::string& doc, std::string_view query,
                             const SessionQueryOptions& options = {},
-                            uint64_t deadline_ms = 0,
-                            uint64_t max_memory_bytes = 0);
-  /// Full-options overload (trace adoption, PROFILE).
-  Result<QueryAnswer> Query(const std::string& doc, std::string_view query,
-                            const SessionQueryOptions& options,
-                            const SessionRequestOptions& req);
+                            const SessionRequestOptions& req = {});
 
   /// Batch of queries, all through the bound view, one pinned snapshot.
   Result<std::vector<QueryAnswer>> QueryBatch(
       const std::string& doc, const std::vector<SessionBatchItem>& items,
-      uint64_t deadline_ms = 0, uint64_t max_memory_bytes = 0);
-  /// Full-options overload (trace adoption, PROFILE).
-  Result<std::vector<QueryAnswer>> QueryBatch(
-      const std::string& doc, const std::vector<SessionBatchItem>& items,
-      const SessionRequestOptions& req);
+      const SessionRequestOptions& req = {});
 
   /// Update through the bound view (authorized against its annotations;
-  /// a direct session is trusted). Empty dtd_name = facade default.
+  /// a direct session is trusted). Profiles never ride on update results
+  /// — `req.profile` only forces span recording.
   Result<UpdateResult> Update(const std::string& doc,
                               std::string_view statement, bool dry_run = false,
-                              uint64_t deadline_ms = 0,
-                              uint64_t max_memory_bytes = 0);
-  /// Full-options overload (trace adoption; profiles never ride on
-  /// update results — the flag only forces span recording).
-  Result<UpdateResult> Update(const std::string& doc,
-                              std::string_view statement, bool dry_run,
-                              const SessionRequestOptions& req);
+                              const SessionRequestOptions& req = {});
 
  private:
   Session(Smoqe* engine, std::string role);

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -60,16 +61,11 @@ bool IsGuardTermination(const Status& s) {
 /// list becomes the stage tree (same indices, so parent links carry
 /// over verbatim), and the guard's tick tally rides along. `tr` may be
 /// null (slow-log capture of an unsampled call) — the profile then has
-/// no stages but still carries timing and identity.
-tel::Profile MakeProfile(const char* op, const std::string& doc,
-                         const std::string& view, std::string_view statement,
-                         uint64_t total_ns, const Guardrail* guard,
-                         const tel::Trace* tr) {
+/// no stages but still carries timing. The caller fills in identity.
+tel::Profile MakeProfile(const char* op, uint64_t total_ns,
+                         const Guardrail* guard, const tel::Trace* tr) {
   tel::Profile p;
   p.op = op;
-  p.doc = doc;
-  p.view = view;
-  p.statement = std::string(statement);
   p.total_ns = total_ns;
   if (guard != nullptr) p.guard_ticks = guard->checks();
   if (tr != nullptr) {
@@ -520,19 +516,74 @@ void Smoqe::FoldEvalStats(const EvalStats& stats) {
   tm_->eval_answers->Add(stats.answers);
 }
 
-void Smoqe::AppendQueryAudit(const std::string& doc_name,
-                             const std::string& view_name,
-                             std::string_view query_text, uint64_t doc_epoch,
-                             uint64_t trace_id) {
+void Smoqe::AppendAudit(tel::AuditKind kind, const std::string& doc_name,
+                        const std::string& view_name,
+                        std::string_view statement, uint64_t doc_epoch,
+                        uint64_t trace_id, std::string explain) {
   tel::AuditRecord rec;
-  rec.kind = tel::AuditKind::kQueryRewrite;
+  rec.kind = kind;
   rec.view = view_name;
   rec.doc = doc_name;
   rec.doc_epoch = doc_epoch;
-  rec.statement = std::string(query_text);
-  rec.allowed = true;  // the rewrite itself is the enforcement
+  rec.statement = std::string(statement);
+  // A query rewrite is itself the enforcement, so it is always allowed.
+  rec.allowed = kind != tel::AuditKind::kUpdateReject;
+  rec.explain = std::move(explain);
   rec.trace_id = trace_id;
   telemetry_->audit().Append(std::move(rec));
+}
+
+template <typename T, typename Annotate, typename Impl, typename Outcome>
+Result<T> Smoqe::Envelope(const char* op, const RequestOptions& req,
+                          const Annotate& annotate, const Impl& impl,
+                          const Outcome& outcome) {
+  Admission slot(this);
+  if (!slot.ok()) {
+    Status busy = Status::RejectedBusy(
+        "engine is at max_pending_requests (" +
+        std::to_string(options_.max_pending_requests) + " in flight)");
+    CountGuardOutcome(busy);
+    return busy;
+  }
+  MemoryBudget budget;
+  Guardrail guard_storage;
+  const Guardrail* guard = MakeGuard(req, &budget, &guard_storage);
+  if (telemetry_ == nullptr) return impl(guard, nullptr);
+  const auto t0 = std::chrono::steady_clock::now();
+  bool external = false;
+  std::shared_ptr<tel::Trace> trace = PickTrace(op, req, &external);
+  tel::Trace* tr = trace.get();
+  if (tr != nullptr) annotate(*tr);
+
+  Result<T> result = impl(guard, tr);
+
+  const uint64_t elapsed_ns = ElapsedNs(t0);
+  if (!result.ok()) {
+    const char* guard_kind = CountGuardOutcome(result.status());
+    if (tr != nullptr && guard_kind != nullptr) {
+      tr->SetAttr("guard", guard_kind);
+    }
+  }
+  // PROFILE / slow-query capture — on every outcome, so failures are
+  // debuggable too (an error's profile carries the stages that ran up
+  // to the failure point and empty stats).
+  const uint64_t threshold_ns =
+      options_.slow_query_threshold_ms * 1000000ull;
+  const bool slow =
+      telemetry_->slow().enabled() && elapsed_ns >= threshold_ns;
+  std::optional<tel::Profile> profile;
+  if (slow || req.profile) profile = MakeProfile(op, elapsed_ns, guard, tr);
+  outcome(result, elapsed_ns, tr, profile.has_value() ? &*profile : nullptr);
+  if (slow) {
+    std::string role = profile->view;
+    telemetry_->slow().Append(std::move(*profile), std::move(role),
+                              threshold_ns);
+  }
+  if (tr != nullptr) {
+    tr->SetAttr("status", result.ok() ? "ok" : result.status().ToString());
+    if (!external) telemetry_->traces().Finish(trace);
+  }
+  return result;
 }
 
 Result<QueryAnswer> Smoqe::QueryImpl(const std::string& doc_name,
@@ -568,95 +619,56 @@ Result<QueryAnswer> Smoqe::Query(const std::string& doc_name,
                                  std::string_view query_text,
                                  const QueryOptions& options,
                                  const RequestOptions& req) {
-  Admission slot(this);
-  if (!slot.ok()) {
-    Status busy = Status::RejectedBusy(
-        "engine is at max_pending_requests (" +
-        std::to_string(options_.max_pending_requests) + " in flight)");
-    CountGuardOutcome(busy);
-    return busy;
-  }
-  MemoryBudget budget;
-  Guardrail guard_storage;
-  const Guardrail* guard = MakeGuard(req, &budget, &guard_storage);
-  if (telemetry_ == nullptr) {
-    return QueryImpl(doc_name, query_text, options, guard, nullptr);
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  bool external = false;
-  std::shared_ptr<tel::Trace> trace = PickTrace("query", req, &external);
-  tel::Trace* tr = trace.get();
-  if (tr != nullptr) {
-    tr->SetAttr("doc", doc_name);
-    tr->SetAttr("query", std::string(query_text));
-    if (!options.view.empty()) tr->SetAttr("view", options.view);
-    tr->SetAttr("mode", options.mode == EvalMode::kStax ? "stax" : "dom");
-  }
-
-  Result<QueryAnswer> result =
-      QueryImpl(doc_name, query_text, options, guard, tr, req.profile);
-
-  const uint64_t elapsed_ns = ElapsedNs(t0);
-  tm_->query_count->Add();
-  tm_->query_latency_ns->Record(elapsed_ns);
-  if (result.ok()) {
-    QueryAnswer& a = *result;
-    if (tr != nullptr) a.trace_id = tr->id();
-    tm_->query_answers->Add(a.answers_xml.size());
-    FoldEvalStats(a.stats);
-    // Epoch lag: how far the published document moved past the snapshot
-    // this query answered from (0 = answered the newest epoch).
-    Result<uint64_t> cur = DocumentEpoch(doc_name);
-    if (cur.ok() && *cur >= a.doc_epoch) {
-      tm_->query_epoch_lag->Record(*cur - a.doc_epoch);
-    }
-    if (!options.view.empty()) {
-      AppendQueryAudit(doc_name, options.view, query_text, a.doc_epoch,
-                       a.trace_id);
-    }
-  } else {
-    tm_->query_errors->Add();
-    const char* guard_kind = CountGuardOutcome(result.status());
-    if (tr != nullptr && guard_kind != nullptr) {
-      tr->SetAttr("guard", guard_kind);
-    }
-  }
-  // PROFILE / slow-query capture — on every outcome, so failures are
-  // debuggable too (an error's profile carries the stages that ran up
-  // to the failure point and empty stats).
-  const uint64_t threshold_ns =
-      options_.slow_query_threshold_ms * 1000000ull;
-  const bool slow =
-      telemetry_->slow().enabled() && elapsed_ns >= threshold_ns;
-  const bool want_profile = req.profile && result.ok();
-  if (slow || want_profile) {
-    tel::Profile p = MakeProfile("query", doc_name, options.view, query_text,
-                                 elapsed_ns, guard, tr);
+  auto annotate = [&](tel::Trace& tr) {
+    tr.SetAttr("doc", doc_name);
+    tr.SetAttr("query", std::string(query_text));
+    if (!options.view.empty()) tr.SetAttr("view", options.view);
+    tr.SetAttr("mode", options.mode == EvalMode::kStax ? "stax" : "dom");
+  };
+  auto impl = [&](const Guardrail* guard, tel::Trace* tr) {
+    return QueryImpl(doc_name, query_text, options, guard, tr, req.profile);
+  };
+  auto outcome = [&](Result<QueryAnswer>& result, uint64_t elapsed_ns,
+                     tel::Trace* tr, tel::Profile* p) {
+    tm_->query_count->Add();
+    tm_->query_latency_ns->Record(elapsed_ns);
     if (result.ok()) {
-      p.plan_cache_hit = result->stats.plan_cache_hits > 0;
-      p.doc_epoch = result->doc_epoch;
-      p.canonical_query = result->canonical_query;
-      p.stats = result->stats;
+      QueryAnswer& a = *result;
+      if (tr != nullptr) a.trace_id = tr->id();
+      tm_->query_answers->Add(a.answers_xml.size());
+      FoldEvalStats(a.stats);
+      // Epoch lag: how far the published document moved past the
+      // snapshot this query answered from (0 = answered the newest epoch).
+      Result<uint64_t> cur = DocumentEpoch(doc_name);
+      if (cur.ok() && *cur >= a.doc_epoch) {
+        tm_->query_epoch_lag->Record(*cur - a.doc_epoch);
+      }
+      if (!options.view.empty()) {
+        AppendAudit(tel::AuditKind::kQueryRewrite, doc_name, options.view,
+                    query_text, a.doc_epoch, a.trace_id);
+      }
+    } else {
+      tm_->query_errors->Add();
     }
-    if (want_profile) result->profile = std::make_shared<tel::Profile>(p);
-    if (slow) {
-      telemetry_->slow().Append(std::move(p), options.view, threshold_ns);
-    }
-  }
-  if (tr != nullptr) {
-    tr->SetAttr("status",
-                result.ok() ? "ok" : result.status().ToString());
-    if (!external) telemetry_->traces().Finish(trace);
-  }
-  return result;
+    if (p == nullptr) return;
+    p->doc = doc_name;
+    p->view = options.view;
+    p->statement = std::string(query_text);
+    if (!result.ok()) return;
+    p->plan_cache_hit = result->stats.plan_cache_hits > 0;
+    p->doc_epoch = result->doc_epoch;
+    p->canonical_query = result->canonical_query;
+    p->stats = result->stats;
+    if (req.profile) result->profile = std::make_shared<tel::Profile>(*p);
+  };
+  return Envelope<QueryAnswer>("query", req, annotate, impl, outcome);
 }
 
 Status Smoqe::EvalBatchOnSnapshot(const DocumentSnapshot& snap,
                                   const std::string& doc_name,
-                                  const std::vector<BatchQueryItem>& items,
+                                  const std::vector<DocBatchItem>& items,
                                   const std::vector<PlanUse>& plans,
                                   const std::vector<size_t>& sel,
-                                  const std::vector<size_t>& error_ids,
                                   const Guardrail* guard,
                                   std::vector<QueryAnswer>* out,
                                   tel::Trace* tr) {
@@ -739,7 +751,7 @@ Status Smoqe::EvalBatchOnSnapshot(const DocumentSnapshot& snap,
       if (!statuses[j].ok()) {
         const size_t i = dom_items[j];
         Status st = statuses[j].WithContext(
-            "batch item " + std::to_string(error_ids[i]));
+            "batch item " + std::to_string(i));
         // A tripped request guardrail fails the whole call (fail-closed,
         // no partial answer); anything else fails just this item.
         if (IsGuardTermination(statuses[j])) return st;
@@ -750,173 +762,27 @@ Status Smoqe::EvalBatchOnSnapshot(const DocumentSnapshot& snap,
   return Status::OK();
 }
 
-Result<std::vector<QueryAnswer>> Smoqe::QueryBatchImpl(
-    const std::string& doc_name, const std::vector<BatchQueryItem>& items,
+Result<std::vector<QueryAnswer>> Smoqe::QueryBatchMultiImpl(
+    const std::vector<DocBatchItem>& items, const std::string* only_doc,
     const Guardrail* guard, tel::Trace* tr) {
   if (guard != nullptr) SMOQE_RETURN_IF_ERROR(guard->Check());
-  std::shared_ptr<const DocumentSnapshot> snap;
-  std::vector<PlanUse> plans(items.size());
-  std::vector<QueryAnswer> out(items.size());
-  std::vector<size_t> sel;  // items that compiled; the rest failed locally
-  sel.reserve(items.size());
-  {
-    std::shared_lock<std::shared_mutex> lock(catalog_mu_);
-    DocumentEntry* doc = catalog_.FindDocument(doc_name);
-    if (doc == nullptr) {
-      return Status::NotFound("document '" + doc_name + "' is not loaded");
-    }
-    snap = doc->Acquire();
-    // Resolve plans and evaluation preconditions per item. An item that
-    // fails here (unknown view, parse error, TAX-mode conflict) fails
-    // *only itself*: its status lands in out[i].status and it is left
-    // out of the evaluation selection; the siblings still run.
-    tel::SpanScope span(tr, "compile_items");
-    for (size_t i = 0; i < items.size(); ++i) {
-      Status item_st = Status::OK();
-      auto plan = GetPlan(items[i].query, items[i].options, nullptr);
-      if (!plan.ok()) {
-        item_st = plan.status();
-      } else if (items[i].options.mode == EvalMode::kStax &&
-                 items[i].options.use_tax) {
-        item_st = Status::InvalidArgument(
-            "TAX requires DOM mode (the index addresses materialized nodes)");
-      } else if (items[i].options.mode == EvalMode::kDom &&
-                 items[i].options.use_tax && snap->tax == nullptr) {
-        item_st = Status::FailedPrecondition(
-            "document '" + doc_name + "' has no TAX index; call BuildIndex");
-      }
-      if (!item_st.ok()) {
-        out[i].status =
-            item_st.WithContext("batch item " + std::to_string(i));
-        continue;
-      }
-      plans[i] = std::move(*plan);
-      sel.push_back(i);
-    }
-  }
-
-  std::vector<size_t> ids(items.size());
-  for (size_t i = 0; i < items.size(); ++i) ids[i] = i;
-  SMOQE_RETURN_IF_ERROR(EvalBatchOnSnapshot(*snap, doc_name, items, plans, sel,
-                                            ids, guard, &out, tr));
-  return out;
-}
-
-Result<std::vector<QueryAnswer>> Smoqe::QueryBatch(
-    const std::string& doc_name, const std::vector<BatchQueryItem>& items,
-    const RequestOptions& req) {
-  Admission slot(this);
-  if (!slot.ok()) {
-    Status busy = Status::RejectedBusy(
-        "engine is at max_pending_requests (" +
-        std::to_string(options_.max_pending_requests) + " in flight)");
-    CountGuardOutcome(busy);
-    return busy;
-  }
-  MemoryBudget budget;
-  Guardrail guard_storage;
-  const Guardrail* guard = MakeGuard(req, &budget, &guard_storage);
-  if (telemetry_ == nullptr) {
-    return QueryBatchImpl(doc_name, items, guard, nullptr);
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  bool external = false;
-  std::shared_ptr<tel::Trace> trace = PickTrace("query_batch", req, &external);
-  tel::Trace* tr = trace.get();
-  if (tr != nullptr) {
-    tr->SetAttr("doc", doc_name);
-    tr->SetAttr("items", std::to_string(items.size()));
-  }
-
-  Result<std::vector<QueryAnswer>> result =
-      QueryBatchImpl(doc_name, items, guard, tr);
-
-  const uint64_t elapsed_ns = ElapsedNs(t0);
-  tm_->batch_count->Add();
-  tm_->batch_items->Add(items.size());
-  tm_->batch_latency_ns->Record(elapsed_ns);
-  // Batch-level stats are the MergeFrom fold of the per-item stats
-  // (identical under serial and parallel execution — asserted in the
-  // concurrency suite); only the fold touches the registry. Items that
-  // failed locally contribute nothing — no stats, no audit record.
-  EvalStats agg;
-  if (result.ok()) {
-    for (size_t i = 0; i < result->size(); ++i) {
-      QueryAnswer& a = (*result)[i];
-      if (tr != nullptr) a.trace_id = tr->id();
-      if (!a.status.ok()) {
-        tm_->query_errors->Add();
-        continue;
-      }
-      agg.MergeFrom(a.stats);
-      if (!items[i].options.view.empty()) {
-        AppendQueryAudit(doc_name, items[i].options.view, items[i].query,
-                         a.doc_epoch, a.trace_id);
-      }
-    }
-    FoldEvalStats(agg);
-    tm_->query_answers->Add(agg.answers);
-  } else {
-    tm_->batch_errors->Add();
-    const char* guard_kind = CountGuardOutcome(result.status());
-    if (tr != nullptr && guard_kind != nullptr) {
-      tr->SetAttr("guard", guard_kind);
-    }
-  }
-  // One batch-level profile (per-item breakdowns would need per-item
-  // traces); it rides on the FIRST item's answer when requested.
-  const uint64_t threshold_ns =
-      options_.slow_query_threshold_ms * 1000000ull;
-  const bool slow =
-      telemetry_->slow().enabled() && elapsed_ns >= threshold_ns;
-  const bool want_profile = req.profile && result.ok() && !result->empty();
-  if (slow || want_profile) {
-    tel::Profile p = MakeProfile("query_batch", doc_name, "",
-                                 std::to_string(items.size()) + " items",
-                                 elapsed_ns, guard, tr);
-    if (result.ok()) {
-      p.plan_cache_hit =
-          agg.plan_cache_misses == 0 && agg.plan_cache_hits > 0;
-      p.stats = agg;
-      for (const QueryAnswer& a : *result) {
-        if (a.status.ok()) {
-          p.doc_epoch = a.doc_epoch;
-          break;
-        }
-      }
-    }
-    if (want_profile) {
-      result->front().profile = std::make_shared<tel::Profile>(p);
-    }
-    if (slow) telemetry_->slow().Append(std::move(p), "", threshold_ns);
-  }
-  if (tr != nullptr) {
-    tr->SetAttr("status",
-                result.ok() ? "ok" : result.status().ToString());
-    if (!external) telemetry_->traces().Finish(trace);
-  }
-  return result;
-}
-
-Result<std::vector<QueryAnswer>> Smoqe::QueryBatchMultiImpl(
-    const std::vector<DocBatchItem>& items, const Guardrail* guard,
-    tel::Trace* tr) {
-  if (guard != nullptr) SMOQE_RETURN_IF_ERROR(guard->Check());
   // Group items by document (first-appearance order) and pin one snapshot
-  // per document, so each group is internally a QueryBatch.
+  // per document; each group then evaluates like a one-document batch.
   struct Group {
     std::string doc_name;
     std::shared_ptr<const DocumentSnapshot> snap;
-    std::vector<BatchQueryItem> items;
-    std::vector<size_t> original;  // index into the caller's vector
-    std::vector<size_t> sel;       // group positions that compiled
+    std::vector<size_t> sel;  // indices of the group's items that compiled
   };
   std::vector<Group> groups;
   std::map<std::string, size_t> group_of;
-  std::vector<std::vector<PlanUse>> plans;  // parallel to groups
+  std::vector<size_t> group_idx(items.size());
+  std::vector<PlanUse> plans(items.size());
   std::vector<QueryAnswer> out(items.size());
   {
     std::shared_lock<std::shared_mutex> lock(catalog_mu_);
+    if (only_doc != nullptr && catalog_.FindDocument(*only_doc) == nullptr) {
+      return Status::NotFound("document '" + *only_doc + "' is not loaded");
+    }
     for (size_t i = 0; i < items.size(); ++i) {
       auto [it, inserted] = group_of.emplace(items[i].doc, groups.size());
       if (inserted) {
@@ -926,145 +792,137 @@ Result<std::vector<QueryAnswer>> Smoqe::QueryBatchMultiImpl(
                                   "' is not loaded")
               .WithContext("batch item " + std::to_string(i));
         }
-        groups.push_back(Group{items[i].doc, doc->Acquire(), {}, {}, {}});
+        groups.push_back(Group{items[i].doc, doc->Acquire(), {}});
       }
-      Group& g = groups[it->second];
-      g.items.push_back(BatchQueryItem{items[i].query, items[i].options});
-      g.original.push_back(i);
+      group_idx[i] = it->second;
     }
-    // Per-item compile/precondition resolution — same semantics as
-    // QueryBatch: a bad item fails only itself (status in the caller's
-    // slot), an unknown document fails the call above.
-    plans.resize(groups.size());
-    for (size_t gi = 0; gi < groups.size(); ++gi) {
-      Group& g = groups[gi];
-      plans[gi].resize(g.items.size());
-      for (size_t j = 0; j < g.items.size(); ++j) {
-        const QueryOptions& o = g.items[j].options;
-        Status item_st = Status::OK();
-        auto plan = GetPlan(g.items[j].query, o, nullptr);
-        if (!plan.ok()) {
-          item_st = plan.status();
-        } else if (o.mode == EvalMode::kStax && o.use_tax) {
-          item_st = Status::InvalidArgument(
-              "TAX requires DOM mode (the index addresses materialized "
-              "nodes)");
-        } else if (o.mode == EvalMode::kDom && o.use_tax &&
-                   g.snap->tax == nullptr) {
-          item_st = Status::FailedPrecondition(
-              "document '" + g.doc_name +
-              "' has no TAX index; call BuildIndex");
-        }
-        if (!item_st.ok()) {
-          out[g.original[j]].status = item_st.WithContext(
-              "batch item " + std::to_string(g.original[j]));
-          continue;
-        }
-        plans[gi][j] = std::move(*plan);
-        g.sel.push_back(j);
+    // Resolve plans and evaluation preconditions per item. An item that
+    // fails here (unknown view, parse error, TAX-mode conflict) fails
+    // *only itself*: its status lands in out[i].status and it is left
+    // out of its group's evaluation selection; the siblings still run.
+    tel::SpanScope span(tr, "compile_items");
+    for (size_t i = 0; i < items.size(); ++i) {
+      const QueryOptions& o = items[i].options;
+      Group& g = groups[group_idx[i]];
+      Status item_st = Status::OK();
+      auto plan = GetPlan(items[i].query, o, nullptr);
+      if (!plan.ok()) {
+        item_st = plan.status();
+      } else if (o.mode == EvalMode::kStax && o.use_tax) {
+        item_st = Status::InvalidArgument(
+            "TAX requires DOM mode (the index addresses materialized nodes)");
+      } else if (o.mode == EvalMode::kDom && o.use_tax &&
+                 g.snap->tax == nullptr) {
+        item_st = Status::FailedPrecondition(
+            "document '" + g.doc_name + "' has no TAX index; call BuildIndex");
       }
+      if (!item_st.ok()) {
+        out[i].status = item_st.WithContext("batch item " + std::to_string(i));
+        continue;
+      }
+      plans[i] = std::move(*plan);
+      g.sel.push_back(i);
     }
   }
 
+  // Groups write disjoint slots of `out`, so they need no merge step.
   std::vector<Status> statuses(groups.size(), Status::OK());
   auto eval_group = [&](size_t gi) {
-    Group& g = groups[gi];
-    std::vector<QueryAnswer> group_out(g.items.size());
-    Status s = EvalBatchOnSnapshot(*g.snap, g.doc_name, g.items, plans[gi],
-                                   g.sel, g.original, guard, &group_out, tr);
-    if (!s.ok()) {
-      statuses[gi] = std::move(s);
-      return;
-    }
-    for (size_t j : g.sel) {
-      out[g.original[j]] = std::move(group_out[j]);
-    }
+    const Group& g = groups[gi];
+    statuses[gi] = EvalBatchOnSnapshot(*g.snap, g.doc_name, items, plans,
+                                       g.sel, guard, &out, tr);
   };
   // Independent documents evaluate concurrently; within a group the usual
-  // QueryBatch parallelism applies (nested ParallelFor is deadlock-free —
-  // the pool's fork/join helps while waiting).
+  // batch parallelism applies (nested ParallelFor is deadlock-free — the
+  // pool's fork/join helps while waiting).
   if (ParallelEnabled() && groups.size() > 1) {
     pool_->ParallelFor(groups.size(), eval_group);
   } else {
     for (size_t gi = 0; gi < groups.size(); ++gi) eval_group(gi);
   }
   for (size_t gi = 0; gi < groups.size(); ++gi) {
-    if (!statuses[gi].ok()) {
-      return statuses[gi].WithContext("document '" + groups[gi].doc_name +
-                                      "'");
-    }
+    if (statuses[gi].ok()) continue;
+    if (only_doc != nullptr) return statuses[gi];
+    return statuses[gi].WithContext("document '" + groups[gi].doc_name + "'");
   }
   return out;
 }
 
+Result<std::vector<QueryAnswer>> Smoqe::RunBatch(
+    const char* op, const std::string* only_doc,
+    const std::vector<DocBatchItem>& items, const RequestOptions& req) {
+  auto annotate = [&](tel::Trace& tr) {
+    if (only_doc != nullptr) tr.SetAttr("doc", *only_doc);
+    tr.SetAttr("items", std::to_string(items.size()));
+  };
+  auto impl = [&](const Guardrail* guard, tel::Trace* tr) {
+    return QueryBatchMultiImpl(items, only_doc, guard, tr);
+  };
+  auto outcome = [&](Result<std::vector<QueryAnswer>>& result,
+                     uint64_t elapsed_ns, tel::Trace* tr, tel::Profile* p) {
+    tm_->batch_count->Add();
+    tm_->batch_items->Add(items.size());
+    tm_->batch_latency_ns->Record(elapsed_ns);
+    // Batch-level stats are the MergeFrom fold of the per-item stats
+    // (identical under serial and parallel execution — asserted in the
+    // concurrency suite); only the fold touches the registry. Items that
+    // failed locally contribute nothing — no stats, no audit record.
+    EvalStats agg;
+    if (result.ok()) {
+      for (size_t i = 0; i < result->size(); ++i) {
+        QueryAnswer& a = (*result)[i];
+        if (tr != nullptr) a.trace_id = tr->id();
+        if (!a.status.ok()) {
+          tm_->query_errors->Add();
+          continue;
+        }
+        agg.MergeFrom(a.stats);
+        if (!items[i].options.view.empty()) {
+          AppendAudit(tel::AuditKind::kQueryRewrite, items[i].doc,
+                      items[i].options.view, items[i].query, a.doc_epoch,
+                      a.trace_id);
+        }
+      }
+      FoldEvalStats(agg);
+      tm_->query_answers->Add(agg.answers);
+    } else {
+      tm_->batch_errors->Add();
+    }
+    // One batch-level profile (per-item breakdowns would need per-item
+    // traces); it rides on the FIRST item's answer when requested.
+    if (p == nullptr) return;
+    if (only_doc != nullptr) p->doc = *only_doc;
+    p->statement = std::to_string(items.size()) + " items";
+    if (!result.ok()) return;
+    p->plan_cache_hit = agg.plan_cache_misses == 0 && agg.plan_cache_hits > 0;
+    p->stats = agg;
+    for (const QueryAnswer& a : *result) {
+      if (a.status.ok()) {
+        p->doc_epoch = a.doc_epoch;
+        break;
+      }
+    }
+    if (req.profile && !result->empty()) {
+      result->front().profile = std::make_shared<tel::Profile>(*p);
+    }
+  };
+  return Envelope<std::vector<QueryAnswer>>(op, req, annotate, impl, outcome);
+}
+
+Result<std::vector<QueryAnswer>> Smoqe::QueryBatch(
+    const std::string& doc_name, const std::vector<BatchQueryItem>& items,
+    const RequestOptions& req) {
+  std::vector<DocBatchItem> doc_items;
+  doc_items.reserve(items.size());
+  for (const BatchQueryItem& it : items) {
+    doc_items.push_back(DocBatchItem{doc_name, it.query, it.options});
+  }
+  return RunBatch("query_batch", &doc_name, doc_items, req);
+}
+
 Result<std::vector<QueryAnswer>> Smoqe::QueryBatchMulti(
     const std::vector<DocBatchItem>& items, const RequestOptions& req) {
-  Admission slot(this);
-  if (!slot.ok()) {
-    Status busy = Status::RejectedBusy(
-        "engine is at max_pending_requests (" +
-        std::to_string(options_.max_pending_requests) + " in flight)");
-    CountGuardOutcome(busy);
-    return busy;
-  }
-  MemoryBudget budget;
-  Guardrail guard_storage;
-  const Guardrail* guard = MakeGuard(req, &budget, &guard_storage);
-  if (telemetry_ == nullptr) {
-    return QueryBatchMultiImpl(items, guard, nullptr);
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  bool external = false;
-  std::shared_ptr<tel::Trace> trace =
-      PickTrace("query_batch_multi", req, &external);
-  tel::Trace* tr = trace.get();
-  if (tr != nullptr) tr->SetAttr("items", std::to_string(items.size()));
-
-  Result<std::vector<QueryAnswer>> result =
-      QueryBatchMultiImpl(items, guard, tr);
-
-  const uint64_t elapsed_ns = ElapsedNs(t0);
-  tm_->batch_count->Add();
-  tm_->batch_items->Add(items.size());
-  tm_->batch_latency_ns->Record(elapsed_ns);
-  if (result.ok()) {
-    EvalStats agg;
-    for (size_t i = 0; i < result->size(); ++i) {
-      QueryAnswer& a = (*result)[i];
-      if (tr != nullptr) a.trace_id = tr->id();
-      if (!a.status.ok()) {
-        tm_->query_errors->Add();
-        continue;
-      }
-      agg.MergeFrom(a.stats);
-      if (!items[i].options.view.empty()) {
-        AppendQueryAudit(items[i].doc, items[i].options.view, items[i].query,
-                         a.doc_epoch, a.trace_id);
-      }
-    }
-    FoldEvalStats(agg);
-    tm_->query_answers->Add(agg.answers);
-  } else {
-    tm_->batch_errors->Add();
-    const char* guard_kind = CountGuardOutcome(result.status());
-    if (tr != nullptr && guard_kind != nullptr) {
-      tr->SetAttr("guard", guard_kind);
-    }
-  }
-  const uint64_t threshold_ns =
-      options_.slow_query_threshold_ms * 1000000ull;
-  if (telemetry_->slow().enabled() && elapsed_ns >= threshold_ns) {
-    tel::Profile p = MakeProfile("query_batch_multi", "", "",
-                                 std::to_string(items.size()) + " items",
-                                 elapsed_ns, guard, tr);
-    telemetry_->slow().Append(std::move(p), "", threshold_ns);
-  }
-  if (tr != nullptr) {
-    tr->SetAttr("status",
-                result.ok() ? "ok" : result.status().ToString());
-    if (!external) telemetry_->traces().Finish(trace);
-  }
-  return result;
+  return RunBatch("query_batch_multi", nullptr, items, req);
 }
 
 Result<ViewCacheEntry*> Smoqe::GetViewCacheLocked(DocumentEntry* doc,
@@ -1429,94 +1287,56 @@ Result<UpdateResult> Smoqe::Update(const std::string& doc_name,
                                    std::string_view update_text,
                                    const UpdateOptions& options,
                                    const RequestOptions& req) {
-  Admission slot(this);
-  if (!slot.ok()) {
-    Status busy = Status::RejectedBusy(
-        "engine is at max_pending_requests (" +
-        std::to_string(options_.max_pending_requests) + " in flight)");
-    CountGuardOutcome(busy);
-    return busy;
-  }
-  MemoryBudget budget;
-  Guardrail guard_storage;
-  const Guardrail* guard = MakeGuard(req, &budget, &guard_storage);
-  if (telemetry_ == nullptr) {
-    return UpdateImpl(doc_name, update_text, options, guard, nullptr);
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  bool external = false;
-  std::shared_ptr<tel::Trace> trace = PickTrace("update", req, &external);
-  tel::Trace* tr = trace.get();
-  if (tr != nullptr) {
-    tr->SetAttr("doc", doc_name);
-    if (!options.view.empty()) tr->SetAttr("view", options.view);
-    if (options.dry_run) tr->SetAttr("dry_run", "true");
-  }
-  Result<UpdateResult> result =
-      UpdateImpl(doc_name, update_text, options, guard, tr);
-  const uint64_t elapsed_ns = ElapsedNs(t0);
-  tm_->update_count->Add(1);
-  tm_->update_latency_ns->Record(elapsed_ns);
-  if (result.ok()) {
-    tm_->update_accepted->Add(1);
-    tm_->update_nodes_inserted->Add(
-        static_cast<int64_t>(result->stats.nodes_inserted));
-    tm_->update_nodes_deleted->Add(
-        static_cast<int64_t>(result->stats.nodes_deleted));
-    if (!options.view.empty()) {
-      tel::AuditRecord rec;
-      rec.kind = tel::AuditKind::kUpdateAccept;
-      rec.view = options.view;
-      rec.doc = doc_name;
-      rec.doc_epoch = result->stats.doc_epoch;
-      rec.statement = std::string(update_text);
-      rec.allowed = true;
-      rec.trace_id = tr != nullptr ? tr->id() : 0;
-      telemetry_->audit().Append(std::move(rec));
-    }
-  } else if (result.status().code() == StatusCode::kPermissionDenied) {
-    // Every security denial leaves exactly one audit record carrying the
-    // evaluator's explain string verbatim (tested differentially against
-    // the returned Status in tests/telemetry_facade_test.cc).
-    tm_->update_rejected->Add(1);
-    tel::AuditRecord rec;
-    rec.kind = tel::AuditKind::kUpdateReject;
-    rec.view = options.view;
-    rec.doc = doc_name;
-    Result<uint64_t> epoch = DocumentEpoch(doc_name);
-    rec.doc_epoch = epoch.ok() ? *epoch : 0;
-    rec.statement = std::string(update_text);
-    rec.allowed = false;
-    rec.explain = result.status().message();
-    rec.trace_id = tr != nullptr ? tr->id() : 0;
-    telemetry_->audit().Append(std::move(rec));
-  } else {
-    // Guard terminations land here by design: a deadline / budget /
-    // cancel trip is a resource outcome, not a security decision, so it
-    // counts as an error and an audit record is deliberately NOT written
-    // (docs/QUERY_LANGUAGE.md "Updates").
-    tm_->update_errors->Add(1);
-    const char* guard_kind = CountGuardOutcome(result.status());
-    if (tr != nullptr && guard_kind != nullptr) {
-      tr->SetAttr("guard", guard_kind);
-    }
-  }
-  const uint64_t threshold_ns =
-      options_.slow_query_threshold_ms * 1000000ull;
-  if (telemetry_->slow().enabled() && elapsed_ns >= threshold_ns) {
-    tel::Profile p = MakeProfile("update", doc_name, options.view,
-                                 update_text, elapsed_ns, guard, tr);
+  auto annotate = [&](tel::Trace& tr) {
+    tr.SetAttr("doc", doc_name);
+    if (!options.view.empty()) tr.SetAttr("view", options.view);
+    if (options.dry_run) tr.SetAttr("dry_run", "true");
+  };
+  auto impl = [&](const Guardrail* guard, tel::Trace* tr) {
+    return UpdateImpl(doc_name, update_text, options, guard, tr);
+  };
+  auto outcome = [&](Result<UpdateResult>& result, uint64_t elapsed_ns,
+                     tel::Trace* tr, tel::Profile* p) {
+    tm_->update_count->Add(1);
+    tm_->update_latency_ns->Record(elapsed_ns);
+    const uint64_t trace_id = tr != nullptr ? tr->id() : 0;
     if (result.ok()) {
-      p.doc_epoch = result->stats.doc_epoch;
-      p.canonical_query = result->canonical;
+      tm_->update_accepted->Add(1);
+      tm_->update_nodes_inserted->Add(
+          static_cast<int64_t>(result->stats.nodes_inserted));
+      tm_->update_nodes_deleted->Add(
+          static_cast<int64_t>(result->stats.nodes_deleted));
+      if (!options.view.empty()) {
+        AppendAudit(tel::AuditKind::kUpdateAccept, doc_name, options.view,
+                    update_text, result->stats.doc_epoch, trace_id);
+      }
+    } else if (result.status().code() == StatusCode::kPermissionDenied) {
+      // Every security denial leaves exactly one audit record carrying
+      // the evaluator's explain string verbatim (tested differentially
+      // against the returned Status in tests/telemetry_facade_test.cc).
+      tm_->update_rejected->Add(1);
+      Result<uint64_t> epoch = DocumentEpoch(doc_name);
+      AppendAudit(tel::AuditKind::kUpdateReject, doc_name, options.view,
+                  update_text, epoch.ok() ? *epoch : 0, trace_id,
+                  result.status().message());
+    } else {
+      // Guard terminations land here by design: a deadline / budget /
+      // cancel trip is a resource outcome, not a security decision, so it
+      // counts as an error and an audit record is deliberately NOT
+      // written (docs/QUERY_LANGUAGE.md "Updates").
+      tm_->update_errors->Add(1);
     }
-    telemetry_->slow().Append(std::move(p), options.view, threshold_ns);
-  }
-  if (tr != nullptr) {
-    tr->SetAttr("status", result.ok() ? "ok" : result.status().ToString());
-    if (!external) telemetry_->traces().Finish(trace);
-  }
-  return result;
+    // Updates never attach a profile; one is built for the slow log only.
+    if (p == nullptr) return;
+    p->doc = doc_name;
+    p->view = options.view;
+    p->statement = std::string(update_text);
+    if (result.ok()) {
+      p->doc_epoch = result->stats.doc_epoch;
+      p->canonical_query = result->canonical;
+    }
+  };
+  return Envelope<UpdateResult>("update", req, annotate, impl, outcome);
 }
 
 std::string Smoqe::DumpMetrics(tel::DumpFormat format) const {
@@ -1528,6 +1348,9 @@ std::string Smoqe::DumpMetrics(tel::DumpFormat format) const {
   // rather than maintained on the hot path.
   reg.GetGauge("snapshot.live").Set(DocumentSnapshot::LiveCount());
   reg.GetGauge("snapshot.created").Set(DocumentSnapshot::CreatedCount());
+  // Requests holding an admission slot (always 0 with the gate unbounded).
+  reg.GetGauge("admission.inflight")
+      .Set(inflight_.load(std::memory_order_relaxed));
   reg.GetGauge("audit.total")
       .Set(static_cast<int64_t>(telemetry_->audit().total()));
   reg.GetGauge("audit.dropped")

@@ -149,8 +149,9 @@ struct QueryAnswer {
   /// (set when RequestOptions::profile was requested; "" otherwise).
   std::string canonical_query;
   /// Structured execution profile, set only when RequestOptions::profile
-  /// was requested. For QueryBatch the single batch-level profile rides
-  /// on the FIRST item's answer (per-item breakdowns live in `stats`).
+  /// was requested. For QueryBatch / QueryBatchMulti the single
+  /// batch-level profile rides on the FIRST item's answer (per-item
+  /// breakdowns live in `stats`).
   std::shared_ptr<tel::Profile> profile;
   /// Per-item status of batch calls. Query() never returns an answer
   /// with a non-OK status (the call's Result carries the error), but
@@ -335,7 +336,9 @@ class Smoqe {
   /// index — while the other items evaluate normally. Whole-call errors
   /// are reserved for document-level failures: unknown document, a
   /// failed shared StAX scan, or this request's guardrail tripping
-  /// (deadline / budget / cancel / admission via `req`).
+  /// (deadline / budget / cancel / admission via `req`). It is
+  /// QueryBatchMulti over one document, traced and profiled as
+  /// `query_batch`.
   Result<std::vector<QueryAnswer>> QueryBatch(
       const std::string& doc_name, const std::vector<BatchQueryItem>& items,
       const RequestOptions& req = {});
@@ -481,21 +484,41 @@ class Smoqe {
                                    const QueryOptions& options,
                                    const Guardrail* guard, tel::Trace* tr);
 
-  /// The untelemetered bodies of the public calls; the public methods are
-  /// thin wrappers that admit the request, build its guardrail, time the
-  /// call, fold its stats into the registry, append audit records, and
-  /// finish the trace.
+  /// The one request envelope every public entry point runs in
+  /// (docs/DESIGN.md §9.3), in this order: admission gate → guardrail →
+  /// trace pick + `annotate(trace)` → `impl(guard, trace)` → guard-outcome
+  /// count → `outcome(result, elapsed_ns, trace, profile)` → slow-query
+  /// log → trace finish. `outcome` is the op's hook: it records the op's
+  /// counters and latency, appends its audit records, and fills
+  /// `profile` (stamped with op, timing, stages and guard ticks; null
+  /// unless the call is slow or asked for a PROFILE), attaching it to the
+  /// result when the caller asked. With telemetry off only the admission
+  /// gate and the guardrail run before `impl(guard, nullptr)`.
+  template <typename T, typename Annotate, typename Impl, typename Outcome>
+  Result<T> Envelope(const char* op, const RequestOptions& req,
+                     const Annotate& annotate, const Impl& impl,
+                     const Outcome& outcome);
+
+  /// QueryBatch and QueryBatchMulti: the envelope around
+  /// QueryBatchMultiImpl. `only_doc` non-null makes it QueryBatch over
+  /// that one document (a `doc` trace attribute and profile field).
+  Result<std::vector<QueryAnswer>> RunBatch(
+      const char* op, const std::string* only_doc,
+      const std::vector<DocBatchItem>& items, const RequestOptions& req);
+
+  /// The untelemetered bodies of the public calls (run inside Envelope).
   Result<QueryAnswer> QueryImpl(const std::string& doc_name,
                                 std::string_view query_text,
                                 const QueryOptions& options,
                                 const Guardrail* guard, tel::Trace* tr,
                                 bool want_canonical = false);
-  Result<std::vector<QueryAnswer>> QueryBatchImpl(
-      const std::string& doc_name, const std::vector<BatchQueryItem>& items,
-      const Guardrail* guard, tel::Trace* tr);
+  /// Groups items by document and evaluates each group over one pinned
+  /// snapshot. `only_doc` non-null is QueryBatch's one-document form: the
+  /// document is resolved even for an empty batch, and document-level
+  /// failures carry no "batch item N" / "document 'D'" context.
   Result<std::vector<QueryAnswer>> QueryBatchMultiImpl(
-      const std::vector<DocBatchItem>& items, const Guardrail* guard,
-      tel::Trace* tr);
+      const std::vector<DocBatchItem>& items, const std::string* only_doc,
+      const Guardrail* guard, tel::Trace* tr);
   Result<UpdateResult> UpdateImpl(const std::string& doc_name,
                                   std::string_view update_text,
                                   const UpdateOptions& options,
@@ -539,27 +562,24 @@ class Smoqe {
   /// returns the span annotation ("deadline" / "budget" / "admission" /
   /// "cancel"), or nullptr for ordinary errors. Null-safe on tm_.
   const char* CountGuardOutcome(const Status& status);
-  /// Appends the kQueryRewrite audit record of a successful view query.
-  void AppendQueryAudit(const std::string& doc_name,
-                        const std::string& view_name,
-                        std::string_view query_text, uint64_t doc_epoch,
-                        uint64_t trace_id);
+  /// Appends one audit record (allowed unless `kind` is kUpdateReject,
+  /// whose `explain` is the denial message verbatim).
+  void AppendAudit(tel::AuditKind kind, const std::string& doc_name,
+                   const std::string& view_name, std::string_view statement,
+                   uint64_t doc_epoch, uint64_t trace_id,
+                   std::string explain = "");
 
-  /// QueryBatch's evaluation phase over one pinned snapshot: `sel` holds
-  /// the item indices of this group; answers land in out[sel[j]].
-  /// `error_ids` maps an `items` index to the index the *caller* knows
-  /// it by (identity for QueryBatch; the original positions for
-  /// QueryBatchMulti's per-document groups), so "batch item N" error
-  /// contexts always name the caller's numbering.
-  /// Item-local evaluation failures land in out[i].status; only
-  /// document-level failures (a failed shared StAX scan, a guard trip)
-  /// return non-OK.
+  /// The evaluation phase of one batch group over its pinned snapshot:
+  /// `sel` holds the indices (into `items`, `plans` and `out`) of the
+  /// group's items that compiled; answers land in out[i], and "batch item
+  /// N" error contexts name the caller's index. Item-local evaluation
+  /// failures land in out[i].status; only document-level failures (a
+  /// failed shared StAX scan, a guard trip) return non-OK.
   Status EvalBatchOnSnapshot(const DocumentSnapshot& snap,
                              const std::string& doc_name,
-                             const std::vector<BatchQueryItem>& items,
+                             const std::vector<DocBatchItem>& items,
                              const std::vector<PlanUse>& plans,
                              const std::vector<size_t>& sel,
-                             const std::vector<size_t>& error_ids,
                              const Guardrail* guard,
                              std::vector<QueryAnswer>* out, tel::Trace* tr);
 

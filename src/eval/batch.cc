@@ -518,6 +518,15 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::RunParallel(
   CaptureStream cap;
   std::vector<uint8_t> staged;
   uint64_t charged_capture = 0;
+  std::vector<Status> group_status(groups, Status::OK());
+  // A tripped guard returns at once: the plan states of a wide batch are
+  // thousands of small allocations per plan, so they are freed on the
+  // pool rather than on the caller's deadline.
+  auto trip = [&](Status st) {
+    auto doomed = std::make_shared<decltype(states)>(std::move(states));
+    pool.Submit([doomed] { doomed->clear(); });
+    return st;
+  };
   while (!cur.events.empty()) {
     const auto chunk_t0 = par.chunk_ns != nullptr
                               ? std::chrono::steady_clock::now()
@@ -528,6 +537,14 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::RunParallel(
       pool.Submit([&, g] {
         auto [begin, end] = group_range(g);
         for (size_t k = begin; k < end; ++k) {
+          // Poll between plans: a chunk's wall time grows with the batch
+          // width, so the per-chunk check below alone would let deadline
+          // detection lag by a whole chunk of a wide batch. A tripped
+          // group stops; the caller fails the call after the join.
+          if (options_.guard != nullptr) {
+            group_status[g] = options_.guard->Check();
+            if (!group_status[g].ok()) break;
+          }
           AdvancePlanOverChunk(*states[k], cur, *names);
         }
         join.CountDown();
@@ -551,6 +568,10 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::RunParallel(
     // them itself rather than deadlock.
     pool.HelpWhileWaiting(join);
     if (!tok_status.ok()) return tok_status;
+    // A group that stopped early left its plans mid-chunk: fail closed.
+    for (Status& st : group_status) {
+      if (!st.ok()) return trip(std::move(st));
+    }
 
     // Join: merge the groups' staging reports, then replay the shared
     // capture stream for this chunk on the driver thread.
@@ -592,7 +613,8 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::RunParallel(
       charged_capture = cap.appended();
       for (auto& ps : states) bytes += ps->engine.TakeAllocBytes();
       options_.guard->ChargeBytes(bytes);
-      SMOQE_RETURN_IF_ERROR(options_.guard->Check());
+      Status st = options_.guard->Check();
+      if (!st.ok()) return trip(std::move(st));
     }
     std::swap(cur, next);
   }

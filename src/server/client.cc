@@ -117,7 +117,10 @@ Status Client::SendBytes(std::string_view bytes) {
   if (fd_ < 0) return Status::FailedPrecondition("client not connected");
   size_t off = 0;
   while (off < bytes.size()) {
-    const ssize_t n = ::write(fd_, bytes.data() + off, bytes.size() - off);
+    // MSG_NOSIGNAL: a closed server is an error Status, not a SIGPIPE
+    // that kills the calling process.
+    const ssize_t n =
+        ::send(fd_, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
     if (n > 0) {
       off += static_cast<size_t>(n);
       continue;

@@ -42,6 +42,38 @@ uint64_t NsSince(std::chrono::steady_clock::time_point t0) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count());
 }
 
+/// The session request knobs of a wire request (every request kind
+/// carries the same governance fields and trace context).
+template <typename Req>
+core::SessionRequestOptions SessionOptionsOf(
+    const Req& req, const std::shared_ptr<telemetry::Trace>& trace) {
+  core::SessionRequestOptions sreq;
+  sreq.deadline_ms = req.deadline_ms;
+  sreq.max_memory_bytes = req.max_memory_bytes;
+  sreq.trace_id = req.trace.trace_id;
+  sreq.profile = req.trace.profile();
+  sreq.trace = trace;
+  return sreq;
+}
+
+/// Fills the v2 trace echo iff the request carried a trace context. A
+/// non-null `profile` is re-stamped arrival-relative — so queue_wait fits
+/// under total_ns and the root-stage sum stays ≤ total_ns — and rendered.
+void FillEcho(const TraceContext& ctx,
+              const std::shared_ptr<telemetry::Trace>& trace,
+              std::chrono::steady_clock::time_point enqueue,
+              telemetry::Profile* profile, TraceEcho* echo) {
+  if (!ctx.has()) return;
+  echo->present = true;
+  echo->trace_id = trace != nullptr ? trace->id() : ctx.trace_id;
+  echo->server_ns = NsSince(enqueue);
+  if (profile == nullptr) return;
+  profile->trace_id = echo->trace_id;
+  profile->total_ns = echo->server_ns;
+  echo->has_profile = 1;
+  echo->profile_json = telemetry::ProfileRenderer::Json(*profile);
+}
+
 }  // namespace
 
 Server::Connection::~Connection() {
@@ -457,8 +489,11 @@ void Server::SendBytes(const std::shared_ptr<Connection>& conn,
 void Server::FlushWrites(const std::shared_ptr<Connection>& conn) {
   if (conn->fd < 0) return;
   while (conn->wbuf_off < conn->wbuf.size()) {
-    const ssize_t n = ::write(conn->fd, conn->wbuf.data() + conn->wbuf_off,
-                              conn->wbuf.size() - conn->wbuf_off);
+    // MSG_NOSIGNAL: a peer that hung up yields EPIPE here, not a
+    // process-killing SIGPIPE.
+    const ssize_t n =
+        ::send(conn->fd, conn->wbuf.data() + conn->wbuf_off,
+               conn->wbuf.size() - conn->wbuf_off, MSG_NOSIGNAL);
     if (n > 0) {
       metrics_.Count(metrics_.bytes_written, static_cast<uint64_t>(n));
       conn->wbuf_off += static_cast<size_t>(n);
@@ -716,13 +751,8 @@ std::string Server::ExecuteQuery(
   opts.mode = req.mode == WireEvalMode::kStax ? core::EvalMode::kStax
                                               : core::EvalMode::kDom;
   opts.use_tax = req.use_tax != 0;
-  core::SessionRequestOptions sreq;
-  sreq.deadline_ms = req.deadline_ms;
-  sreq.max_memory_bytes = req.max_memory_bytes;
-  sreq.trace_id = req.trace.trace_id;
-  sreq.profile = req.trace.profile();
-  sreq.trace = trace;
-  auto r = session.Query(req.doc, req.query, opts, sreq);
+  auto r =
+      session.Query(req.doc, req.query, opts, SessionOptionsOf(req, trace));
   QueryResponse resp;
   resp.id = req.id;
   if (!r.ok()) {
@@ -734,19 +764,8 @@ std::string Server::ExecuteQuery(
     resp.answers_xml = std::move(r->answers_xml);
     metrics_.Count(metrics_.responses_ok);
   }
-  if (req.trace.has()) {
-    resp.echo.present = true;
-    resp.echo.trace_id = trace != nullptr ? trace->id() : req.trace.trace_id;
-    resp.echo.server_ns = NsSince(item.enqueue);
-    if (r.ok() && r->profile != nullptr) {
-      // Re-stamp arrival-relative so queue_wait fits under total_ns and
-      // the root-stage sum stays ≤ total_ns.
-      r->profile->trace_id = resp.echo.trace_id;
-      r->profile->total_ns = resp.echo.server_ns;
-      resp.echo.has_profile = 1;
-      resp.echo.profile_json = telemetry::ProfileRenderer::Json(*r->profile);
-    }
-  }
+  FillEcho(req.trace, trace, item.enqueue,
+           r.ok() ? r->profile.get() : nullptr, &resp.echo);
   return Encode(resp);
 }
 
@@ -763,13 +782,7 @@ std::string Server::ExecuteQueryBatch(
     s.options.use_tax = it.use_tax != 0;
     items.push_back(std::move(s));
   }
-  core::SessionRequestOptions sreq;
-  sreq.deadline_ms = req.deadline_ms;
-  sreq.max_memory_bytes = req.max_memory_bytes;
-  sreq.trace_id = req.trace.trace_id;
-  sreq.profile = req.trace.profile();
-  sreq.trace = trace;
-  auto r = session.QueryBatch(req.doc, items, sreq);
+  auto r = session.QueryBatch(req.doc, items, SessionOptionsOf(req, trace));
   QueryBatchResponse resp;
   resp.id = req.id;
   if (!r.ok()) {
@@ -791,32 +804,18 @@ std::string Server::ExecuteQueryBatch(
     }
     metrics_.Count(metrics_.responses_ok);
   }
-  if (req.trace.has()) {
-    resp.echo.present = true;
-    resp.echo.trace_id = trace != nullptr ? trace->id() : req.trace.trace_id;
-    resp.echo.server_ns = NsSince(item.enqueue);
-    // The facade attaches the batch profile to the first answer.
-    if (r.ok() && !r->empty() && r->front().profile != nullptr) {
-      telemetry::Profile& p = *r->front().profile;
-      p.trace_id = resp.echo.trace_id;
-      p.total_ns = resp.echo.server_ns;
-      resp.echo.has_profile = 1;
-      resp.echo.profile_json = telemetry::ProfileRenderer::Json(p);
-    }
-  }
+  // The facade attaches the batch profile to the first answer.
+  FillEcho(req.trace, trace, item.enqueue,
+           r.ok() && !r->empty() ? r->front().profile.get() : nullptr,
+           &resp.echo);
   return Encode(resp);
 }
 
 std::string Server::ExecuteUpdate(
     core::Session& session, const UpdateRequest& req, const WorkItem& item,
     const std::shared_ptr<telemetry::Trace>& trace) {
-  core::SessionRequestOptions sreq;
-  sreq.deadline_ms = req.deadline_ms;
-  sreq.max_memory_bytes = req.max_memory_bytes;
-  sreq.trace_id = req.trace.trace_id;
-  sreq.profile = req.trace.profile();
-  sreq.trace = trace;
-  auto r = session.Update(req.doc, req.statement, req.dry_run != 0, sreq);
+  auto r = session.Update(req.doc, req.statement, req.dry_run != 0,
+                          SessionOptionsOf(req, trace));
   UpdateResponse resp;
   resp.id = req.id;
   if (!r.ok()) {
@@ -830,12 +829,8 @@ std::string Server::ExecuteUpdate(
     resp.nodes_deleted = r->stats.nodes_deleted;
     metrics_.Count(metrics_.responses_ok);
   }
-  if (req.trace.has()) {
-    // Updates never carry a profile back; the echo is id + timing only.
-    resp.echo.present = true;
-    resp.echo.trace_id = trace != nullptr ? trace->id() : req.trace.trace_id;
-    resp.echo.server_ns = NsSince(item.enqueue);
-  }
+  // Updates never carry a profile back; the echo is id + timing only.
+  FillEcho(req.trace, trace, item.enqueue, nullptr, &resp.echo);
   return Encode(resp);
 }
 

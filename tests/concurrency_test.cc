@@ -174,6 +174,69 @@ TEST_F(ConcurrencyTest, QueryBatchMultiMatchesPerDocQueries) {
     ASSERT_TRUE(single.ok());
     EXPECT_EQ((*multi)[i].answers_xml, single->answers_xml) << "item " << i;
   }
+
+  // Single document: QueryBatch is QueryBatchMulti over one document, so
+  // both agree item by item — failing items included — and move the
+  // batch/query/audit counters by the same amounts.
+  std::vector<BatchQueryItem> one_doc = ServiceMix();
+  BatchQueryItem bad_parse{"a[[", {}};
+  BatchQueryItem bad_view{"//pname", {}};
+  bad_view.options.view = "ghost";
+  BatchQueryItem stax_tax{"//pname", {}};
+  stax_tax.options.mode = EvalMode::kStax;
+  stax_tax.options.use_tax = true;
+  BatchQueryItem dom_tax{"//pname", {}};
+  dom_tax.options.use_tax = true;  // "ward" has no TAX index
+  for (const BatchQueryItem& bad : {bad_parse, bad_view, stax_tax, dom_tax}) {
+    one_doc.push_back(bad);
+  }
+  std::vector<DocBatchItem> one_doc_multi;
+  for (const BatchQueryItem& it : one_doc) {
+    one_doc_multi.push_back(DocBatchItem{"ward", it.query, it.options});
+  }
+  tel::MetricsRegistry& reg = engine_->telemetry()->registry();
+  struct Tally {
+    uint64_t batches, errors, answers, audits;
+  };
+  auto tally = [&] {
+    return Tally{reg.GetCounter("batch.count").Value(),
+                 reg.GetCounter("query.errors").Value(),
+                 reg.GetCounter("query.answers").Value(),
+                 engine_->telemetry()->audit().total()};
+  };
+  const Tally t0 = tally();
+  auto batch = engine_->QueryBatch("ward", one_doc);
+  const Tally t1 = tally();
+  auto as_multi = engine_->QueryBatchMulti(one_doc_multi);
+  const Tally t2 = tally();
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_TRUE(as_multi.ok()) << as_multi.status().ToString();
+  ASSERT_EQ(batch->size(), one_doc.size());
+  ASSERT_EQ(as_multi->size(), one_doc.size());
+  for (size_t i = 0; i < one_doc.size(); ++i) {
+    const QueryAnswer& b = (*batch)[i];
+    const QueryAnswer& m = (*as_multi)[i];
+    EXPECT_EQ(b.answers_xml, m.answers_xml) << "item " << i;
+    EXPECT_EQ(b.status.code(), m.status.code()) << "item " << i;
+    EXPECT_EQ(b.status.message(), m.status.message()) << "item " << i;
+  }
+  EXPECT_FALSE((*batch)[one_doc.size() - 1].status.ok());
+  EXPECT_EQ(t1.batches - t0.batches, t2.batches - t1.batches);
+  EXPECT_EQ(t1.errors - t0.errors, 4u);
+  EXPECT_EQ(t1.errors - t0.errors, t2.errors - t1.errors);
+  EXPECT_EQ(t1.answers - t0.answers, t2.answers - t1.answers);
+  EXPECT_EQ(t1.audits - t0.audits, t2.audits - t1.audits);
+
+  // An unknown document fails QueryBatch whole, with the plain catalog
+  // message — no "batch item N" context, even for an empty batch.
+  for (const auto& items_for_missing :
+       {one_doc, std::vector<BatchQueryItem>{}}) {
+    auto missing = engine_->QueryBatch("no-such-doc", items_for_missing);
+    ASSERT_FALSE(missing.ok());
+    EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(missing.status().message(),
+              "document 'no-such-doc' is not loaded");
+  }
 }
 
 TEST_F(ConcurrencyTest, QueryBatchMultiUnknownDocumentNamesItem) {

@@ -355,6 +355,17 @@ TEST_F(GuardrailFacadeTest, AdmissionGateRejectsWhenFull) {
   Result<std::vector<QueryAnswer>> slow = Status::Internal("not run");
   std::thread worker([&] { slow = gated.QueryBatch("big", items, req); });
 
+  // Handshake: probe only once the worker provably holds the only slot.
+  // Probing earlier lets a probe take the slot first, and then the worker
+  // is the one turned away — on any core count.
+  auto inflight = [&] {
+    gated.DumpMetrics();
+    return gated.telemetry()->registry().GetGauge("admission.inflight")
+        .Value();
+  };
+  for (int i = 0; i < 10000 && inflight() != 1; ++i) SleepMs(1);
+  const int64_t held = inflight();
+
   // While the slow batch holds the only slot, every other request must
   // fast-fail with RejectedBusy (never block, never partially answer).
   bool saw_busy = false;
@@ -370,6 +381,7 @@ TEST_F(GuardrailFacadeTest, AdmissionGateRejectsWhenFull) {
   }
   token.Cancel();
   worker.join();
+  ASSERT_EQ(held, 1) << "the worker never took the admission slot";
   ASSERT_TRUE(saw_busy);
   EXPECT_NE(busy_message.find("max_pending_requests"), std::string::npos);
   EXPECT_GE(
@@ -378,6 +390,12 @@ TEST_F(GuardrailFacadeTest, AdmissionGateRejectsWhenFull) {
       1u);
   // The slot is free again: the same query now runs.
   EXPECT_TRUE(gated.Query("big", "//pname").ok());
+  EXPECT_EQ(inflight(), 0);
+  // An unbounded gate counts nothing.
+  engine_.DumpMetrics();
+  EXPECT_EQ(
+      engine_.telemetry()->registry().GetGauge("admission.inflight").Value(),
+      0);
 }
 
 TEST_F(GuardrailFacadeTest, GuardTerminationFailsTheWholeBatchCall) {

@@ -216,6 +216,42 @@ TEST_F(ServerFuzzTest, FramingMutantsNeverWedgeTheServer) {
   Probe("after framing mutants");
 }
 
+// A client that hangs up before its answers are written: HELLO plus a
+// duplicate HELLO in one send, then close. The server answers both
+// frames back to back; the first write draws a reset from the closed
+// peer, so the second hits a broken pipe. That must close the
+// connection, never raise SIGPIPE (which would kill the whole process).
+TEST_F(ServerFuzzTest, PeerGoneBeforeResponsesAreWritten) {
+  HelloRequest hello;
+  hello.id = 0;
+  hello.role = "";
+  const std::string hello_frame = Encode(hello);
+  for (int i = 0; i < 50; ++i) {
+    RawConn conn;
+    ASSERT_TRUE(conn.Dial(server_->port())) << "attempt " << i;
+    ASSERT_TRUE(conn.Send(hello_frame + hello_frame)) << "attempt " << i;
+    conn.Close();
+  }
+  Probe("after vanished peers");
+}
+
+// The client library's side of the same contract: writing to a server
+// that hung up returns an error Status instead of raising SIGPIPE.
+TEST_F(ServerFuzzTest, ClientSurvivesServerHangUp) {
+  ClientOptions o;
+  o.port = server_->port();
+  auto client = Client::Connect(o);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  server_.reset();  // stopping the server closes every connection
+  QueryRequest q;
+  q.doc = "ward";
+  q.query = "//pname";
+  const std::string frame = Encode(q);
+  const Status first = client->SendBytes(frame);  // draws the reset
+  const Status second = client->SendBytes(frame);
+  EXPECT_FALSE(first.ok() && second.ok());
+}
+
 // Truncation sweep: every proper prefix of a valid QUERY frame, then
 // EOF. The server must treat the half-frame as a dead client — close
 // its side, keep serving everyone else. Also covers prefixes of the

@@ -148,6 +148,49 @@ TEST(ProfileDifferentialTest, ProfileTotalsEqualHistogramSamples) {
       << "profile totals and histogram samples drifted apart";
 }
 
+// QueryBatchMulti carries its batch-level profile on the first answer,
+// exactly as QueryBatch does, and the profile's total_ns is the same
+// number the call's batch.latency_ns sample recorded.
+TEST(ProfileDifferentialTest, QueryBatchMultiAttachesBatchProfile) {
+  core::Smoqe engine(server::testutil2::ServerEngineOptions());
+  server::testutil2::SetupHospitalEngine(engine, /*gen_nodes=*/500);
+  core::QueryOptions opts;
+  opts.view = "autism-group";
+  const std::vector<core::DocBatchItem> items = {
+      {"ward", "//patient/pname", opts},
+      {"gen", "//patient/pname", opts},
+      {"ward", "//medication", opts}};
+  core::RequestOptions req;
+  req.profile = true;
+  auto r = engine.QueryBatchMulti(items, req);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->size(), items.size());
+  ASSERT_NE((*r)[0].profile, nullptr) << "PROFILE must ride on item 0";
+  EXPECT_EQ((*r)[1].profile, nullptr);
+  EXPECT_EQ((*r)[2].profile, nullptr);
+  const Profile& p = *(*r)[0].profile;
+  EXPECT_EQ(p.op, "query_batch_multi");
+  EXPECT_EQ(p.statement, "3 items");
+  EXPECT_EQ(p.trace_id, (*r)[0].trace_id);
+  EXPECT_NE(p.trace_id, 0u);
+  EXPECT_EQ(p.doc_epoch, (*r)[0].doc_epoch);
+  EXPECT_FALSE(p.stages.empty());
+  uint64_t answers = 0;
+  for (const core::QueryAnswer& a : *r) answers += a.stats.answers;
+  EXPECT_EQ(p.stats.answers, answers);
+
+  const Histogram& latency =
+      engine.telemetry()->registry().GetHistogram("batch.latency_ns");
+  ASSERT_EQ(latency.Count(), 1u);
+  EXPECT_EQ(p.total_ns, latency.Sum())
+      << "profile total and histogram sample drifted apart";
+
+  // Without the flag no profile is attached.
+  auto plain = engine.QueryBatchMulti(items);
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ((*plain)[0].profile, nullptr);
+}
+
 // In-process trace-id adoption mirrors the wire path: an explicit
 // trace_id forces recording (no sampling flakiness) under that id.
 TEST(ProfileDifferentialTest, ExplicitTraceIdForcesRecording) {

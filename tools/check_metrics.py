@@ -253,7 +253,7 @@ def check_one_profile(p, where):
     for key in PROFILE_KEYS:
         if key not in p:
             fail(f"{where}: profile missing '{key}'")
-    if p["op"] not in ("query", "query_batch", "update"):
+    if p["op"] not in ("query", "query_batch", "query_batch_multi", "update"):
         fail(f"{where}: unknown op '{p['op']}'")
     for key in PROFILE_STAT_KEYS:
         if key not in p["stats"]:
@@ -270,10 +270,10 @@ def check_one_profile(p, where):
             root_ns += stage["ns"]
     # Root stages partition (a subset of) the request's wall time; they
     # can never sum past it. Child stages nest inside roots and are
-    # excluded, so overlap does not double-count. query_batch is exempt:
-    # its items run concurrently on the pool, so summed stage CPU time
-    # exceeding wall time is the parallelism working as intended.
-    if p["op"] != "query_batch" and root_ns > p["total_ns"]:
+    # excluded, so overlap does not double-count. The batch ops are
+    # exempt: their items run concurrently on the pool, so summed stage
+    # CPU time exceeding wall time is the parallelism working as intended.
+    if not p["op"].startswith("query_batch") and root_ns > p["total_ns"]:
         fail(f"{where}: root stages sum {root_ns} > total_ns "
              f"{p['total_ns']}")
 
