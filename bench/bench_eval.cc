@@ -85,61 +85,38 @@ void TwoPass(benchmark::State& state) {
 
 // ---------------------------------------------------------------------
 // BENCH_eval.json — the recorded perf trajectory (ns/node, nodes/sec,
-// peak active pairs per workload × size), swept over the hot-path
-// optimization configs so the ablation speedup is captured in-repo.
+// peak active pairs) per workload × size. The engine has one hot path;
+// rows keep the "opt_all" config key of the retired E10 sweep. Its
+// no_dispatch / no_interning / no_hashdedup / opt_none rows are in the
+// committed file (a re-run replaces every hype_dom row, so after one they
+// live in the git history).
 // ---------------------------------------------------------------------
-
-eval::EngineOptions ConfigOptions(const std::string& config) {
-  eval::EngineOptions e;
-  if (config == "opt_none") {
-    e.label_dispatch = false;
-    e.guard_interning = false;
-    e.hashed_run_dedup = false;
-  } else if (config == "no_dispatch") {
-    e.label_dispatch = false;
-  } else if (config == "no_interning") {
-    e.guard_interning = false;
-  } else if (config == "no_hashdedup") {
-    e.hashed_run_dedup = false;
-  }  // "opt_all": defaults
-  return e;
-}
-
-const std::vector<std::string>& Configs() {
-  static const std::vector<std::string> configs = {
-      "opt_all", "no_dispatch", "no_interning", "no_hashdedup", "opt_none"};
-  return configs;
-}
 
 void SweepDom(const char* workload, const xml::Document& doc,
               const workload::BenchQuery& bq, bench::JsonReport* report) {
   const automata::Mfa& mfa = Corpus::Get().Mfa(bq.text);
-  for (const std::string& config : Configs()) {
-    eval::DomEvalOptions opts;
-    opts.engine = ConfigOptions(config);
-    EvalStats stats;
-    size_t answers = 0;
-    double ns = bench::MeasureNsPerIter([&] {
-      auto r = eval::EvalHypeDom(mfa, doc, opts);
-      Corpus::Check(r.ok(), "trajectory eval");
-      stats = r->stats;
-      answers = r->answers.size();
-    });
-    bench::TrajectoryRow row;
-    row.engine = "hype_dom";
-    row.workload = workload;
-    row.query = bq.id;
-    row.config = config;
-    row.nodes = doc.num_nodes();
-    row.answers = answers;
-    row.ns_per_node = ns / static_cast<double>(doc.num_nodes());
-    row.nodes_per_sec = static_cast<double>(doc.num_nodes()) * 1e9 / ns;
-    row.max_active_pairs = stats.max_active_pairs;
-    row.guard_pool_entries = stats.guard_pool_entries;
-    row.guard_pool_hits = stats.guard_pool_hits;
-    row.run_dedup_probes = stats.run_dedup_probes;
-    report->Add(std::move(row));
-  }
+  EvalStats stats;
+  size_t answers = 0;
+  double ns = bench::MeasureNsPerIter([&] {
+    auto r = eval::EvalHypeDom(mfa, doc);
+    Corpus::Check(r.ok(), "trajectory eval");
+    stats = r->stats;
+    answers = r->answers.size();
+  });
+  bench::TrajectoryRow row;
+  row.engine = "hype_dom";
+  row.workload = workload;
+  row.query = bq.id;
+  row.config = "opt_all";
+  row.nodes = doc.num_nodes();
+  row.answers = answers;
+  row.ns_per_node = ns / static_cast<double>(doc.num_nodes());
+  row.nodes_per_sec = static_cast<double>(doc.num_nodes()) * 1e9 / ns;
+  row.max_active_pairs = stats.max_active_pairs;
+  row.guard_pool_entries = stats.guard_pool_entries;
+  row.guard_pool_hits = stats.guard_pool_hits;
+  row.run_dedup_probes = stats.run_dedup_probes;
+  report->Add(std::move(row));
 }
 
 }  // namespace
@@ -155,7 +132,7 @@ void WriteTrajectory(const char* path) {
       // predicate cover the guard-heavy and scan-heavy regimes without
       // blowing up sweep time. The descendant-predicate queries run over
       // the deep-genealogy document — with the default shallow nesting
-      // their frames never widen and every config measures alike.
+      // their frames never widen past the hashed-dedup threshold.
       std::string id(bq.id);
       if (id == "Q0" || id == "pred-text") {
         SweepDom("hospital", hospital, bq, &report);
@@ -223,7 +200,7 @@ int dummy = (RegisterAll(), 0);
 }  // namespace smoqe
 
 // Custom main (not benchmark_main): after the google-benchmark run, sweep
-// the optimization configs and record BENCH_eval.json.
+// record BENCH_eval.json.
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -87,7 +87,7 @@ void RegisterAll() {
 }  // namespace
 
 // BENCH_stax.json: StAX-mode trajectory (ns/node, nodes/sec, peak active
-// pairs) with the hot-path optimizations on vs off. Extern: called from
+// pairs), config key "opt_all" as in BENCH_eval.json. Extern: called from
 // main below.
 void WriteStaxTrajectory(const char* path) {
   bench::JsonReport report;
@@ -95,34 +95,28 @@ void WriteStaxTrajectory(const char* path) {
     const xml::Document& doc = Corpus::Get().Hospital(size);
     const std::string& text = Corpus::Get().HospitalText(size);
     const automata::Mfa& mfa = Corpus::Get().Mfa(kQuery);
-    for (bool opt_all : {true, false}) {
-      eval::StaxEvalOptions opts;
-      opts.engine.label_dispatch = opt_all;
-      opts.engine.guard_interning = opt_all;
-      opts.engine.hashed_run_dedup = opt_all;
-      EvalStats stats;
-      size_t answers = 0;
-      double ns = bench::MeasureNsPerIter([&] {
-        auto r = eval::EvalHypeStax(mfa, text, opts);
-        Corpus::Check(r.ok(), "stax trajectory eval");
-        stats = r->stats;
-        answers = r->answers.size();
-      });
-      bench::TrajectoryRow row;
-      row.engine = "hype_stax";
-      row.workload = "hospital";
-      row.query = "autism-dates";
-      row.config = opt_all ? "opt_all" : "opt_none";
-      row.nodes = doc.num_nodes();
-      row.answers = answers;
-      row.ns_per_node = ns / static_cast<double>(doc.num_nodes());
-      row.nodes_per_sec = static_cast<double>(doc.num_nodes()) * 1e9 / ns;
-      row.max_active_pairs = stats.max_active_pairs;
-      row.guard_pool_entries = stats.guard_pool_entries;
-      row.guard_pool_hits = stats.guard_pool_hits;
-      row.run_dedup_probes = stats.run_dedup_probes;
-      report.Add(std::move(row));
-    }
+    EvalStats stats;
+    size_t answers = 0;
+    double ns = bench::MeasureNsPerIter([&] {
+      auto r = eval::EvalHypeStax(mfa, text);
+      Corpus::Check(r.ok(), "stax trajectory eval");
+      stats = r->stats;
+      answers = r->answers.size();
+    });
+    bench::TrajectoryRow row;
+    row.engine = "hype_stax";
+    row.workload = "hospital";
+    row.query = "autism-dates";
+    row.config = "opt_all";
+    row.nodes = doc.num_nodes();
+    row.answers = answers;
+    row.ns_per_node = ns / static_cast<double>(doc.num_nodes());
+    row.nodes_per_sec = static_cast<double>(doc.num_nodes()) * 1e9 / ns;
+    row.max_active_pairs = stats.max_active_pairs;
+    row.guard_pool_entries = stats.guard_pool_entries;
+    row.guard_pool_hits = stats.guard_pool_hits;
+    row.run_dedup_probes = stats.run_dedup_probes;
+    report.Add(std::move(row));
   }
   if (!report.WriteFile(path)) {
     std::fprintf(stderr, "failed to write %s\n", path);

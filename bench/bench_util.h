@@ -147,7 +147,7 @@ struct TrajectoryRow {
                          ///< queries run over the deep-genealogy document
                          ///< variant (see WriteTrajectory in bench_eval.cc).
   std::string query;     ///< bench query id
-  std::string config;    ///< "opt_all" | "opt_none" | "no_dispatch" | ...
+  std::string config;    ///< "opt_all", "batch", "parallel", ...
   uint64_t nodes = 0;
   uint64_t answers = 0;
   /// Total parallelism the measured call was allowed (1 = serial; the

@@ -204,12 +204,6 @@ size_t Mfa::TotalTransitions() const {
   return n;
 }
 
-size_t Mfa::TotalDispatchEntries() const {
-  size_t n = selection_.DispatchEntryCount();
-  for (const Obligation& ob : obligations_) n += ob.nfa.DispatchEntryCount();
-  return n;
-}
-
 namespace {
 
 std::string TestToString(const LabelTest& t, const xml::NameTable& names) {

@@ -49,10 +49,6 @@ class Mfa {
   /// obligation NFA (the |MFA| measure of experiment E1).
   size_t TotalStates() const;
   size_t TotalTransitions() const;
-  /// Total label-dispatch entries across every NFA (the index the evaluator
-  /// consults instead of scanning transitions; sealed by FlatNfa::Flatten,
-  /// see docs/DESIGN.md §3.3). Linear in TotalTransitions.
-  size_t TotalDispatchEntries() const;
 
   /// Human-readable dump of the automaton structure — the textual
   /// counterpart of the iSMOQE automaton visualizer (Fig. 4(b)).

@@ -99,66 +99,6 @@ size_t FlatNfa::TransitionCount() const {
   return n;
 }
 
-size_t FlatNfa::DispatchEntryCount() const {
-  size_t n = 0;
-  for (const State& s : states) {
-    n += s.by_label.size() + s.wildcard_trans.size();
-  }
-  return n;
-}
-
-void FlatNfa::BuildDispatch() {
-  for (State& st : states) {
-    st.by_label.clear();
-    st.label_spans.clear();
-    st.wildcard_trans.clear();
-    st.eager_preds.clear();
-    for (const Transition& t : st.trans) {
-      st.eager_preds.insert(st.eager_preds.end(), t.src_preds.begin(),
-                            t.src_preds.end());
-    }
-    for (const PredSet& g : st.accept_guards) {
-      st.eager_preds.insert(st.eager_preds.end(), g.begin(), g.end());
-    }
-    std::sort(st.eager_preds.begin(), st.eager_preds.end());
-    st.eager_preds.erase(
-        std::unique(st.eager_preds.begin(), st.eager_preds.end()),
-        st.eager_preds.end());
-    xml::NameId max_label = -1;
-    for (const Transition& t : st.trans) {
-      if (!t.test.wildcard) max_label = std::max(max_label, t.test.label);
-    }
-    if (max_label >= 0) {
-      st.label_spans.assign(static_cast<size_t>(max_label) + 1, {0, 0});
-    }
-    // Counting sort of the named transition ids by label: count, prefix-sum
-    // into span begins, then place. Keeps `trans`-order within each label
-    // so the dispatch path fires transitions in the same relative order as
-    // the linear scan it replaces.
-    for (const Transition& t : st.trans) {
-      if (!t.test.wildcard) {
-        ++st.label_spans[static_cast<size_t>(t.test.label)].second;
-      }
-    }
-    int32_t total = 0;
-    for (auto& [b, e] : st.label_spans) {
-      b = total;
-      total += e;
-      e = b;  // reused as the placement cursor below
-    }
-    st.by_label.resize(static_cast<size_t>(total));
-    for (size_t i = 0; i < st.trans.size(); ++i) {
-      const Transition& t = st.trans[i];
-      if (t.test.wildcard) {
-        st.wildcard_trans.push_back(static_cast<int32_t>(i));
-      } else {
-        auto& [b, e] = st.label_spans[static_cast<size_t>(t.test.label)];
-        st.by_label[static_cast<size_t>(e++)] = static_cast<int32_t>(i);
-      }
-    }
-  }
-}
-
 FlatNfa FlatNfa::Flatten(const BuildNfa& build, int start,
                          const std::vector<bool>& accepting) {
   FlatNfa flat;
@@ -295,8 +235,6 @@ FlatNfa FlatNfa::Flatten(const BuildNfa& build, int start,
       });
     }
   }
-  // Seal: every FlatNfa leaving the builder carries its dispatch index.
-  flat.BuildDispatch();
   return flat;
 }
 

@@ -69,7 +69,8 @@ using PredSet = std::vector<PredId>;
 /// Merges two PredSets (set union, keeps sorted/unique form).
 PredSet MergePredSets(const PredSet& a, const PredSet& b);
 
-/// \brief ε-free runtime NFA. One table lookup per document step.
+/// \brief ε-free runtime NFA. One transition-list scan per (run, document
+/// step).
 ///
 /// Semantics of a transition (see DESIGN.md §3): from node u in state
 /// `src`, moving to a child w whose label passes `test`, charge
@@ -91,36 +92,6 @@ class FlatNfa {
   struct State {
     std::vector<Transition> trans;
     std::vector<PredSet> accept_guards;
-    /// Label-indexed dispatch over `trans` (sealed by BuildDispatch, which
-    /// Flatten always runs last — every FlatNfa in an Mfa is dispatchable).
-    /// Named transitions are grouped by label in `by_label`;
-    /// `label_spans[l]` is the [begin, end) slice of `by_label` holding the
-    /// transition ids whose test is exactly label `l` (dense over NameId up
-    /// to the largest label tested by this state). Wildcard transitions
-    /// live in `wildcard_trans` and match every label. The evaluator's
-    /// per-(run, label) step is then one span lookup plus the wildcard
-    /// list, instead of a scan of `trans` with a LabelTest per entry.
-    std::vector<int32_t> by_label;
-    std::vector<std::pair<int32_t, int32_t>> label_spans;
-    std::vector<int32_t> wildcard_trans;
-    /// Union of every transition's src_preds and every accept guard's
-    /// predicates (sorted, unique) — the predicates a run sitting in this
-    /// state can charge at its node. Sealed alongside the dispatch table
-    /// so eager instantiation reads one short list instead of walking
-    /// `trans` again on every (run, node).
-    std::vector<PredId> eager_preds;
-
-    /// Transition ids whose test names exactly `label` (possibly empty).
-    /// Wildcard transitions are not included; callers walk
-    /// `wildcard_trans` separately.
-    std::pair<const int32_t*, const int32_t*> LabelSpan(
-        xml::NameId label) const {
-      if (static_cast<size_t>(label) >= label_spans.size()) {
-        return {nullptr, nullptr};
-      }
-      const auto& [b, e] = label_spans[static_cast<size_t>(label)];
-      return {by_label.data() + b, by_label.data() + e};
-    }
     /// Labels that EVERY accepting continuation (of ≥1 step) from this
     /// state must consume at least once (sorted). The TAX prune test: if
     /// any necessary label is absent from a subtree's descendant-type set,
@@ -139,14 +110,6 @@ class FlatNfa {
 
   int num_states() const { return static_cast<int>(states.size()); }
   size_t TransitionCount() const;
-  /// Total `by_label` + `wildcard_trans` entries across all states (the
-  /// memory footprint of the dispatch index, reported by Mfa stats).
-  size_t DispatchEntryCount() const;
-
-  /// (Re)builds every state's label dispatch table from its transition
-  /// list. Flatten calls this last; call it again only after mutating
-  /// `states[*].trans` by hand (tests do).
-  void BuildDispatch();
 
   /// Flattens a BuildNfa: eliminates ε-transitions, folding state
   /// annotations into per-transition charges and accept guards, and

@@ -16,12 +16,8 @@ void EvalStats::MergeFrom(const EvalStats& other) {
   tree_passes += other.tree_passes;
   aux_passes += other.aux_passes;
   buffered_bytes = std::max(buffered_bytes, other.buffered_bytes);
-  dispatch_label_hits += other.dispatch_label_hits;
-  dispatch_wildcard_hits += other.dispatch_wildcard_hits;
-  dispatch_scan_steps += other.dispatch_scan_steps;
   guard_pool_entries += other.guard_pool_entries;
   guard_pool_hits += other.guard_pool_hits;
-  guard_pool_misses += other.guard_pool_misses;
   run_dedup_probes += other.run_dedup_probes;
   runs_deduped += other.runs_deduped;
   plan_cache_hits += other.plan_cache_hits;
@@ -44,17 +40,9 @@ std::string EvalStats::ToString() const {
   if (buffered_bytes > 0) {
     s += " buffered_bytes=" + std::to_string(buffered_bytes);
   }
-  if (dispatch_label_hits + dispatch_wildcard_hits > 0) {
-    s += " dispatch_hits=" + std::to_string(dispatch_label_hits) + "+" +
-         std::to_string(dispatch_wildcard_hits) + "w";
-  }
-  if (dispatch_scan_steps > 0) {
-    s += " dispatch_scans=" + std::to_string(dispatch_scan_steps);
-  }
   if (guard_pool_entries > 0) {
     s += " guard_pool=" + std::to_string(guard_pool_entries) + " (" +
-         std::to_string(guard_pool_hits) + "h/" +
-         std::to_string(guard_pool_misses) + "m)";
+         std::to_string(guard_pool_hits) + "h)";
   }
   if (run_dedup_probes > 0) {
     s += " dedup_probes=" + std::to_string(run_dedup_probes);

@@ -24,18 +24,12 @@ struct EvalStats {
   uint64_t aux_passes = 0;         ///< passes over auxiliary structures (Cans)
   uint64_t buffered_bytes = 0;     ///< StAX mode: bytes buffered for answers
 
-  // Hot-path machinery (E10 ablation: label dispatch, guard interning,
-  // hashed run dedup).
-  uint64_t dispatch_label_hits = 0;     ///< transitions found via label spans
-  uint64_t dispatch_wildcard_hits = 0;  ///< transitions via the wildcard list
-  uint64_t dispatch_scan_steps = 0;     ///< transitions scanned linearly
-                                        ///< (label_dispatch off)
-  uint64_t guard_pool_entries = 0;      ///< guard-pool entries at finish
-                                        ///< (interning on: distinct sets)
-  uint64_t guard_pool_hits = 0;         ///< interning lookups that reused a set
-  uint64_t guard_pool_misses = 0;       ///< lookups that allocated a new set
-  uint64_t run_dedup_probes = 0;        ///< hashed-dedup bucket probes
-  uint64_t runs_deduped = 0;            ///< runs rejected as dominated/duplicate
+  // Hot-path machinery (guard arena, hashed run dedup; DESIGN.md §3.4–§3.5).
+  uint64_t guard_pool_entries = 0;  ///< guard sets stored at finish
+  uint64_t guard_pool_hits = 0;     ///< merges answered with an existing set
+                                    ///< (no new storage)
+  uint64_t run_dedup_probes = 0;    ///< hashed-dedup bucket probes
+  uint64_t runs_deduped = 0;        ///< runs rejected as dominated/duplicate
 
   // Service layer (plan cache + batch evaluation, DESIGN.md §5).
   uint64_t plan_cache_hits = 0;    ///< compile served from the plan cache

@@ -3,10 +3,10 @@
 /// compiler (docs/DESIGN.md §5.1).
 ///
 /// SMOQE's point is many users firing queries against the same security
-/// views over the same documents; rewriting + MFA compilation + dispatch
-/// sealing are pure functions of (view definition, query), so the engine
-/// caches the finished artifact and recompiles only when a view or DTD
-/// actually changes.
+/// views over the same documents; rewriting + MFA compilation are pure
+/// functions of (view definition, query), so the engine caches the
+/// finished artifact and recompiles only when a view or DTD actually
+/// changes.
 
 #ifndef SMOQE_CORE_PLAN_CACHE_H_
 #define SMOQE_CORE_PLAN_CACHE_H_
@@ -28,10 +28,10 @@
 namespace smoqe::core {
 
 /// The fully compiled artifact of one (view, query) pair: the rewritten
-/// MFA with its sealed FlatNfa dispatch tables and eager-pred layout
-/// (everything an engine needs to start running — per-document run sets
-/// and guard pools are built per evaluation, see DESIGN.md §3.4), plus
-/// the static-analysis by-products worth reusing.
+/// MFA with its flattened NFAs (everything an engine needs to start
+/// running — per-document run sets and guard pools are built per
+/// evaluation, see DESIGN.md §3.4), plus the static-analysis by-products
+/// worth reusing.
 struct CompiledPlan {
   automata::Mfa mfa;
   /// Labels the query mentions that are outside the schema it was posed

@@ -41,12 +41,9 @@ struct EngineOptions {
   size_t plan_cache_capacity = PlanCache::kDefaultCapacity;
   /// Total parallelism of QueryBatch / QueryBatchMulti evaluation,
   /// including the calling thread: 0 = one per hardware core, 1 = fully
-  /// serial (no pool is created; every call behaves like PR 3's engine).
+  /// serial (no pool is created, so batches take the serial path).
+  /// Query() is always serial.
   int max_threads = 0;
-  /// Master switch for batch parallelism — with it off the pool is never
-  /// consulted even when `max_threads` permits one (the E13 ablation and
-  /// differential-testing knob). Query() is always serial.
-  bool parallel_batch = true;
   /// Events per tokenizer chunk of the parallel StAX batch driver (the
   /// fork/join grain behind the shared tokenizer).
   size_t stax_chunk_events = 4096;
@@ -306,7 +303,7 @@ class Smoqe {
   /// Evaluates a Regular XPath query against a loaded document, directly
   /// or through a view (rewriting — the view is never materialized).
   /// Compilation goes through the plan cache: repeat queries skip the
-  /// rewrite → MFA → dispatch-sealing pipeline entirely (DESIGN.md §5.1);
+  /// rewrite → MFA → flatten pipeline entirely (DESIGN.md §5.1);
   /// `answer.stats.plan_cache_hits/misses` says which happened.
   /// `req` governs the call's resources (docs/DESIGN.md §9): deadline,
   /// memory budget, cancellation — all engine-default by default. A
@@ -429,9 +426,7 @@ class Smoqe {
   };
 
   /// True when batch calls should fan out across the pool.
-  bool ParallelEnabled() const {
-    return pool_ != nullptr && options_.parallel_batch;
-  }
+  bool ParallelEnabled() const { return pool_ != nullptr; }
 
   /// Hot-path facade metrics, resolved once at construction so the
   /// per-call cost is pointer increments, never a registry lookup. Null

@@ -27,8 +27,8 @@ const AttrProvider& AttrProvider::None() {
 }
 
 HypeEngine::HypeEngine(const automata::Mfa& mfa, EngineOptions options)
-    : mfa_(mfa), options_(options), pool_(options.guard_interning) {
-  if (options_.trace) trace_ = std::make_unique<TraceLog>();
+    : mfa_(mfa) {
+  if (options.trace) trace_ = std::make_unique<TraceLog>();
   // Virtual document node (the query context above the root). The
   // attribute provider is threaded through every call that can reach an
   // attribute accept test — never stashed in a global — so the engine is
@@ -70,11 +70,11 @@ const FlatNfa& HypeEngine::NfaOf(const Run& r) const {
 
 namespace {
 
-/// Frames with fewer runs than this are deduplicated by linear scan even
-/// when hashed_run_dedup is on: below it the scan is one cache line and
-/// beats any table. The index kicks in — built once, lazily — when a frame
-/// goes wide (recursion × predicates × unions), which is exactly where the
-/// linear scan degrades quadratically. Sweeping 4…64 on the deep-genealogy
+/// Frames with fewer runs than this are deduplicated by linear scan:
+/// below it the scan is one cache line and beats any table. The index
+/// kicks in — built once, lazily — when a frame goes wide (recursion ×
+/// predicates × unions), which is exactly where the linear scan degrades
+/// quadratically. Sweeping 4…64 on the deep-genealogy
 /// workload showed 4–16 equivalent and ≥32 measurably worse.
 constexpr size_t kRunIndexThreshold = 16;
 
@@ -96,7 +96,7 @@ inline uint32_t RunKeyHash(bool is_selection, automata::ObligationId ob,
 
 bool HypeEngine::AddRun(Run run) {
   Frame& cur = CurFrame();
-  if (options_.hashed_run_dedup && cur.runs.size() >= kRunIndexThreshold) {
+  if (cur.runs.size() >= kRunIndexThreshold) {
     return AddRunHashed(cur, run);
   }
   for (const Run& e : cur.runs) {
@@ -104,8 +104,7 @@ bool HypeEngine::AddRun(Run run) {
         e.owner != run.owner || e.leaf != run.leaf || e.state != run.state) {
       continue;
     }
-    if (options_.guard_dominance ? pool_.IsSubset(e.guard, run.guard)
-                                 : pool_.Equal(e.guard, run.guard)) {
+    if (pool_.IsSubset(e.guard, run.guard)) {
       ++stats_.runs_deduped;
       return false;  // dominated (or duplicated) by an existing run
     }
@@ -166,8 +165,7 @@ bool HypeEngine::AddRunHashed(Frame& cur, const Run& run) {
       // Key chain found: only same-key runs are checked for dominance.
       for (int32_t i = dedup_head_[slot]; i >= 0; i = cur.run_next[i]) {
         const Run& e = cur.runs[static_cast<size_t>(i)];
-        if (options_.guard_dominance ? pool_.IsSubset(e.guard, run.guard)
-                                     : pool_.Equal(e.guard, run.guard)) {
+        if (pool_.IsSubset(e.guard, run.guard)) {
           ++stats_.runs_deduped;
           return false;
         }
@@ -263,12 +261,8 @@ InstId HypeEngine::Instantiate(PredId pred, const AttrProvider& attrs) {
 
 void HypeEngine::EagerInstantiate(const Run& run, const AttrProvider& attrs) {
   const FlatNfa::State& st = NfaOf(run).states[run.state];
-  if (options_.label_dispatch) {
-    // Sealed union of the per-transition / per-accept pred sets; same
-    // instances created (Instantiate dedups), one short list to walk.
-    for (PredId p : st.eager_preds) Instantiate(p, attrs);
-    return;
-  }
+  // A pred shared by several transitions / accepts is instantiated once:
+  // Instantiate dedups per frame.
   for (const FlatNfa::Transition& t : st.trans) {
     for (PredId p : t.src_preds) Instantiate(p, attrs);
   }
@@ -281,8 +275,7 @@ void HypeEngine::HandleAccepts(const Run& run, const AttrProvider& attrs) {
   Frame& cur = CurFrame();
   const FlatNfa::State& st = NfaOf(run).states[run.state];
   for (const PredSet& accept : st.accept_guards) {
-    GuardRef g =
-        options_.guard_interning ? run.guard : pool_.CopyFresh(run.guard);
+    GuardRef g = run.guard;
     for (PredId p : accept) {
       InstId inst = cur.FindInst(p);
       assert(inst >= 0);  // EagerInstantiate created it
@@ -336,11 +329,9 @@ void HypeEngine::Witness(InstId owner, int leaf, GuardRef guard) {
 void HypeEngine::AdvanceRun(const Frame& parent, const Run& r,
                             const FlatNfa::Transition& t,
                             const AttrProvider& attrs) {
-  // With interning the advanced run shares the parent's guard handle; the
-  // un-interned engine copied the guard vector here on every transition, so
-  // the ablation baseline reproduces that allocate-and-copy.
-  GuardRef g =
-      options_.guard_interning ? r.guard : pool_.CopyFresh(r.guard);
+  // The advanced run shares the parent's guard handle until a charge
+  // extends it (guard sets are immutable).
+  GuardRef g = r.guard;
   for (PredId p : t.src_preds) {
     InstId inst = parent.FindInst(p);
     assert(inst >= 0);
@@ -369,32 +360,12 @@ HypeEngine::EnterResult HypeEngine::Enter(xml::NameId label,
   Frame& cur = PushFrame(id);
   Frame& parent = stack_[depth_ - 2];
 
-  // Phase 1: advance runs from the parent frame across this label. With
-  // label dispatch, the transitions that can match are read off the
-  // state's sealed span for `label` plus its wildcard list — no per-
-  // transition LabelTest. The fallback scans st.trans like the seed did.
-  if (options_.label_dispatch) {
-    for (const Run& r : parent.runs) {
-      const FlatNfa::State& st = NfaOf(r).states[r.state];
-      auto [b, e] = st.LabelSpan(label);
-      stats_.dispatch_label_hits += static_cast<uint64_t>(e - b);
-      stats_.dispatch_wildcard_hits +=
-          static_cast<uint64_t>(st.wildcard_trans.size());
-      for (const int32_t* p = b; p != e; ++p) {
-        AdvanceRun(parent, r, st.trans[static_cast<size_t>(*p)], attrs);
-      }
-      for (int32_t ti : st.wildcard_trans) {
-        AdvanceRun(parent, r, st.trans[static_cast<size_t>(ti)], attrs);
-      }
-    }
-  } else {
-    for (const Run& r : parent.runs) {
-      const FlatNfa::State& st = NfaOf(r).states[r.state];
-      stats_.dispatch_scan_steps += static_cast<uint64_t>(st.trans.size());
-      for (const FlatNfa::Transition& t : st.trans) {
-        if (!t.test.Matches(label)) continue;
-        AdvanceRun(parent, r, t, attrs);
-      }
+  // Phase 1: advance runs from the parent frame across this label. A
+  // state has few transitions, so a scan with one LabelTest each is as
+  // fast as a label-indexed table (docs/DESIGN.md §3.3).
+  for (const Run& r : parent.runs) {
+    for (const FlatNfa::Transition& t : NfaOf(r).states[r.state].trans) {
+      if (t.test.Matches(label)) AdvanceRun(parent, r, t, attrs);
     }
   }
 
@@ -412,7 +383,7 @@ HypeEngine::EnterResult HypeEngine::Enter(xml::NameId label,
   EnterResult res;
   res.needs_direct_text = cur.needs_text;
   if (cur.runs.empty()) {
-    res.can_skip_subtree = options_.dead_run_pruning;
+    res.can_skip_subtree = true;
   } else if (subtree_types != nullptr) {
     // TAX prune test: a run can still accept inside this subtree only if
     // every label its accepting continuations must consume occurs below.
@@ -504,7 +475,6 @@ const std::vector<int32_t>& HypeEngine::FinishDocument() {
   stats_.aux_passes = 1;
   stats_.guard_pool_entries = pool_.entry_count();
   stats_.guard_pool_hits = pool_.hits();
-  stats_.guard_pool_misses = pool_.misses();
   if (trace_) {
     for (int32_t id : answers_) {
       trace_->Add({TraceEvent::Kind::kAnswer, id, -1, false});

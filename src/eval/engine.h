@@ -1,8 +1,10 @@
 /// \file
 /// \brief The HyPE engine: per-open-element frames of (state, guard)
-/// runs advanced over one pre-order traversal, with the label-dispatch /
-/// guard-interning / hashed-dedup hot path (docs/DESIGN.md §3.2–§3.5).
-/// Drivers: hype_dom.h (DOM), hype_stax.h / batch.h (streaming).
+/// runs advanced over one pre-order traversal. One hot path: a transition
+/// scan per run, guards in an append-only arena, and hashed run dedup once
+/// a frame is wide — the mechanism that pays on the deep-genealogy rows
+/// (docs/DESIGN.md §3.2–§3.5). Drivers: hype_dom.h (DOM), hype_stax.h /
+/// batch.h (streaming).
 
 #ifndef SMOQE_EVAL_ENGINE_H_
 #define SMOQE_EVAL_ENGINE_H_
@@ -35,30 +37,10 @@ class AttrProvider {
   static const AttrProvider& None();
 };
 
-/// Engine options. The pruning and hot-path flags exist for the E9/E10
-/// ablation benchmarks — disabling them never changes answers (tested),
-/// only work.
+/// Engine options.
 struct EngineOptions {
   /// Record a TraceLog (costs time/memory; for the explain tooling).
   bool trace = false;
-  /// Skip subtrees once every automaton run has died.
-  bool dead_run_pruning = true;
-  /// Drop (state, guard) pairs whose guard is a superset of an existing
-  /// pair's (conjunction dominance); when off, only exact duplicates are
-  /// deduplicated.
-  bool guard_dominance = true;
-  /// Advance runs through the FlatNfa label-dispatch table (one span
-  /// lookup per (run, label)) instead of scanning every transition and
-  /// calling LabelTest::Matches.
-  bool label_dispatch = true;
-  /// Hash-cons guard sets in the GuardPool so merges that reproduce a
-  /// known set cost a table hit instead of an allocation, and guard
-  /// equality is a handle compare. Off: every merge appends fresh storage.
-  bool guard_interning = true;
-  /// Deduplicate new runs through a per-frame open-addressing index keyed
-  /// on (is_selection, ob, owner, leaf, state) instead of a linear scan of
-  /// the frame's runs.
-  bool hashed_run_dedup = true;
 };
 
 /// \brief HyPE — hybrid pass evaluation (paper §3, Evaluator).
@@ -80,11 +62,11 @@ struct EngineOptions {
 ///    fully-true guard alternative (`FinishDocument`).
 ///
 /// Pruning: `Enter` reports whether the subtree can be skipped — always
-/// when every run died; under TAX (pass `subtree_types`) also when no
-/// active automaton can consume any element type occurring below the node
-/// (experiment E6). The caller must still deliver direct text when
-/// `needs_direct_text` is set (pending text()=… checks), then call
-/// `Leave`.
+/// when every run died (dead-run pruning); under TAX (pass
+/// `subtree_types`) also when no active automaton can consume any element
+/// type occurring below the node (experiment E6). The caller must still
+/// deliver direct text when `needs_direct_text` is set (pending text()=…
+/// checks), then call `Leave`.
 class HypeEngine {
  public:
   HypeEngine(const automata::Mfa& mfa, EngineOptions options = {});
@@ -204,8 +186,10 @@ class HypeEngine {
   GuardRef InstantiateSet(const automata::PredSet& preds,
                           const AttrProvider& attrs);
 
-  /// Pushes a run into the current frame with per-key dominance pruning;
-  /// returns true if it survived as new work.
+  /// Pushes a run into the current frame unless a same-key run with a
+  /// guard ⊆ its guard exists (guard dominance); returns true if it
+  /// survived as new work. Past kRunIndexThreshold runs the same-key runs
+  /// are found through the hashed dedup table instead of a linear scan.
   bool AddRun(Run run);
   bool AddRunHashed(Frame& cur, const Run& run);
   /// (Re)seeds the dedup table with `cur`'s runs — on first use past the
@@ -234,11 +218,10 @@ class HypeEngine {
   void PopFrame() { --depth_; }
 
   const automata::Mfa& mfa_;
-  EngineOptions options_;
   GuardPool pool_;
   std::vector<Frame> stack_;
   size_t depth_ = 0;
-  /// Engine-level run-dedup table (hashed_run_dedup). Runs are only ever
+  /// Engine-level run-dedup table (hashed run dedup). Runs are only ever
   /// added to the top frame while its Enter executes, so one open-
   /// addressing table serves every frame: slots are stamped with the
   /// owning frame's epoch and slots from finished frames simply go stale —

@@ -744,6 +744,18 @@ Server::Outgoing Server::ExecuteRequest(const WorkItem& item) {
   return out;
 }
 
+template <typename Resp>
+bool Server::SettleResponse(const Status& status, Resp* resp) {
+  if (status.ok()) {
+    metrics_.Count(metrics_.responses_ok);
+    return true;
+  }
+  resp->code = FromStatus(status.code());
+  resp->error = status.message();
+  metrics_.Count(metrics_.responses_error);
+  return false;
+}
+
 std::string Server::ExecuteQuery(
     core::Session& session, const QueryRequest& req, const WorkItem& item,
     const std::shared_ptr<telemetry::Trace>& trace) {
@@ -755,14 +767,9 @@ std::string Server::ExecuteQuery(
       session.Query(req.doc, req.query, opts, SessionOptionsOf(req, trace));
   QueryResponse resp;
   resp.id = req.id;
-  if (!r.ok()) {
-    resp.code = FromStatus(r.status().code());
-    resp.error = r.status().message();
-    metrics_.Count(metrics_.responses_error);
-  } else {
+  if (SettleResponse(r.status(), &resp)) {
     resp.doc_epoch = r->doc_epoch;
     resp.answers_xml = std::move(r->answers_xml);
-    metrics_.Count(metrics_.responses_ok);
   }
   FillEcho(req.trace, trace, item.enqueue,
            r.ok() ? r->profile.get() : nullptr, &resp.echo);
@@ -785,11 +792,7 @@ std::string Server::ExecuteQueryBatch(
   auto r = session.QueryBatch(req.doc, items, SessionOptionsOf(req, trace));
   QueryBatchResponse resp;
   resp.id = req.id;
-  if (!r.ok()) {
-    resp.code = FromStatus(r.status().code());
-    resp.error = r.status().message();
-    metrics_.Count(metrics_.responses_error);
-  } else {
+  if (SettleResponse(r.status(), &resp)) {
     resp.items.reserve(r->size());
     for (core::QueryAnswer& a : *r) {
       BatchItemResult item_out;
@@ -802,7 +805,6 @@ std::string Server::ExecuteQueryBatch(
       }
       resp.items.push_back(std::move(item_out));
     }
-    metrics_.Count(metrics_.responses_ok);
   }
   // The facade attaches the batch profile to the first answer.
   FillEcho(req.trace, trace, item.enqueue,
@@ -818,16 +820,11 @@ std::string Server::ExecuteUpdate(
                           SessionOptionsOf(req, trace));
   UpdateResponse resp;
   resp.id = req.id;
-  if (!r.ok()) {
-    resp.code = FromStatus(r.status().code());
-    resp.error = r.status().message();
-    metrics_.Count(metrics_.responses_error);
-  } else {
+  if (SettleResponse(r.status(), &resp)) {
     resp.doc_epoch = r->stats.doc_epoch;
     resp.canonical = std::move(r->canonical);
     resp.nodes_inserted = r->stats.nodes_inserted;
     resp.nodes_deleted = r->stats.nodes_deleted;
-    metrics_.Count(metrics_.responses_ok);
   }
   // Updates never carry a profile back; the echo is id + timing only.
   FillEcho(req.trace, trace, item.enqueue, nullptr, &resp.echo);

@@ -223,6 +223,11 @@ class Server {
                             const WorkItem& item,
                             const std::shared_ptr<telemetry::Trace>& trace);
   std::string ExecuteStat(const StatRequest& req);
+  /// Counts an executed request's response as ok or error; on failure
+  /// also carries `status` into the response's wire code and message.
+  /// Returns status.ok().
+  template <typename Resp>
+  bool SettleResponse(const Status& status, Resp* resp);
 
   /// A typed response frame carrying only (id, code, message) for the
   /// given *request* opcode — so failures decode through the same stru-

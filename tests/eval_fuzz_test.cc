@@ -94,33 +94,5 @@ TEST(FuzzDeterminismTest, QueriesRoundTripThroughPrinter) {
   }
 }
 
-// Ablations must never change answers, only work (E9's correctness side).
-TEST(AblationTest, PruningFlagsPreserveAnswers) {
-  auto names = xml::NameTable::Create();
-  xml::Document doc = testutil::GenHospital(77, 300, names);
-  rxpath::RandomQueryOptions qopts = HospitalQueryOptions();
-  for (uint64_t qseed = 500; qseed < 530; ++qseed) {
-    auto query = rxpath::RandomQuery(qseed, qopts);
-    auto mfa = automata::Mfa::Compile(*query, names);
-    ASSERT_TRUE(mfa.ok());
-    auto full = EvalHypeDom(*mfa, doc);
-    ASSERT_TRUE(full.ok());
-    for (bool dead_run : {false, true}) {
-      for (bool dominance : {false, true}) {
-        DomEvalOptions opts;
-        opts.engine.dead_run_pruning = dead_run;
-        opts.engine.guard_dominance = dominance;
-        auto r = EvalHypeDom(*mfa, doc, opts);
-        ASSERT_TRUE(r.ok());
-        EXPECT_EQ(testutil::IdsOf(r->answers), testutil::IdsOf(full->answers))
-            << "dead_run=" << dead_run << " dominance=" << dominance
-            << " query " << rxpath::ToString(*query);
-        // Disabled pruning can only visit more.
-        EXPECT_GE(r->stats.nodes_visited, full->stats.nodes_visited);
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace smoqe::eval

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/automata/mfa.h"
+#include "src/eval/guard_pool.h"
 #include "tests/test_util.h"
 
 namespace smoqe::eval {
@@ -198,6 +199,82 @@ TEST(CansTest, UnsatisfiedGuardsDropNode) {
   insts[0] = {0, 0, true, false, {}};
   cans.Add(3, {0});
   EXPECT_TRUE(cans.Select(insts).empty());
+}
+
+// GuardPool: the append-only arena of immutable guard sets.
+
+TEST(GuardPoolTest, MergeOfMemberReturnsBaseAndCountsHit) {
+  GuardPool pool;
+  GuardRef g = pool.Merge(pool.Merge(GuardPool::kEmpty, 4), 9);
+  const size_t entries = pool.entry_count();
+  const uint64_t hits = pool.hits();
+  EXPECT_EQ(pool.Merge(g, 4), g);
+  EXPECT_EQ(pool.Merge(g, 9), g);
+  EXPECT_EQ(pool.hits(), hits + 2);
+  EXPECT_EQ(pool.entry_count(), entries);  // no new storage
+}
+
+TEST(GuardPoolTest, MergesStaySortedAndDuplicateFree) {
+  GuardPool pool;
+  GuardRef g = GuardPool::kEmpty;
+  for (InstId x : {7, 3, 11, 3, 0, 7, 5}) g = pool.Merge(g, x);
+  EXPECT_EQ(pool.Materialize(g), (GuardSet{0, 3, 5, 7, 11}));
+  EXPECT_EQ(pool.size(g), 5u);
+  EXPECT_EQ(pool.size(GuardPool::kEmpty), 0u);
+  // Extending a shared set leaves the original untouched.
+  GuardRef base = pool.Merge(GuardPool::kEmpty, 2);
+  GuardRef ext = pool.Merge(base, 1);
+  EXPECT_EQ(pool.Materialize(base), (GuardSet{2}));
+  EXPECT_EQ(pool.Materialize(ext), (GuardSet{1, 2}));
+}
+
+TEST(GuardPoolTest, IsSubsetOnDisjointEqualAndNestedSets) {
+  GuardPool pool;
+  auto make = [&](std::initializer_list<InstId> xs) {
+    GuardRef g = GuardPool::kEmpty;
+    for (InstId x : xs) g = pool.Merge(g, x);
+    return g;
+  };
+  GuardRef a = make({1, 2});
+  GuardRef b = make({3, 4});
+  GuardRef a2 = make({2, 1});  // equal content, separate handle
+  GuardRef c = make({1, 2, 3});
+  EXPECT_NE(a, a2);
+  // Disjoint.
+  EXPECT_FALSE(pool.IsSubset(a, b));
+  EXPECT_FALSE(pool.IsSubset(b, a));
+  // Equal.
+  EXPECT_TRUE(pool.IsSubset(a, a2));
+  EXPECT_TRUE(pool.IsSubset(a2, a));
+  EXPECT_TRUE(pool.IsSubset(a, a));
+  // Nested, and the empty guard below everything.
+  EXPECT_TRUE(pool.IsSubset(a, c));
+  EXPECT_FALSE(pool.IsSubset(c, a));
+  EXPECT_TRUE(pool.IsSubset(GuardPool::kEmpty, c));
+  EXPECT_FALSE(pool.IsSubset(c, GuardPool::kEmpty));
+}
+
+TEST(GuardPoolTest, EarlyHandlesSurviveArenaGrowth) {
+  GuardPool pool;
+  std::vector<GuardRef> early;
+  std::vector<GuardSet> want;
+  GuardRef g = GuardPool::kEmpty;
+  for (InstId x = 0; x < 32; ++x) {
+    g = pool.Merge(g, x * 2);
+    early.push_back(g);
+    want.push_back(pool.Materialize(g));
+  }
+  // ≥10k appends of growing sets: the arena moves on to new blocks many
+  // times, and the early sets must still read back unchanged.
+  GuardRef h = GuardPool::kEmpty;
+  for (InstId x = 0; x < 12000; ++x) {
+    h = pool.Merge(x % 64 == 0 ? GuardPool::kEmpty : h, x);
+  }
+  EXPECT_GE(pool.entry_count(), 12000u);
+  for (size_t i = 0; i < early.size(); ++i) {
+    EXPECT_EQ(pool.Materialize(early[i]), want[i]) << "handle " << i;
+    EXPECT_EQ(pool.data(early[i])[0], 0);
+  }
 }
 
 }  // namespace
