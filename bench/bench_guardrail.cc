@@ -12,10 +12,11 @@
 //                 1 GiB), so every amortized check runs and the arena /
 //                 run-expansion charges flow into the budget.
 //
-// Both rows merge into BENCH_eval.json as engine="facade_query" (the
-// same key bench_telemetry uses), measured in INTERLEAVED rounds for the
-// same reason documented there: the recorded result is an on/off ratio,
-// and sequential windows turn clock drift into fake overhead.
+// Both rows merge into BENCH_eval.json as engine="guard_query" (its own
+// key, so E14's facade_query rows survive an E15 run and vice versa),
+// measured in interleaved rounds (bench::InterleavedAB): the recorded
+// result is an on/off ratio, and sequential windows turn clock drift
+// into fake overhead.
 //
 // A third row records deadline *precision*: a governed batch whose
 // ungoverned runtime is calibrated to several times the 50ms deadline;
@@ -110,53 +111,30 @@ void WriteGuardrailTrajectory(const char* path) {
       answers = r->stats.answers;
     }
 
-    double best_ns[kConfigs] = {1e300, 1e300};
-    telemetry::Histogram hists[kConfigs];
-    const auto sweep_start = Clock::now();
     int rounds = 0;
-    do {
-      for (int c = 0; c < kConfigs; ++c) {
-        telemetry::Histogram& hist = hists[c];
-        double& best = best_ns[c];
-        const core::RequestOptions& req = reqs[c];
-        const double window_ns = bench::MeasureMinNsPerIter(
-            [&engine = *engines[c], &req, &hist] {
-              const auto t0 = Clock::now();
-              auto r = engine.Query("ward", kHotQuery, {}, req);
-              Corpus::Check(r.ok(), "query");
-              hist.Record(static_cast<uint64_t>(
-                  std::chrono::duration<double>(Clock::now() - t0).count() *
-                  1e9));
-            },
-            /*min_iters=*/5, /*min_seconds=*/0.05);
-        if (window_ns < best) best = window_ns;
-      }
-      ++rounds;
-    } while (rounds < 4 ||
-             std::chrono::duration<double>(Clock::now() - sweep_start)
-                     .count() < 1.0);
+    const std::vector<bench::ABResult> ab = bench::InterleavedAB(
+        kConfigs,
+        [&](size_t c) {
+          auto r = engines[c]->Query("ward", kHotQuery, {}, reqs[c]);
+          Corpus::Check(r.ok(), "query");
+        },
+        &rounds);
 
     for (int c = 0; c < kConfigs; ++c) {
       bench::TrajectoryRow row;
-      row.engine = "facade_query";
+      row.engine = "guard_query";
       row.workload = "hospital";
       row.query = "hot-pred";
       row.config = config_names[c];
-      row.nodes = nodes;
       row.answers = answers;
-      row.ns_per_node = best_ns[c] / static_cast<double>(nodes);
-      row.nodes_per_sec = static_cast<double>(nodes) * 1e9 / best_ns[c];
-      row.p50_ns = hists[c].Quantile(0.5);
-      row.p99_ns = hists[c].Quantile(0.99);
+      ab[c].FillRow(nodes, &row);
       report.Add(std::move(row));
     }
     std::fprintf(stderr,
                  "guardrail size=%zu: on %.1f us, off %.1f us "
                  "(overhead %.2f%%, %d rounds)\n",
-                 size, best_ns[0] / 1e3, best_ns[1] / 1e3,
-                 best_ns[1] > 0 ? (best_ns[0] / best_ns[1] - 1.0) * 100.0
-                                : 0.0,
-                 rounds);
+                 size, ab[0].best_ns / 1e3, ab[1].best_ns / 1e3,
+                 (ab[0].best_ns / ab[1].best_ns - 1.0) * 100.0, rounds);
   }
 
   // Deadline precision: calibrate a StAX batch to several times the 50ms
@@ -194,7 +172,7 @@ void WriteGuardrailTrajectory(const char* path) {
       overshoot.Record(over > 0 ? static_cast<uint64_t>(over) : 0);
     }
     bench::TrajectoryRow row;
-    row.engine = "facade_query";
+    row.engine = "guard_query";
     row.workload = "hospital";
     row.query = "hot-pred";
     row.config = "deadline_precision_50ms";
@@ -209,7 +187,7 @@ void WriteGuardrailTrajectory(const char* path) {
     report.Add(std::move(row));
   }
 
-  if (!report.WriteFileMerged(path, {"facade_query"})) {
+  if (!report.WriteFileMerged(path, {"guard_query"})) {
     std::fprintf(stderr, "failed to write %s\n", path);
   } else {
     std::fprintf(stderr, "merged %zu guardrail trajectory rows into %s\n",

@@ -19,20 +19,19 @@
 //
 // Rows merge into BENCH_eval.json as engine="profile_query" with the
 // config naming the observability state. Configs are measured in
-// INTERLEAVED rounds (same rationale as bench_telemetry: the result is a
-// ratio, and sequential windows on a shared container showed ~7% fake
-// drift that round-robin windows do not).
+// interleaved rounds (bench::InterleavedAB: the result is a ratio, and
+// sequential windows on a shared container showed ~7% fake drift that
+// round-robin windows do not).
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/core/smoqe.h"
-#include "src/telemetry/metrics.h"
 
 namespace smoqe {
 namespace {
@@ -107,44 +106,25 @@ void WriteProfileTrajectory(const char* path) {
     };
 
     std::unique_ptr<core::Smoqe> engines[kConfigs];
+    core::RequestOptions reqs[kConfigs];
     uint64_t answers = 0;
     for (int c = 0; c < kConfigs; ++c) {
       engines[c] = MakeEngine(size, configs[c].slow_threshold_ms);
+      reqs[c].profile = configs[c].profile;
       // Warm the plan cache so every measured call is the hot path.
       auto r = engines[c]->Query("ward", kHotQuery, {});
       Corpus::Check(r.ok(), "warm query");
       answers = r->stats.answers;
     }
 
-    double best_ns[kConfigs] = {1e300, 1e300, 1e300};
-    telemetry::Histogram hists[kConfigs];
-    const auto sweep_start = std::chrono::steady_clock::now();
     int rounds = 0;
-    do {
-      for (int c = 0; c < kConfigs; ++c) {
-        core::RequestOptions req;
-        req.profile = configs[c].profile;
-        telemetry::Histogram& hist = hists[c];
-        double& best = best_ns[c];
-        const double window_ns = bench::MeasureMinNsPerIter(
-            [&engine = *engines[c], &req, &hist] {
-              const auto t0 = std::chrono::steady_clock::now();
-              auto r = engine.Query("ward", kHotQuery, {}, req);
-              Corpus::Check(r.ok(), "query");
-              hist.Record(static_cast<uint64_t>(
-                  std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count() *
-                  1e9));
-            },
-            /*min_iters=*/5, /*min_seconds=*/0.05);
-        if (window_ns < best) best = window_ns;
-      }
-      ++rounds;
-    } while (rounds < 4 ||
-             std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           sweep_start)
-                     .count() < 1.0);
+    const std::vector<bench::ABResult> ab = bench::InterleavedAB(
+        kConfigs,
+        [&](size_t c) {
+          auto r = engines[c]->Query("ward", kHotQuery, {}, reqs[c]);
+          Corpus::Check(r.ok(), "query");
+        },
+        &rounds);
 
     for (int c = 0; c < kConfigs; ++c) {
       bench::TrajectoryRow row;
@@ -152,24 +132,18 @@ void WriteProfileTrajectory(const char* path) {
       row.workload = "hospital";
       row.query = "hot-pred";
       row.config = configs[c].name;
-      row.nodes = nodes;
       row.answers = answers;
-      row.ns_per_node = best_ns[c] / static_cast<double>(nodes);
-      row.nodes_per_sec = static_cast<double>(nodes) * 1e9 / best_ns[c];
-      row.p50_ns = hists[c].Quantile(0.5);
-      row.p99_ns = hists[c].Quantile(0.99);
+      ab[c].FillRow(nodes, &row);
       report.Add(std::move(row));
     }
     std::fprintf(stderr,
                  "profile size=%zu: off %.1f us, on %.1f us, slow-all "
                  "%.1f us (profile overhead %.2f%%, slow-log overhead "
                  "%.2f%%, %d rounds)\n",
-                 size, best_ns[0] / 1e3, best_ns[1] / 1e3, best_ns[2] / 1e3,
-                 best_ns[0] > 0 ? (best_ns[1] / best_ns[0] - 1.0) * 100.0
-                                : 0.0,
-                 best_ns[0] > 0 ? (best_ns[2] / best_ns[0] - 1.0) * 100.0
-                                : 0.0,
-                 rounds);
+                 size, ab[0].best_ns / 1e3, ab[1].best_ns / 1e3,
+                 ab[2].best_ns / 1e3,
+                 (ab[1].best_ns / ab[0].best_ns - 1.0) * 100.0,
+                 (ab[2].best_ns / ab[0].best_ns - 1.0) * 100.0, rounds);
   }
   if (!report.WriteFileMerged(path, {"profile_query"})) {
     std::fprintf(stderr, "failed to write %s\n", path);

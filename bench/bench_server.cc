@@ -13,7 +13,13 @@
 //                      session → encode → read) per call;
 //   server_pipelined — windows of 16 pipelined requests on one
 //                      connection: amortizes the syscall round-trip,
-//                      the number a batching client actually sees.
+//                      the number a batching client actually sees;
+//   server_concurrent — more connections than pool threads: 6 closed-
+//                      loop clients send the hot query while 2 loop a
+//                      4-item StAX QueryBatch over the same ward. The
+//                      row's p50/p99 pool every hot request; per-
+//                      connection quantiles go to stderr. This is the
+//                      traffic where request scheduling shows.
 //
 // p50/p99_ns are per-request latency from the same samples the
 // throughput comes from (MeasureLatencyPercentiles' histogram), so the
@@ -24,16 +30,19 @@
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/core/smoqe.h"
 #include "src/server/client.h"
 #include "src/server/test_server.h"
+#include "src/telemetry/metrics.h"
 
 namespace smoqe {
 namespace {
@@ -44,6 +53,78 @@ using Clock = std::chrono::steady_clock;
 constexpr char kHotQuery[] =
     "hospital/patient[visit/treatment/test]/visit/date";
 constexpr int kWindow = 16;  // pipelined requests per timed window
+constexpr int kHotConns = 6;    // server_concurrent: hot-query clients
+constexpr int kBatchConns = 2;  // server_concurrent: StAX batch clients
+constexpr double kConcurrentSeconds = 1.0;
+
+/// server_concurrent: one closed-loop client thread per connection for
+/// kConcurrentSeconds. Returns the pooled hot-request quantiles and the
+/// wall ns per hot request; prints each connection's p50/p99.
+bench::LatencyPercentiles MeasureConcurrent(uint16_t port, size_t size,
+                                            double* per_request_ns) {
+  std::vector<std::unique_ptr<telemetry::Histogram>> per_conn;
+  for (int c = 0; c < kHotConns + kBatchConns; ++c) {
+    per_conn.push_back(std::make_unique<telemetry::Histogram>());
+  }
+  telemetry::Histogram hot;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kHotConns + kBatchConns; ++c) {
+    threads.emplace_back([&, c] {
+      server::ClientOptions co;
+      co.port = port;
+      co.recv_timeout_ms = 60'000;
+      auto client = server::Client::Connect(co);
+      Corpus::Check(client.ok(), "concurrent connect");
+      const bool batch = c >= kHotConns;
+      while (!stop.load(std::memory_order_relaxed)) {
+        const auto t0 = Clock::now();
+        if (batch) {
+          server::QueryBatchRequest b;
+          b.doc = "ward";
+          for (const char* q : {kHotQuery, "//medication", "//visit/date",
+                                "hospital/patient/pname"}) {
+            b.items.push_back({q, server::WireEvalMode::kStax, 0});
+          }
+          auto r = client->QueryBatch(std::move(b));
+          Corpus::Check(r.ok() && r->code == server::WireCode::kOk,
+                        "concurrent batch");
+        } else {
+          server::QueryRequest q;
+          q.doc = "ward";
+          q.query = kHotQuery;
+          auto r = client->Query(q);
+          Corpus::Check(r.ok() && r->code == server::WireCode::kOk,
+                        "concurrent query");
+        }
+        const auto ns = static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                                 t0)
+                .count());
+        per_conn[c]->Record(ns);
+        if (!batch) hot.Record(ns);
+      }
+    });
+  }
+  const auto start = Clock::now();
+  std::this_thread::sleep_for(
+      std::chrono::duration<double>(kConcurrentSeconds));
+  stop.store(true);
+  for (std::thread& t : threads) t.join();
+  const double wall_ns =
+      std::chrono::duration<double>(Clock::now() - start).count() * 1e9;
+  *per_request_ns = wall_ns / static_cast<double>(hot.Count());
+  for (int c = 0; c < kHotConns + kBatchConns; ++c) {
+    std::fprintf(stderr,
+                 "server_concurrent size=%zu conn=%d %s: n=%llu p50 %.1f us "
+                 "p99 %.1f us\n",
+                 size, c, c >= kHotConns ? "batch" : "hot",
+                 static_cast<unsigned long long>(per_conn[c]->Count()),
+                 per_conn[c]->Quantile(0.5) / 1e3,
+                 per_conn[c]->Quantile(0.99) / 1e3);
+  }
+  return {hot.Quantile(0.5), hot.Quantile(0.99)};
+}
 
 std::unique_ptr<core::Smoqe> MakeEngine(size_t size) {
   core::EngineOptions o;
@@ -78,9 +159,10 @@ void WriteServerTrajectory(const char* path) {
       const char* name;
       double per_request_ns;
       bench::LatencyPercentiles lat;
-    } configs[3] = {{"library_direct", 0, {}},
+    } configs[4] = {{"library_direct", 0, {}},
                     {"server_roundtrip", 0, {}},
-                    {"server_pipelined", 0, {}}};
+                    {"server_pipelined", 0, {}},
+                    {"server_concurrent", 0, {}}};
 
     {  // library_direct: the in-process floor.
       const auto t0 = Clock::now();
@@ -158,6 +240,9 @@ void WriteServerTrajectory(const char* path) {
       (void)t0;
     }
 
+    configs[3].lat =
+        MeasureConcurrent(server.port(), size, &configs[3].per_request_ns);
+
     for (const Config& c : configs) {
       bench::TrajectoryRow row;
       row.engine = "server_loopback";
@@ -176,9 +261,11 @@ void WriteServerTrajectory(const char* path) {
     std::fprintf(
         stderr,
         "server size=%zu: library %.1f us, roundtrip %.1f us, "
-        "pipelined %.1f us/req (server toll %.2fx, pipelined %.2fx)\n",
+        "pipelined %.1f us/req, concurrent hot p50 %.1f us p99 %.1f us "
+        "(server toll %.2fx, pipelined %.2fx)\n",
         size, configs[0].per_request_ns / 1e3,
         configs[1].per_request_ns / 1e3, configs[2].per_request_ns / 1e3,
+        configs[3].lat.p50_ns / 1e3, configs[3].lat.p99_ns / 1e3,
         configs[1].per_request_ns / configs[0].per_request_ns,
         configs[2].per_request_ns / configs[0].per_request_ns);
   }

@@ -19,13 +19,12 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/core/smoqe.h"
-#include "src/telemetry/metrics.h"
 
 namespace smoqe {
 namespace {
@@ -81,14 +80,9 @@ int dummy = (RegisterAll(), 0);
 }  // namespace
 
 // E14 trajectory: facade_query rows, one per telemetry config, with the
-// measured per-call latency percentiles.
-//
-// The configs are measured in INTERLEAVED rounds (build all engines,
-// then round-robin short timing windows) rather than one sequential
-// window per config: the recorded result is an on/off *ratio*, and
-// clock drift or a frequency change between sequential windows shows up
-// directly as fake overhead — measured ~7% at 100k nodes on a shared
-// container, while the interleaved estimate agrees with the
+// measured per-call latency percentiles. The configs are timed in
+// interleaved rounds (bench::InterleavedAB): the recorded result is an
+// on/off ratio, and the interleaved estimate agrees with the
 // google-benchmark section at <1%.
 void WriteTelemetryTrajectory(const char* path) {
   bench::JsonReport report;
@@ -117,33 +111,14 @@ void WriteTelemetryTrajectory(const char* path) {
       answers = r->stats.answers;
     }
 
-    double best_ns[kConfigs] = {1e300, 1e300, 1e300};
-    telemetry::Histogram hists[kConfigs];
-    const auto sweep_start = std::chrono::steady_clock::now();
     int rounds = 0;
-    do {
-      for (int c = 0; c < kConfigs; ++c) {
-        telemetry::Histogram& hist = hists[c];
-        double& best = best_ns[c];
-        const double window_ns = bench::MeasureMinNsPerIter(
-            [&engine = *engines[c], &hist] {
-              const auto t0 = std::chrono::steady_clock::now();
-              auto r = engine.Query("ward", kHotQuery, {});
-              Corpus::Check(r.ok(), "query");
-              hist.Record(static_cast<uint64_t>(
-                  std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count() *
-                  1e9));
-            },
-            /*min_iters=*/5, /*min_seconds=*/0.05);
-        if (window_ns < best) best = window_ns;
-      }
-      ++rounds;
-    } while (rounds < 4 ||
-             std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           sweep_start)
-                     .count() < 1.0);
+    const std::vector<bench::ABResult> ab = bench::InterleavedAB(
+        kConfigs,
+        [&](size_t c) {
+          auto r = engines[c]->Query("ward", kHotQuery, {});
+          Corpus::Check(r.ok(), "query");
+        },
+        &rounds);
 
     for (int c = 0; c < kConfigs; ++c) {
       bench::TrajectoryRow row;
@@ -151,21 +126,15 @@ void WriteTelemetryTrajectory(const char* path) {
       row.workload = "hospital";
       row.query = "hot-pred";
       row.config = configs[c].name;
-      row.nodes = nodes;
       row.answers = answers;
-      row.ns_per_node = best_ns[c] / static_cast<double>(nodes);
-      row.nodes_per_sec = static_cast<double>(nodes) * 1e9 / best_ns[c];
-      row.p50_ns = hists[c].Quantile(0.5);
-      row.p99_ns = hists[c].Quantile(0.99);
+      ab[c].FillRow(nodes, &row);
       report.Add(std::move(row));
     }
     std::fprintf(stderr,
                  "telemetry size=%zu: on %.1f us, off %.1f us "
                  "(overhead %.2f%%, %d rounds)\n",
-                 size, best_ns[0] / 1e3, best_ns[1] / 1e3,
-                 best_ns[1] > 0 ? (best_ns[0] / best_ns[1] - 1.0) * 100.0
-                                : 0.0,
-                 rounds);
+                 size, ab[0].best_ns / 1e3, ab[1].best_ns / 1e3,
+                 (ab[0].best_ns / ab[1].best_ns - 1.0) * 100.0, rounds);
   }
   if (!report.WriteFileMerged(path, {"facade_query"})) {
     std::fprintf(stderr, "failed to write %s\n", path);

@@ -402,6 +402,64 @@ LatencyPercentiles MeasureLatencyPercentiles(Fn&& fn, int min_iters = 50,
   return {hist.Quantile(0.5), hist.Quantile(0.99)};
 }
 
+/// One config's result from InterleavedAB.
+struct ABResult {
+  double best_ns = 1e300;  ///< best window's per-call minimum
+  double p50_ns = 0;       ///< per-call median over every timed call
+  double p99_ns = 0;
+
+  /// Fills the timing columns of a facade-overhead row over `nodes`.
+  void FillRow(uint64_t nodes, TrajectoryRow* row) const {
+    row->nodes = nodes;
+    row->ns_per_node = best_ns / static_cast<double>(nodes);
+    row->nodes_per_sec = static_cast<double>(nodes) * 1e9 / best_ns;
+    row->p50_ns = p50_ns;
+    row->p99_ns = p99_ns;
+  }
+};
+
+/// Interleaved A/B timing of `configs` alternatives, for results that are
+/// a *ratio* between configs (the E14/E15/E17 overhead rows). Sequential
+/// per-config windows turn clock drift or a frequency change into fake
+/// overhead — measured ~7% at 100k nodes on a shared container — so this
+/// round-robins short MeasureMinNsPerIter windows (≥5 calls, ≥50 ms) over
+/// every config for at least 4 rounds and 1 s. `call(c)` runs one call of
+/// config c; every call is also timed into that config's histogram.
+/// Stores the round count in `*rounds` when given.
+template <typename Call>
+std::vector<ABResult> InterleavedAB(size_t configs, Call&& call,
+                                    int* rounds = nullptr) {
+  using Clock = std::chrono::steady_clock;
+  std::vector<ABResult> results(configs);
+  auto hists = std::make_unique<telemetry::Histogram[]>(configs);
+  const auto sweep_start = Clock::now();
+  int round = 0;
+  do {
+    for (size_t c = 0; c < configs; ++c) {
+      telemetry::Histogram& hist = hists[c];
+      const double window_ns = MeasureMinNsPerIter(
+          [&] {
+            const auto t0 = Clock::now();
+            call(c);
+            hist.Record(static_cast<uint64_t>(
+                std::chrono::duration<double>(Clock::now() - t0).count() *
+                1e9));
+          },
+          /*min_iters=*/5, /*min_seconds=*/0.05);
+      if (window_ns < results[c].best_ns) results[c].best_ns = window_ns;
+    }
+    ++round;
+  } while (round < 4 ||
+           std::chrono::duration<double>(Clock::now() - sweep_start).count() <
+               1.0);
+  for (size_t c = 0; c < configs; ++c) {
+    results[c].p50_ns = hists[c].Quantile(0.5);
+    results[c].p99_ns = hists[c].Quantile(0.99);
+  }
+  if (rounds != nullptr) *rounds = round;
+  return results;
+}
+
 /// Whether the post-benchmark JSON trajectory sweep should run. On by
 /// default (a plain `bench_eval` run records the trajectory); set
 /// SMOQE_TRAJECTORY=0 when iterating on a single filtered benchmark so

@@ -144,33 +144,61 @@ void ThreadPool::WorkerLoop(size_t self) {
   }
 }
 
-namespace {
-
-/// Shared claim-counter state of one ParallelFor. Heap-held so helper
-/// tasks left in a queue after completion (a saturated pool) touch valid
-/// memory when they finally run and find no iterations left.
-struct ForJob {
+/// Shared claim-counter state of one fork. Heap-held so helper tasks
+/// left in a queue after the join (a saturated pool) touch valid memory
+/// when they finally run and find no iterations left; they never touch
+/// `body`, which lives only until the join.
+struct ThreadPool::ForJob {
   const std::function<void(size_t)>* body;
   size_t n = 0;
   std::atomic<size_t> next{0};
   std::atomic<size_t> done{0};
   std::mutex mu;
   std::condition_variable cv;
-};
 
-void DrainFor(const std::shared_ptr<ForJob>& job) {
-  while (true) {
-    const size_t i = job->next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= job->n) return;
-    (*job->body)(i);
-    if (job->done.fetch_add(1, std::memory_order_acq_rel) + 1 == job->n) {
-      std::lock_guard<std::mutex> lock(job->mu);
-      job->cv.notify_all();
+  /// Claims and runs iterations until none is left unclaimed.
+  void Drain() {
+    while (true) {
+      const size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      (*body)(i);
+      if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
+        std::lock_guard<std::mutex> lock(mu);
+        cv.notify_all();
+      }
     }
   }
+};
+
+void ThreadPool::Forked::Join() {
+  if (job_ == nullptr) return;
+  job_->Drain();  // the caller takes over whatever nobody claimed
+  if (job_->done.load(std::memory_order_acquire) != job_->n) {
+    std::unique_lock<std::mutex> lock(job_->mu);
+    job_->cv.wait(lock, [&] {
+      return job_->done.load(std::memory_order_acquire) == job_->n;
+    });
+  }
+  job_.reset();
 }
 
-}  // namespace
+ThreadPool::Forked ThreadPool::Spawn(size_t n,
+                                     const std::function<void(size_t)>& body,
+                                     size_t helpers) {
+  if (n == 0) return Forked();
+  auto job = std::make_shared<ForJob>();
+  job->body = &body;
+  job->n = n;
+  for (size_t h = 0; h < helpers; ++h) {
+    Submit([job] { job->Drain(); });
+  }
+  return Forked(std::move(job));
+}
+
+ThreadPool::Forked ThreadPool::Fork(size_t n,
+                                    const std::function<void(size_t)>& body) {
+  return Spawn(n, body, std::min(workers_.size(), n));
+}
 
 void ThreadPool::ParallelFor(size_t n,
                              const std::function<void(size_t)>& body) {
@@ -180,27 +208,8 @@ void ThreadPool::ParallelFor(size_t n,
     for (size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  auto job = std::make_shared<ForJob>();
-  job->body = &body;
-  job->n = n;
-  for (size_t h = 0; h < helpers; ++h) {
-    Submit([job] { DrainFor(job); });
-  }
-  DrainFor(job);  // the caller participates — nesting cannot deadlock
-  if (job->done.load(std::memory_order_acquire) != n) {
-    std::unique_lock<std::mutex> lock(job->mu);
-    job->cv.wait(lock, [&] {
-      return job->done.load(std::memory_order_acquire) == n;
-    });
-  }
-}
-
-void ThreadPool::HelpWhileWaiting(Latch& latch) {
-  while (!latch.TryWait()) {
-    // Start probing at queue 0: external helpers have no own queue, so
-    // every pop is a steal; RunOneTask's FIFO steal order applies.
-    if (!RunOneTask(0)) std::this_thread::yield();
-  }
+  // The caller participates at once — nesting cannot deadlock.
+  Spawn(n, body, helpers).Join();
 }
 
 ThreadPool& ThreadPool::Shared() {

@@ -1,8 +1,8 @@
 /// \file
 /// \brief Work-stealing thread pool backing the parallel query-serving
 /// layer (docs/DESIGN.md §7): `Smoqe::QueryBatch` fans DOM items and
-/// per-plan StAX advancement across it, and bench_parallel (E13) sweeps
-/// its size.
+/// per-plan StAX advancement across it, smoqed runs its wire requests on
+/// it (§10.3), and bench_parallel (E13) sweeps its size.
 
 #ifndef SMOQE_COMMON_THREAD_POOL_H_
 #define SMOQE_COMMON_THREAD_POOL_H_
@@ -42,15 +42,6 @@ class Latch {
     cv_.wait(lock, [&] { return count_ == 0; });
   }
 
-  /// Non-blocking: true iff the count has reached zero. For waiters that
-  /// must keep draining a pool instead of blocking (ThreadPool::
-  /// HelpWhileWaiting) — a blocked wait whose tasks sit in a queue
-  /// behind the waiter is a deadlock.
-  bool TryWait() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return count_ == 0;
-  }
-
  private:
   size_t count_;
   std::mutex mu_;
@@ -69,9 +60,29 @@ class Latch {
 /// ParallelFor is the fork/join primitive the engine uses: the calling
 /// thread *participates* in the loop, so nested ParallelFor from inside a
 /// task can never deadlock — a saturated pool degrades to the caller
-/// draining its own iterations inline.
+/// draining its own iterations inline. Fork splits it in two halves for
+/// a caller with its own work to do between fork and join.
 class ThreadPool {
+  struct ForJob;
+
  public:
+  /// A fork in flight (see Fork). Join() runs on the calling thread
+  /// every iteration no pool task has claimed yet, then blocks until
+  /// the claimed ones finish; the destructor joins too.
+  class Forked {
+   public:
+    Forked() = default;
+    Forked(Forked&&) = default;
+    Forked& operator=(Forked&&) = delete;
+    ~Forked() { Join(); }
+    void Join();
+
+   private:
+    friend class ThreadPool;
+    explicit Forked(std::shared_ptr<ForJob> job) : job_(std::move(job)) {}
+    std::shared_ptr<ForJob> job_;
+  };
+
   /// `threads` = total parallelism (callers + workers). 0 means one per
   /// hardware core (`std::thread::hardware_concurrency`).
   explicit ThreadPool(int threads = 0);
@@ -93,13 +104,14 @@ class ThreadPool {
   /// call concurrently from multiple threads.
   void ParallelFor(size_t n, const std::function<void(size_t)>& body);
 
-  /// Blocks until `latch` opens, executing queued pool tasks on the
-  /// calling thread in the meantime. The fork side of a fork/join that
-  /// *submitted* its work (rather than using ParallelFor) must wait this
-  /// way: a join that merely blocks can deadlock when every worker is
-  /// itself blocked in a join and the forked tasks sit unclaimed in the
-  /// queues — helping guarantees the waiter's own work cannot starve.
-  void HelpWhileWaiting(Latch& latch);
+  /// Starts `body(i)` for every i in [0, n) on the pool and returns at
+  /// once; the caller joins through the returned handle. Iterations are
+  /// claimed through a shared counter, so the join only ever runs its
+  /// own iterations (never another caller's task — its latency is
+  /// bounded by its own work) and only ever waits on iterations already
+  /// running on another thread, which is why it cannot deadlock on a
+  /// saturated pool. `body` must outlive the join.
+  Forked Fork(size_t n, const std::function<void(size_t)>& body);
 
   /// Process-wide default pool (hardware-sized), for callers without a
   /// configured engine.
@@ -120,9 +132,8 @@ class ThreadPool {
     return s;
   }
 
-  /// Tasks submitted but not yet started (queue depth). The facade's
-  /// admission gate reads this as its saturation signal; approximate by
-  /// nature (relaxed), which is fine for a load-shedding heuristic.
+  /// Tasks submitted but not yet started (queue depth); approximate by
+  /// nature (relaxed).
   size_t pending() const { return pending_.load(std::memory_order_relaxed); }
 
   /// Mirrors pool activity into `registry` from now on (docs/DESIGN.md
@@ -147,6 +158,9 @@ class ThreadPool {
     std::deque<Task> tasks;
   };
 
+  /// Fork with `helpers` pool tasks claiming iterations.
+  Forked Spawn(size_t n, const std::function<void(size_t)>& body,
+               size_t helpers);
   void WorkerLoop(size_t self);
   /// Pops one task — own deque back first, then steals another queue's
   /// front. Returns false when every deque is empty.

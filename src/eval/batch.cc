@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <utility>
@@ -527,29 +528,27 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::RunParallel(
     pool.Submit([doomed] { doomed->clear(); });
     return st;
   };
+  // One group's share of a chunk: advance its plans through `cur`.
+  const std::function<void(size_t)> advance_group = [&](size_t g) {
+    auto [begin, end] = group_range(g);
+    for (size_t k = begin; k < end; ++k) {
+      // Poll between plans: a chunk's wall time grows with the batch
+      // width, so the per-chunk check below alone would let deadline
+      // detection lag by a whole chunk of a wide batch. A tripped group
+      // stops; the caller fails the call after the join.
+      if (options_.guard != nullptr) {
+        group_status[g] = options_.guard->Check();
+        if (!group_status[g].ok()) break;
+      }
+      AdvancePlanOverChunk(*states[k], cur, *names);
+    }
+  };
   while (!cur.events.empty()) {
     const auto chunk_t0 = par.chunk_ns != nullptr
                               ? std::chrono::steady_clock::now()
                               : std::chrono::steady_clock::time_point();
-    // Fork: each group advances its plans through `cur`…
-    Latch join(groups);
-    for (size_t g = 0; g < groups; ++g) {
-      pool.Submit([&, g] {
-        auto [begin, end] = group_range(g);
-        for (size_t k = begin; k < end; ++k) {
-          // Poll between plans: a chunk's wall time grows with the batch
-          // width, so the per-chunk check below alone would let deadline
-          // detection lag by a whole chunk of a wide batch. A tripped
-          // group stops; the caller fails the call after the join.
-          if (options_.guard != nullptr) {
-            group_status[g] = options_.guard->Check();
-            if (!group_status[g].ok()) break;
-          }
-          AdvancePlanOverChunk(*states[k], cur, *names);
-        }
-        join.CountDown();
-      });
-    }
+    // Fork: the groups advance their plans through `cur`…
+    ThreadPool::Forked chunk = pool.Fork(groups, advance_group);
     // …while the caller tokenizes the next chunk behind the same reader.
     Status tok_status = Status::OK();
     if (!eof) {
@@ -562,11 +561,11 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::RunParallel(
     } else {
       next.Clear();
     }
-    // Help-while-waiting: on a saturated pool (nested batches via
-    // QueryBatchMulti) the chunk tasks may be queued behind workers that
-    // are themselves waiting on their own chunks — the driver claims
-    // them itself rather than deadlock.
-    pool.HelpWhileWaiting(join);
+    // On a saturated pool (nested batches via QueryBatchMulti, or
+    // smoqed's requests) this thread advances the groups no worker has
+    // claimed yet itself, so it never waits on a queued task — and it
+    // never runs a task that is not this chunk's.
+    chunk.Join();
     if (!tok_status.ok()) return tok_status;
     // A group that stopped early left its plans mid-chunk: fail closed.
     for (Status& st : group_status) {

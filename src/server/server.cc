@@ -107,6 +107,10 @@ Server::~Server() { Stop(); }
 
 Status Server::Start() {
   if (started_) return Status::FailedPrecondition("server already started");
+  if (engine_->pool() == nullptr) {
+    return Status::FailedPrecondition(
+        "smoqed needs an engine thread pool (EngineOptions::max_threads > 1)");
+  }
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) return Errno("socket");
@@ -163,11 +167,6 @@ Status Server::Start() {
   running_.store(true, std::memory_order_release);
   started_ = true;
   loop_thread_ = std::thread([this] { LoopMain(); });
-  const int workers = options_.workers < 1 ? 1 : options_.workers;
-  workers_.reserve(static_cast<size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { WorkerMain(); });
-  }
   return Status::OK();
 }
 
@@ -177,26 +176,19 @@ void Server::Stop() {
   running_.store(false, std::memory_order_release);
   WakeLoop();
   if (loop_thread_.joinable()) loop_thread_.join();
-  // The loop cancelled every session token on the way out, so workers
-  // stuck inside an engine call unwind at their next guard check.
+  // The loop cancelled every session token on the way out, so request
+  // tasks stuck inside an engine call unwind at their next guard check
+  // and queued ones fail fast. They hold `this`: wait them out.
   {
-    std::lock_guard<std::mutex> lock(work_mu_);
+    std::unique_lock<std::mutex> lock(tasks_mu_);
+    tasks_cv_.wait(lock, [this] { return tasks_ == 0; });
   }
-  work_cv_.notify_all();
-  for (std::thread& t : workers_) {
-    if (t.joinable()) t.join();
-  }
-  workers_.clear();
   // Single-threaded from here: release every fd.
   conns_.clear();  // Connection dtor closes surviving fds
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
   if (event_fd_ >= 0) ::close(event_fd_);
   listen_fd_ = epoll_fd_ = event_fd_ = -1;
-  {
-    std::lock_guard<std::mutex> lock(work_mu_);
-    work_.clear();
-  }
   {
     std::lock_guard<std::mutex> lock(done_mu_);
     done_.clear();
@@ -254,9 +246,9 @@ void Server::LoopMain() {
     // eventfd write raced our drain); always sweep.
     DrainCompletions();
   }
-  // Shutdown: stop the world. Cancelling the tokens unwinds any worker
-  // still inside the engine; fds are closed later by Stop() once every
-  // thread is joined (workers may still hold Connection refs).
+  // Shutdown: stop the world. Cancelling the tokens unwinds any request
+  // task still inside the engine; fds are closed later by Stop() once
+  // every task has finished (tasks may still hold Connection refs).
   for (auto& [id, conn] : conns_) {
     if (conn->session != nullptr) conn->session->cancel_token().Cancel();
   }
@@ -384,11 +376,7 @@ void Server::ProcessFrames(const std::shared_ptr<Connection>& conn) {
           break;
         }
         conn->in_flight = true;
-        {
-          std::lock_guard<std::mutex> lock(work_mu_);
-          work_.push_back(WorkItem{conn, std::move(*frame), now, depth});
-        }
-        work_cv_.notify_one();
+        Dispatch(WorkItem{conn, std::move(*frame), now, depth});
         break;
       }
       default: {
@@ -569,12 +557,8 @@ void Server::DrainCompletions() {
       PendingRequest next = std::move(conn->pending.front());
       conn->pending.pop_front();
       conn->in_flight = true;
-      {
-        std::lock_guard<std::mutex> lock(work_mu_);
-        work_.push_back(WorkItem{conn, std::move(next.frame), next.enqueue,
-                                 next.pending_depth});
-      }
-      work_cv_.notify_one();
+      Dispatch(WorkItem{conn, std::move(next.frame), next.enqueue,
+                        next.pending_depth});
     }
   }
 }
@@ -591,41 +575,45 @@ void Server::CloseConnection(const std::shared_ptr<Connection>& conn) {
   metrics_.Count(metrics_.connections_closed);
 }
 
-// ---------------------------------------------------------------------
-// Workers
-// ---------------------------------------------------------------------
-
-void Server::WorkerMain() {
-  for (;;) {
-    WorkItem item;
-    {
-      std::unique_lock<std::mutex> lock(work_mu_);
-      work_cv_.wait(lock, [this] {
-        return !work_.empty() || !running_.load(std::memory_order_acquire);
-      });
-      if (work_.empty()) {
-        if (!running_.load(std::memory_order_acquire)) return;
-        continue;
-      }
-      item = std::move(work_.front());
-      work_.pop_front();
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    Outgoing response = ExecuteRequest(item);
-    if (metrics_.request_ns != nullptr) {
-      metrics_.request_ns->Record(NsSince(t0));
-    }
-    {
-      std::lock_guard<std::mutex> lock(item.conn->out_mu);
-      item.conn->outbox.push_back(std::move(response));
-    }
-    {
-      std::lock_guard<std::mutex> lock(done_mu_);
-      done_.push_back(item.conn);
-    }
-    WakeLoop();
+void Server::Dispatch(WorkItem item) {
+  {
+    std::lock_guard<std::mutex> lock(tasks_mu_);
+    queued_.push_back(std::move(item));
+    ++tasks_;
   }
+  // A task runs the oldest queued request, not "its own": the pool pops
+  // a worker's own deque newest-first, which would reorder requests.
+  engine_->pool()->Submit([this] {
+    {
+      // Scoped so the Connection ref drops before the count does: no
+      // Connection may outlive Stop().
+      std::unique_lock<std::mutex> lock(tasks_mu_);
+      WorkItem run = std::move(queued_.front());
+      queued_.pop_front();
+      lock.unlock();
+      const auto t0 = std::chrono::steady_clock::now();
+      Outgoing response = ExecuteRequest(run);
+      if (metrics_.request_ns != nullptr) {
+        metrics_.request_ns->Record(NsSince(t0));
+      }
+      {
+        std::lock_guard<std::mutex> lock(run.conn->out_mu);
+        run.conn->outbox.push_back(std::move(response));
+      }
+      {
+        std::lock_guard<std::mutex> lock(done_mu_);
+        done_.push_back(run.conn);
+      }
+      WakeLoop();
+    }
+    std::lock_guard<std::mutex> lock(tasks_mu_);
+    if (--tasks_ == 0) tasks_cv_.notify_all();
+  });
 }
+
+// ---------------------------------------------------------------------
+// Request tasks
+// ---------------------------------------------------------------------
 
 std::string Server::ErrorResponseFor(uint8_t opcode, uint64_t id,
                                      WireCode code, std::string message) {
@@ -692,7 +680,7 @@ void Server::FinishTrace(const std::shared_ptr<telemetry::Trace>& trace) {
 }
 
 Server::Outgoing Server::ExecuteRequest(const WorkItem& item) {
-  // A request can only reach a worker after the handshake bound the
+  // A request can only reach a task after the handshake bound the
   // session, so `conn.session` is set; the loop never rebinds it.
   Connection& conn = *item.conn;
   core::Session& session = *conn.session;

@@ -6,9 +6,10 @@
 /// Shape (modeled on LogCabin's OpaqueServer non-blocking accept/read/
 /// write monitor): ONE event-loop thread owns every socket — accepts,
 /// reads bytes into a per-connection FrameExtractor, writes buffered
-/// responses — and N worker threads execute decoded requests against the
-/// engine through the connection's role-bound core::Session. A
-/// connection's requests execute strictly in arrival order (one in
+/// responses — and submits each decoded request to the engine's own
+/// ThreadPool (`core::Smoqe::pool()`, which also runs batch fan-out),
+/// where it executes through the connection's role-bound core::Session.
+/// A connection's requests execute strictly in arrival order (one in
 /// flight at a time), so pipelined clients get responses in request
 /// order; concurrency comes from many connections, which is the workload
 /// the engine's snapshot/pool layers were built for.
@@ -50,8 +51,6 @@ struct ServerOptions {
   /// TCP port; 0 = ephemeral (the test fixture's mode — read the bound
   /// port back via Server::port()).
   uint16_t port = 0;
-  /// Request-executing worker threads.
-  int workers = 2;
   /// Whether a HELLO with the empty role (trusted direct access, no
   /// security view) is accepted. Off by default: a network daemon's
   /// reason to exist is the view boundary.
@@ -67,13 +66,15 @@ struct ServerOptions {
   int max_connections = 1024;
 };
 
-/// \brief The daemon: owns the listener, the event loop thread and the
-/// worker pool; executes requests against a caller-owned Smoqe engine.
+/// \brief The daemon: owns the listener and the event loop thread;
+/// executes requests on a caller-owned Smoqe engine's thread pool.
 ///
-/// Lifecycle: construct → Start() (binds + spawns threads; fails with a
-/// Status on bind errors) → serve until Stop() (idempotent; joins every
-/// thread; in-flight requests are cancelled via their session tokens).
-/// The engine must outlive the server. Metrics land in the engine's
+/// Lifecycle: construct → Start() (binds + spawns the loop; fails with a
+/// Status on bind errors) → serve until Stop() (idempotent; in-flight
+/// requests are cancelled via their session tokens).
+/// The engine must outlive the server and have a pool: set
+/// `EngineOptions::max_threads > 1` (the default 0 builds none on a
+/// 1-CPU host, and Start() refuses it). Metrics land in the engine's
 /// telemetry registry under `server.*` (null-safe when telemetry is
 /// off), so a STAT frame or `smoqe-cli stat` sees engine and server
 /// counters in one dump.
@@ -85,12 +86,14 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens, spawns the loop + workers. Returns IOError with
-  /// errno detail on bind/listen failure.
+  /// Binds, listens, spawns the loop. Returns IOError with errno detail
+  /// on bind/listen failure; FailedPrecondition for an engine without a
+  /// pool, whose requests would run inline and stall the loop.
   Status Start();
 
   /// Stops accepting, cancels in-flight sessions, closes every
-  /// connection, joins all threads. Safe to call twice.
+  /// connection, joins the loop and waits out every request task.
+  /// Safe to call twice.
   void Stop();
 
   /// The bound port (after Start; the ephemeral-port answer).
@@ -119,17 +122,17 @@ class Server {
   };
 
   /// Per-connection state. The event loop owns the fd and every field
-  /// except `outbox`, which workers fill under `out_mu`; the Session's
-  /// CancelToken is the one cross-thread control signal (atomic).
+  /// except `outbox`, which request tasks fill under `out_mu`; the
+  /// Session's CancelToken is the one cross-thread control signal.
   struct Connection {
     int fd = -1;
     uint64_t conn_id = 0;
     FrameExtractor frames;
     /// Bound at handshake; null until then.
     std::unique_ptr<core::Session> session;
-    /// Negotiated protocol version (set at handshake). Workers scrub
-    /// the trace extension off requests from v1 peers, which cannot
-    /// have sent one intentionally.
+    /// Negotiated protocol version (set at handshake). Requests from v1
+    /// peers have the trace extension scrubbed: they cannot have sent
+    /// one intentionally.
     uint32_t version = kProtocolVersion;
     /// `server.requests_by_role.<role>` counter, resolved once at
     /// handshake ("" → "direct"); null when telemetry is off.
@@ -141,7 +144,7 @@ class Server {
     bool close_after_flush = false;  ///< fatal protocol error sent
     std::string wbuf;        ///< bytes the socket hasn't accepted yet
     size_t wbuf_off = 0;
-    /// Worker → loop handoff of encoded response frames.
+    /// Request task → loop handoff of encoded response frames.
     std::mutex out_mu;
     std::vector<Outgoing> outbox;
 
@@ -149,7 +152,7 @@ class Server {
     ~Connection();
   };
 
-  /// One unit of worker work: a connection, the request to run, and its
+  /// One request task: a connection, the request to run, and its
   /// admission stamps (arrival time, queue depth at arrival).
   struct WorkItem {
     std::shared_ptr<Connection> conn;
@@ -187,7 +190,7 @@ class Server {
   void HandleWritable(const std::shared_ptr<Connection>& conn);
   void DrainCompletions();
   /// Lifts complete frames off `conn` and routes them (handshake inline,
-  /// requests to the workers / pending queue).
+  /// requests to the engine pool / pending queue).
   void ProcessFrames(const std::shared_ptr<Connection>& conn);
   void HandleHandshake(const std::shared_ptr<Connection>& conn,
                        const RawFrame& frame);
@@ -198,8 +201,12 @@ class Server {
   void UpdateEpollInterest(Connection* conn);
   void WakeLoop();
 
-  // --- workers ---
-  void WorkerMain();
+  /// Queues `item` behind every earlier request and submits one request
+  /// task to the engine pool, which executes the oldest queued request,
+  /// posts the response and wakes the loop.
+  void Dispatch(WorkItem item);
+
+  // --- request tasks (run on the engine pool) ---
   /// Decodes + executes one request, returns the encoded response frame
   /// plus the server-side trace (if the request carried a context).
   Outgoing ExecuteRequest(const WorkItem& item);
@@ -246,19 +253,21 @@ class Server {
   std::atomic<bool> running_{false};
   bool started_ = false;
 
-  std::thread loop_thread_;
-  std::vector<std::thread> workers_;
+  std::thread loop_thread_;  ///< the one thread a Server owns
 
   /// Loop-owned connection table (conn_id → connection).
   std::unordered_map<uint64_t, std::shared_ptr<Connection>> conns_;
   uint64_t next_conn_id_ = 1;
 
-  /// Worker queue (loop → workers).
-  std::mutex work_mu_;
-  std::condition_variable work_cv_;
-  std::deque<WorkItem> work_;
+  /// Requests waiting for a pool task, oldest first, across connections.
+  std::mutex tasks_mu_;
+  std::deque<WorkItem> queued_;
+  /// Request tasks submitted to the engine pool and not yet finished.
+  /// The tasks hold `this`, so Stop() waits for zero.
+  std::condition_variable tasks_cv_;
+  size_t tasks_ = 0;
 
-  /// Completion queue (workers → loop, drained on eventfd wakeups).
+  /// Completion queue (request tasks → loop, drained on eventfd wakeups).
   std::mutex done_mu_;
   std::vector<std::shared_ptr<Connection>> done_;
 };

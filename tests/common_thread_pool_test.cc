@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <thread>
 #include <vector>
 
 namespace smoqe {
@@ -78,6 +80,56 @@ TEST(ThreadPoolTest, ParallelForBodyRunsConcurrentWorkSafely) {
   std::vector<size_t> results(kN, 0);
   pool.ParallelFor(kN, [&](size_t i) { results[i] = i * i; });
   for (size_t i = 0; i < kN; ++i) ASSERT_EQ(results[i], i * i);
+}
+
+TEST(ThreadPoolTest, ForkJoinRunsOnlyItsOwnIterations) {
+  // The one worker is busy and an unrelated task waits in the queue. The
+  // join must run every unclaimed iteration on the calling thread and
+  // leave the unrelated task alone — a join that ran any queued task
+  // would make its own latency depend on other callers' work.
+  ThreadPool pool(2);
+  Latch worker_busy(1);
+  Latch release(1);
+  pool.Submit([&] {
+    worker_busy.CountDown();
+    release.Wait();
+  });
+  worker_busy.Wait();
+  std::atomic<int> foreign{0};
+  pool.Submit([&] { foreign.fetch_add(1); });
+
+  constexpr size_t kN = 4;
+  std::vector<std::thread::id> ran_on(kN);
+  const std::function<void(size_t)> body = [&](size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+  };
+  ThreadPool::Forked fork = pool.Fork(kN, body);
+  fork.Join();
+  for (size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(ran_on[i], std::this_thread::get_id()) << i;
+  }
+  EXPECT_EQ(foreign.load(), 0);
+
+  release.CountDown();
+  Latch after(1);
+  pool.Submit([&] { after.CountDown(); });
+  after.Wait();
+}
+
+TEST(ThreadPoolTest, ForkOverlapsCallerWorkAndCoversEveryIndex) {
+  ThreadPool pool(4);
+  constexpr size_t kN = 64;
+  std::vector<std::atomic<int>> hits(kN);
+  const std::function<void(size_t)> body = [&](size_t i) {
+    hits[i].fetch_add(1);
+  };
+  for (int round = 0; round < 50; ++round) {
+    ThreadPool::Forked fork = pool.Fork(kN, body);
+    // The caller's own work between fork and join; the destructor of a
+    // never-joined handle joins as well.
+    if (round % 2 == 0) fork.Join();
+  }
+  for (size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 50) << i;
 }
 
 }  // namespace

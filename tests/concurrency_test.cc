@@ -518,10 +518,10 @@ TEST(BatchParallelTest, FacadeBatchCountersEqualAggregatedItemStats) {
 }
 
 TEST(BatchParallelTest, NestedRunParallelOnSaturatedPoolCompletes) {
-  // Regression: RunParallel joins by helping (HelpWhileWaiting). With a
-  // blocking join, two nested batches on a 1-worker pool deadlock — the
-  // worker blocks in its own join while the other batch's chunk tasks
-  // sit unclaimed in the queue.
+  // Regression: RunParallel's join claims its own unclaimed chunk groups
+  // (ThreadPool::Fork). With a join that only blocks, two nested batches
+  // on a 1-worker pool deadlock — the worker blocks in its own join
+  // while the other batch's chunk tasks sit unclaimed in the queue.
   auto names = xml::NameTable::Create();
   auto doc = workload::GenHospital(/*seed=*/5, 600, names);
   ASSERT_TRUE(doc.ok());

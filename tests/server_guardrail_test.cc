@@ -6,6 +6,7 @@
 // Also covers the server's own admission layer (per-connection pipeline
 // caps) and the disconnect-mid-request path.
 
+#include <dirent.h>
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -322,6 +323,165 @@ TEST_F(ServerGuardrailTest, DisconnectMidRequestCancelsAndServerSurvives) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->code, WireCode::kOk) << r->error;
   EXPECT_EQ(AuditTotal(), audit_before);
+}
+
+// Entries of a /proc/self directory: open fds ("fd", the scan's own
+// directory fd included, so two calls compare like with like) or
+// threads ("task").
+size_t ProcEntries(const char* path) {
+  size_t n = 0;
+  DIR* dir = ::opendir(path);
+  if (dir == nullptr) return 0;
+  while (const dirent* e = ::readdir(dir)) {
+    if (e->d_name[0] != '.') ++n;
+  }
+  ::closedir(dir);
+  return n;
+}
+
+// Stop() under load: more connections than the engine pool has workers
+// each pipeline slow StAX scans, so at Stop some requests are executing,
+// some wait as pool tasks and the rest wait in their connection's queue.
+// The request tasks hold the server, so Stop must cancel them and wait
+// every one out; it must return, close every socket it opened, and leave
+// the engine (whose pool the tasks ran on) serving. The server itself
+// owns exactly one thread, its event loop.
+TEST_F(ServerGuardrailTest, StopUnderLoadWaitsOutPoolTasksAndLeaksNoFd) {
+  constexpr int kConns = 6;  // pool of max_threads = 4 has 3 workers
+  constexpr int kScansPerConn = 4;
+  const size_t fds_before = ProcEntries("/proc/self/fd");
+  const size_t threads_before = ProcEntries("/proc/self/task");
+  const uint64_t requests_before = ServerCounter("server.requests");
+  auto server = std::make_unique<TestServer>(engine_.get());
+  ASSERT_TRUE(server->ok()) << server->start_status().ToString();
+  EXPECT_EQ(ProcEntries("/proc/self/task"), threads_before + 1);
+
+  std::vector<Client> clients;
+  for (int c = 0; c < kConns; ++c) {
+    ClientOptions co;
+    co.port = server->port();
+    co.recv_timeout_ms = 60'000;
+    auto client = Client::Connect(co);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    std::string burst;
+    for (int i = 0; i < kScansPerConn; ++i) {
+      QueryRequest q;
+      q.id = client->NextId();
+      q.doc = "big";
+      q.query = kHotQuery;
+      q.mode = WireEvalMode::kStax;
+      burst += Encode(q);
+    }
+    ASSERT_TRUE(client->SendBytes(burst).ok());
+    clients.push_back(client.MoveValue());
+  }
+  // Every frame has reached the loop (dispatched or parked) once the
+  // request counter has seen them all.
+  const uint64_t want = requests_before + kConns * kScansPerConn;
+  for (int i = 0; i < 10'000 && ServerCounter("server.requests") < want;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(ServerCounter("server.requests"), want);
+
+  server.reset();  // Stop(): joins the loop, waits out the pool tasks
+
+  // Each client got some answers (Ok, or Cancelled by the stop) and then
+  // the close; none hangs.
+  for (Client& client : clients) {
+    int frames = 0;
+    while (client.ReceiveFrame().ok()) ++frames;
+    EXPECT_LE(frames, kScansPerConn);
+  }
+  clients.clear();
+  EXPECT_EQ(ProcEntries("/proc/self/fd"), fds_before);
+
+  // The engine and its pool outlive the server and keep serving.
+  auto lib = engine_->Query("ward", "//pname");
+  ASSERT_TRUE(lib.ok()) << lib.status().ToString();
+  Client client = MustConnect();
+  QueryRequest probe;
+  probe.doc = "ward";
+  probe.query = "//pname";
+  auto r = client.Query(probe);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->code, WireCode::kOk) << r->error;
+}
+
+// Requests from many connections wait for pool threads oldest-first.
+// One worker is kept busy by a slow StAX batch; meanwhile five view
+// connections each send one query, strictly one after another. The pool
+// pops a worker's own deque newest-first, so without the server's FIFO
+// the last request would run first. Each query's audit record (appended
+// when its rewrite runs) must come out in send order.
+TEST(ServerSchedulingTest, WaitingRequestsRunOldestFirstAcrossConnections) {
+  core::EngineOptions eo;
+  eo.max_threads = 2;  // one worker: execution order is start order
+  core::Smoqe engine(eo);
+  SetupHospitalEngine(engine, /*gen_nodes=*/0);
+  ASSERT_TRUE(engine.GenerateDocument("big", "hospital", 7, 100'000).ok());
+  TestServer server(&engine);
+  ASSERT_TRUE(server.ok()) << server.start_status().ToString();
+  auto& requests = engine.telemetry()->registry().GetCounter("server.requests");
+  auto connect = [&](const std::string& role) {
+    ClientOptions co;
+    co.port = server.port();
+    co.role = role;
+    co.recv_timeout_ms = 60'000;
+    auto client = Client::Connect(co);
+    EXPECT_TRUE(client.ok()) << client.status().ToString();
+    return client.MoveValue();
+  };
+  // Send one frame and wait until the loop has taken it, so the next
+  // frame (on any connection) reaches the server strictly later.
+  auto send_in_order = [&](Client& client, const std::string& frame) {
+    const uint64_t before = requests.Value();
+    ASSERT_TRUE(client.SendBytes(frame).ok());
+    for (int i = 0; i < 10'000 && requests.Value() == before; ++i) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    ASSERT_GT(requests.Value(), before);
+  };
+
+  Client blocker = connect("");
+  QueryBatchRequest slow;
+  slow.id = blocker.NextId();
+  slow.doc = "big";
+  for (int i = 0; i < 8; ++i) {
+    slow.items.push_back({kHotQuery, WireEvalMode::kStax, 0});
+  }
+  send_in_order(blocker, Encode(slow));
+
+  const std::vector<std::string> queries = {
+      "//medication", "//treatment", "//treatment/medication",
+      "hospital/patient", "hospital/patient//medication"};
+  const uint64_t first_seq = engine.telemetry()->audit().total() + 1;
+  std::vector<Client> clients;
+  for (const std::string& text : queries) {
+    clients.push_back(connect("autism-group"));
+    QueryRequest q;
+    q.id = clients.back().NextId();
+    q.doc = "ward";
+    q.query = text;
+    send_in_order(clients.back(), Encode(q));
+  }
+  for (Client& client : clients) {
+    auto frame = client.ReceiveFrame();
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    auto resp = DecodeQueryResponse(frame->body);
+    ASSERT_TRUE(resp.ok());
+    EXPECT_EQ(resp->code, WireCode::kOk) << resp->error;
+  }
+  ASSERT_TRUE(blocker.ReceiveFrame().ok());
+
+  telemetry::AuditFilter filter;
+  filter.view = "autism-group";
+  filter.min_seq = first_seq;
+  std::vector<std::string> order;
+  for (const auto& rec : engine.telemetry()->audit().Query(filter)) {
+    order.push_back(rec.statement);
+  }
+  EXPECT_EQ(order, queries);
 }
 
 #ifdef SMOQE_FAULT_INJECTION

@@ -513,5 +513,19 @@ TEST_F(ServerDifferentialTest, StatExposesServerMetrics) {
       << prom->payload.substr(0, 400);
 }
 
+// smoqed executes requests on the engine's pool. A serial engine
+// (max_threads = 1) has none, and running requests inline on the loop
+// thread would stall every socket, so Start refuses before binding.
+TEST(ServerTest, StartRefusesSerialEngine) {
+  core::EngineOptions eo;
+  eo.max_threads = 1;
+  core::Smoqe engine(eo);
+  ASSERT_EQ(engine.pool(), nullptr);
+  Server server(&engine, TestServer::DefaultOptions());
+  const Status s = server.Start();
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+  EXPECT_EQ(server.port(), 0);
+}
+
 }  // namespace
 }  // namespace smoqe::server

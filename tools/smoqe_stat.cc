@@ -9,10 +9,9 @@
 //                                       # run sets threshold 0 so every
 //                                       # request of the workload lands)
 //
-// Live mode: --host H --port P skips the in-process workload and drains
-// a *running* smoqed over the STAT opcode instead — same formats
-// (json|prom|slow), same render path as the in-process dump, so the two
-// can be diffed structurally.
+// A *running* smoqed is drained over the STAT opcode by
+// `smoqe-cli stat --format json|prom|slow` — same render path as this
+// in-process dump, so the two can be diffed structurally.
 //
 // The workload covers every instrumented surface: direct and view
 // queries (DOM + StAX), a QueryBatch over the thread pool, accepted and
@@ -27,7 +26,6 @@
 #include <vector>
 
 #include "src/core/smoqe.h"
-#include "src/server/client.h"
 #include "src/workload/workloads.h"
 
 namespace {
@@ -153,61 +151,17 @@ int RunWorkload(smoqe::core::Smoqe& engine) {
 
 int main(int argc, char** argv) {
   std::string format = "json";
-  std::string host;
-  std::string role;
-  uint16_t port = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--format") == 0 && i + 1 < argc) {
       format = argv[++i];
     } else if (std::strncmp(argv[i], "--format=", 9) == 0) {
       format = argv[i] + 9;
-    } else if (std::strcmp(argv[i], "--host") == 0 && i + 1 < argc) {
-      host = argv[++i];
-    } else if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-      port = static_cast<uint16_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--role") == 0 && i + 1 < argc) {
-      role = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--format json|prom|traces|audit|slow]\n"
-                   "       %s --host H --port P [--role R] "
-                   "[--format json|prom|slow]\n",
-                   argv[0], argv[0]);
+                   "usage: %s [--format json|prom|traces|audit|slow]\n",
+                   argv[0]);
       return 2;
     }
-  }
-
-  if (port != 0) {
-    // Live mode: drain a running smoqed over STAT.
-    namespace srv = smoqe::server;
-    srv::ClientOptions copts;
-    if (!host.empty()) copts.host = host;
-    copts.port = port;
-    // STAT needs no view, but the handshake needs a role the server
-    // accepts: pass --role on servers that disable direct access.
-    copts.role = role;
-    auto client = srv::Client::Connect(copts);
-    if (!client.ok()) return Fail("connect", client.status());
-    srv::StatFormat fmt;
-    if (format == "json") {
-      fmt = srv::StatFormat::kJson;
-    } else if (format == "prom") {
-      fmt = srv::StatFormat::kPrometheus;
-    } else if (format == "slow") {
-      fmt = srv::StatFormat::kSlow;
-    } else {
-      std::fprintf(stderr, "live mode supports --format json|prom|slow\n");
-      return 2;
-    }
-    auto resp = client->Stat(fmt);
-    if (!resp.ok()) return Fail("stat", resp.status());
-    if (resp->code != srv::WireCode::kOk) {
-      std::fprintf(stderr, "smoqe-stat: %s: %s\n",
-                   srv::WireCodeName(resp->code), resp->error.c_str());
-      return 1;
-    }
-    std::fputs(resp->payload.c_str(), stdout);
-    return 0;
   }
 
   smoqe::core::EngineOptions options;

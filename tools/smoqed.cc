@@ -93,7 +93,7 @@ int LoadDemoCatalog(smoqe::core::Smoqe& engine, uint64_t gen_nodes) {
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s --demo [--host H] [--port P] [--workers N]\n"
+               "usage: %s --demo [--host H] [--port P]\n"
                "          [--gen NODES] [--allow-direct]\n",
                argv0);
   return 2;
@@ -104,7 +104,6 @@ int Usage(const char* argv0) {
 int main(int argc, char** argv) {
   smoqe::server::ServerOptions options;
   options.port = 7467;  // "SMOQ" on a phone pad, truncated to a port
-  options.workers = 2;
   bool demo = false;
   uint64_t gen_nodes = 0;
 
@@ -118,8 +117,6 @@ int main(int argc, char** argv) {
       options.host = argv[++i];
     } else if (std::strcmp(arg, "--port") == 0 && i + 1 < argc) {
       options.port = static_cast<uint16_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(arg, "--workers") == 0 && i + 1 < argc) {
-      options.workers = std::atoi(argv[++i]);
     } else if (std::strcmp(arg, "--gen") == 0 && i + 1 < argc) {
       gen_nodes = std::strtoull(argv[++i], nullptr, 10);
     } else {
@@ -128,6 +125,8 @@ int main(int argc, char** argv) {
   }
   if (!demo) return Usage(argv[0]);
 
+  // One pool serves wire requests and batch fan-out alike: up to
+  // max_threads - 1 requests execute at once.
   smoqe::core::EngineOptions engine_options;
   engine_options.max_threads = 4;
   smoqe::core::Smoqe engine(engine_options);
