@@ -1,8 +1,8 @@
 // ismoqe_cli — a line-oriented stand-in for the paper's iSMOQE front-end:
 // load documents, register DTDs, define views (from policies or
 // hand-written specifications), inspect view schemas, build indexes, and
-// run queries with the engine internals exposed (MFA dump, node-coloring
-// trace, statistics).
+// run queries with the engine internals exposed (MFA dump, V/P/C/A node
+// tree, statistics).
 //
 // Run:   ./build/ismoqe_cli          (starts with the hospital
 //                                              demo pre-loaded; type 'help')
@@ -35,7 +35,7 @@ void Help() {
   spec <view>                         full view specification (DTD + sigma)
   policy <view> <dtd> <file-|inline>  define a view from a policy string
   query <view|-> <rxpath>             answer a query ('-' = direct access)
-  explain <view|-> <rxpath>           query + MFA dump + HyPE trace
+  explain <view|-> <rxpath>           query + MFA dump + V/P/C/A tree
   stats <rxpath>                      direct query, statistics only
   index                               build the TAX index for '%s'
   quit

@@ -212,9 +212,4 @@ void ThreadPool::ParallelFor(size_t n,
   Spawn(n, body, helpers).Join();
 }
 
-ThreadPool& ThreadPool::Shared() {
-  static ThreadPool pool(0);
-  return pool;
-}
-
 }  // namespace smoqe

@@ -62,6 +62,10 @@ class Latch {
 /// task can never deadlock — a saturated pool degrades to the caller
 /// draining its own iterations inline. Fork splits it in two halves for
 /// a caller with its own work to do between fork and join.
+///
+/// Each `Smoqe` engine owns one pool (sized by
+/// `EngineOptions::max_threads`) and hands it to whatever it runs in
+/// parallel; standalone callers (tests, benches) build their own.
 class ThreadPool {
   struct ForJob;
 
@@ -112,10 +116,6 @@ class ThreadPool {
   /// running on another thread, which is why it cannot deadlock on a
   /// saturated pool. `body` must outlive the join.
   Forked Fork(size_t n, const std::function<void(size_t)>& body);
-
-  /// Process-wide default pool (hardware-sized), for callers without a
-  /// configured engine.
-  static ThreadPool& Shared();
 
   /// Lifetime totals, always collected (relaxed atomics — approximate
   /// cross-counter consistency, exact totals once the pool is quiescent).

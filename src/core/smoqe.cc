@@ -467,7 +467,6 @@ Result<QueryAnswer> Smoqe::EvalCompiled(const DocumentSnapshot& snap,
           "TAX requires DOM mode (the index addresses materialized nodes)");
     }
     eval::StaxEvalOptions stax_opts;
-    stax_opts.engine.trace = options.explain;
     stax_opts.guard = guard;
     // The streaming pass captures answer subtrees as it scans, so
     // evaluation and materialization are one span here.
@@ -478,7 +477,6 @@ Result<QueryAnswer> Smoqe::EvalCompiled(const DocumentSnapshot& snap,
     out.stats = r.stats;
   } else {
     eval::DomEvalOptions dom_opts;
-    dom_opts.engine.trace = options.explain;
     dom_opts.guard = guard;
     if (options.use_tax) {
       if (snap.tax == nullptr) {
@@ -490,8 +488,9 @@ Result<QueryAnswer> Smoqe::EvalCompiled(const DocumentSnapshot& snap,
     eval::DomEvalResult r;
     {
       tel::SpanScope span(tr, "evaluate");
-      SMOQE_ASSIGN_OR_RETURN(r,
-                             eval::EvalHypeDom(plan.mfa, *snap.dom, dom_opts));
+      SMOQE_ASSIGN_OR_RETURN(
+          r, eval::EvalHypeDom(plan.mfa, *snap.dom, dom_opts,
+                               options.explain ? &out.trace_tree : nullptr));
     }
     {
       tel::SpanScope span(tr, "materialize");
@@ -501,9 +500,6 @@ Result<QueryAnswer> Smoqe::EvalCompiled(const DocumentSnapshot& snap,
       }
     }
     out.stats = r.stats;
-    if (options.explain && r.trace != nullptr) {
-      out.trace_tree = r.trace->RenderTree(*snap.dom, r.nodes_by_engine_id);
-    }
   }
   out.stats.plan_cache_hits = pu.cache_hit ? 1 : 0;
   out.stats.plan_cache_misses = pu.cache_hit ? 0 : 1;
@@ -688,11 +684,7 @@ Status Smoqe::EvalBatchOnSnapshot(const DocumentSnapshot& snap,
     eval::BatchStaxOptions batch_opts;
     batch_opts.guard = guard;
     eval::BatchEvaluator batch(batch_opts);
-    for (size_t i : stax_items) {
-      eval::EngineOptions engine;
-      engine.trace = items[i].options.explain;
-      batch.AddPlan(&plans[i].plan->mfa, engine);
-    }
+    for (size_t i : stax_items) batch.AddPlan(&plans[i].plan->mfa);
     tel::SpanScope span(tr, "evaluate.stax_scan");
     Result<std::vector<eval::StaxEvalResult>> results_or =
         [&]() -> Result<std::vector<eval::StaxEvalResult>> {

@@ -163,8 +163,7 @@ class CaptureStream {
 /// advanced by exactly one worker per chunk; the driver thread reads
 /// `staged_events` only after the chunk's join.
 struct PlanState {
-  PlanState(const automata::Mfa& mfa, const EngineOptions& engine_options)
-      : engine(mfa, engine_options) {}
+  explicit PlanState(const automata::Mfa& mfa) : engine(mfa) {}
 
   HypeEngine engine;
   /// Reader depth of the element whose subtree this plan is skipping
@@ -351,38 +350,44 @@ Result<std::vector<StaxEvalResult>> AssembleResults(
   return results;
 }
 
+/// One fresh engine per plan, once every plan is checked to share the
+/// first plan's name table.
+Result<std::vector<std::unique_ptr<PlanState>>> MakePlanStates(
+    const std::vector<const automata::Mfa*>& plans) {
+  std::vector<std::unique_ptr<PlanState>> states;
+  states.reserve(plans.size());
+  for (const automata::Mfa* mfa : plans) {
+    if (mfa->names() != plans[0]->names()) {
+      return Status::InvalidArgument(
+          "batch plans must share one name table (compile every query "
+          "against the same corpus)");
+    }
+    states.push_back(std::make_unique<PlanState>(*mfa));
+  }
+  return states;
+}
+
 }  // namespace
 
 BatchEvaluator::BatchEvaluator(BatchStaxOptions options)
     : options_(options) {}
 
-int BatchEvaluator::AddPlan(const automata::Mfa* mfa,
-                            const EngineOptions& engine) {
-  plans_.push_back(Plan{mfa, engine});
+int BatchEvaluator::AddPlan(const automata::Mfa* mfa) {
+  plans_.push_back(mfa);
   return static_cast<int>(plans_.size()) - 1;
 }
 
 Result<std::vector<StaxEvalResult>> BatchEvaluator::Run(
     std::string_view xml) const {
   if (plans_.empty()) return std::vector<StaxEvalResult>{};
-  xml::NameTable* names = plans_[0].mfa->names().get();
-  for (const Plan& p : plans_) {
-    if (p.mfa->names().get() != names) {
-      return Status::InvalidArgument(
-          "batch plans must share one name table (compile every query "
-          "against the same corpus)");
-    }
-  }
+  SMOQE_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<PlanState>> states,
+                         MakePlanStates(plans_));
+  xml::NameTable* names = plans_[0]->names().get();
 
   xml::StaxOptions stax_options;
   stax_options.skip_whitespace_text = options_.skip_whitespace_text;
   xml::StaxReader reader(xml, stax_options);
 
-  std::vector<std::unique_ptr<PlanState>> states;
-  states.reserve(plans_.size());
-  for (const Plan& p : plans_) {
-    states.push_back(std::make_unique<PlanState>(*p.mfa, p.engine));
-  }
   size_t live_plans = states.size();  // plans not currently skipping
 
   CaptureStream cap;
@@ -476,26 +481,17 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::Run(
 
 Result<std::vector<StaxEvalResult>> BatchEvaluator::RunParallel(
     std::string_view xml, const BatchParallelOptions& par) const {
-  ThreadPool& pool = par.pool != nullptr ? *par.pool : ThreadPool::Shared();
   // Workers advance plans while the caller tokenizes, so parallelism
-  // needs at least one worker and two plans to group.
+  // needs a pool with at least one worker and two plans to group.
+  if (par.pool == nullptr || par.pool->thread_count() < 2 ||
+      plans_.size() < 2) {
+    return Run(xml);
+  }
+  ThreadPool& pool = *par.pool;
   const size_t workers = static_cast<size_t>(pool.thread_count()) - 1;
-  if (workers == 0 || plans_.size() < 2) return Run(xml);
-
-  xml::NameTable* names = plans_[0].mfa->names().get();
-  for (const Plan& p : plans_) {
-    if (p.mfa->names().get() != names) {
-      return Status::InvalidArgument(
-          "batch plans must share one name table (compile every query "
-          "against the same corpus)");
-    }
-  }
-
-  std::vector<std::unique_ptr<PlanState>> states;
-  states.reserve(plans_.size());
-  for (const Plan& p : plans_) {
-    states.push_back(std::make_unique<PlanState>(*p.mfa, p.engine));
-  }
+  SMOQE_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<PlanState>> states,
+                         MakePlanStates(plans_));
+  xml::NameTable* names = plans_[0]->names().get();
 
   // Contiguous plan stripes, one per worker task.
   const size_t groups = std::min(workers, states.size());
@@ -633,9 +629,9 @@ EvalStats BatchEvaluator::AggregateStats(
 
 Result<std::vector<StaxEvalResult>> EvalHypeStaxBatch(
     const std::vector<const automata::Mfa*>& plans, std::string_view xml,
-    const BatchStaxOptions& options, const EngineOptions& engine) {
+    const BatchStaxOptions& options) {
   BatchEvaluator batch(options);
-  for (const automata::Mfa* mfa : plans) batch.AddPlan(mfa, engine);
+  for (const automata::Mfa* mfa : plans) batch.AddPlan(mfa);
   return batch.Run(xml);
 }
 

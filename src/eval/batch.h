@@ -43,7 +43,8 @@ struct BatchStaxOptions {
 
 /// Knobs of the parallel batch driver (RunParallel).
 struct BatchParallelOptions {
-  /// Pool supplying the worker threads; nullptr uses ThreadPool::Shared().
+  /// Pool supplying the worker threads; nullptr (or a pool without
+  /// workers) runs the serial Run.
   ThreadPool* pool = nullptr;
   /// Events decoded per tokenizer chunk. Each chunk is one fork/join
   /// round: big enough to amortize the barrier, small enough that the
@@ -63,7 +64,7 @@ struct BatchParallelOptions {
 ///
 ///     eval::BatchEvaluator batch;
 ///     batch.AddPlan(&mfa_nurse);
-///     batch.AddPlan(&mfa_research, per_plan_engine_options);
+///     batch.AddPlan(&mfa_research);
 ///     auto results = batch.Run(xml_text);   // results->at(i) ↔ plan i
 ///
 /// Sharing model (DESIGN.md §5.2): the driver owns the StAX reader, one
@@ -84,7 +85,7 @@ class BatchEvaluator {
   /// Registers a compiled plan; returns its index in Run's result vector.
   /// Every plan must share the first plan's name table (checked by Run).
   /// The MFA must stay alive for the evaluator's lifetime.
-  int AddPlan(const automata::Mfa* mfa, const EngineOptions& engine = {});
+  int AddPlan(const automata::Mfa* mfa);
 
   /// Evaluates every registered plan in one forward scan of `xml`.
   /// Result i holds plan i's answers in document order.
@@ -96,8 +97,8 @@ class BatchEvaluator {
   /// groups through each chunk, and the caller replays the shared capture
   /// stream after each join. Every engine sees exactly the event sequence
   /// Run would deliver, so answers and per-plan stats are identical.
-  /// Falls back to Run when the pool has no workers or there are fewer
-  /// than two plans.
+  /// Falls back to Run when there is no pool, the pool has no workers or
+  /// there are fewer than two plans.
   Result<std::vector<StaxEvalResult>> RunParallel(
       std::string_view xml, const BatchParallelOptions& par = {}) const;
 
@@ -110,20 +111,15 @@ class BatchEvaluator {
   static EvalStats AggregateStats(const std::vector<StaxEvalResult>& results);
 
  private:
-  struct Plan {
-    const automata::Mfa* mfa;
-    EngineOptions engine;
-  };
-
   BatchStaxOptions options_;
-  std::vector<Plan> plans_;
+  std::vector<const automata::Mfa*> plans_;
 };
 
-/// One-shot convenience wrapper: evaluates `plans` (shared `engine`
-/// options) over `xml` in a single pass. EvalHypeStax is this with N = 1.
+/// One-shot convenience wrapper: evaluates `plans` over `xml` in a single
+/// pass. EvalHypeStax is this with N = 1.
 Result<std::vector<StaxEvalResult>> EvalHypeStaxBatch(
     const std::vector<const automata::Mfa*>& plans, std::string_view xml,
-    const BatchStaxOptions& options = {}, const EngineOptions& engine = {});
+    const BatchStaxOptions& options = {});
 
 }  // namespace smoqe::eval
 

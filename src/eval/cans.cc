@@ -33,6 +33,13 @@ void Cans::Add(int32_t id, GuardSet guard) {
   alts.push_back(std::move(guard));
 }
 
+std::vector<int32_t> Cans::NodeIds() const {
+  std::vector<int32_t> out;
+  out.reserve(nodes_.size());
+  for (const Node& n : nodes_) out.push_back(n.id);
+  return out;
+}
+
 std::vector<int32_t> Cans::Select(
     const std::vector<PredInstance>& instances) const {
   std::vector<int32_t> out;

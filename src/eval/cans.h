@@ -54,6 +54,8 @@ class Cans {
   size_t entry_count() const { return entries_; }
   /// Number of distinct candidate nodes.
   size_t node_count() const { return nodes_.size(); }
+  /// Ids of the distinct candidate nodes, document order.
+  std::vector<int32_t> NodeIds() const;
 
   /// The single post-traversal pass: returns ids (document order) whose
   /// guard alternatives contain one with every instance resolved true.

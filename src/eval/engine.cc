@@ -26,9 +26,7 @@ const AttrProvider& AttrProvider::None() {
   return none;
 }
 
-HypeEngine::HypeEngine(const automata::Mfa& mfa, EngineOptions options)
-    : mfa_(mfa) {
-  if (options.trace) trace_ = std::make_unique<TraceLog>();
+HypeEngine::HypeEngine(const automata::Mfa& mfa) : mfa_(mfa) {
   // Virtual document node (the query context above the root). The
   // attribute provider is threaded through every call that can reach an
   // attribute accept test — never stashed in a global — so the engine is
@@ -210,9 +208,6 @@ InstId HypeEngine::Instantiate(PredId pred, const AttrProvider& attrs) {
   cur.inst_map.emplace_back(pred, id);
   cur.anchored.push_back(id);
   ++stats_.pred_instances;
-  if (trace_) {
-    trace_->Add({TraceEvent::Kind::kInstanceCreate, cur.id, pred, false});
-  }
 
   // Launch the predicate's obligation runs, anchored here.
   for (size_t leaf = 0; leaf < p.leaf_obligations.size(); ++leaf) {
@@ -285,9 +280,6 @@ void HypeEngine::HandleAccepts(const Run& run, const AttrProvider& attrs) {
       if (cur.id >= 0) {
         cans_.Add(cur.id, pool_.Materialize(g));
         ++stats_.cans_entries;
-        if (trace_) {
-          trace_->Add({TraceEvent::Kind::kCandidate, cur.id, -1, false});
-        }
       }
     } else {
       const Obligation& ob = mfa_.obligation(run.ob);
@@ -354,10 +346,7 @@ HypeEngine::EnterResult HypeEngine::Enter(xml::NameId label,
                                           const DynamicBitset* subtree_types) {
   assert(!finished_ && depth_ > 0);
   ++stats_.nodes_visited;
-  int32_t id = next_id_++;
-  if (trace_) trace_->Add({TraceEvent::Kind::kVisit, id, -1, false});
-
-  Frame& cur = PushFrame(id);
+  Frame& cur = PushFrame(next_id_++);
   Frame& parent = stack_[depth_ - 2];
 
   // Phase 1: advance runs from the parent frame across this label. A
@@ -406,10 +395,7 @@ HypeEngine::EnterResult HypeEngine::Enter(xml::NameId label,
     }
     if (!alive) res.can_skip_subtree = true;
   }
-  if (res.can_skip_subtree) {
-    ++stats_.subtrees_pruned;
-    if (trace_) trace_->Add({TraceEvent::Kind::kPruneSubtree, id, -1, false});
-  }
+  if (res.can_skip_subtree) ++stats_.subtrees_pruned;
   return res;
 }
 
@@ -442,10 +428,6 @@ void HypeEngine::ResolveFrame(Frame* frame) {
     }
     inst.value = p.Evaluate(leaf_values);
     inst.resolved = true;
-    if (trace_) {
-      trace_->Add({TraceEvent::Kind::kInstanceResolve, inst.anchor, inst.pred,
-                   inst.value});
-    }
   }
 }
 
@@ -475,11 +457,6 @@ const std::vector<int32_t>& HypeEngine::FinishDocument() {
   stats_.aux_passes = 1;
   stats_.guard_pool_entries = pool_.entry_count();
   stats_.guard_pool_hits = pool_.hits();
-  if (trace_) {
-    for (int32_t id : answers_) {
-      trace_->Add({TraceEvent::Kind::kAnswer, id, -1, false});
-    }
-  }
   finished_ = true;
   return answers_;
 }

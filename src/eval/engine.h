@@ -9,8 +9,6 @@
 #ifndef SMOQE_EVAL_ENGINE_H_
 #define SMOQE_EVAL_ENGINE_H_
 
-#include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,7 +18,6 @@
 #include "src/common/counters.h"
 #include "src/eval/cans.h"
 #include "src/eval/guard_pool.h"
-#include "src/eval/trace.h"
 
 namespace smoqe::eval {
 
@@ -35,12 +32,6 @@ class AttrProvider {
 
   /// A provider with no attributes.
   static const AttrProvider& None();
-};
-
-/// Engine options.
-struct EngineOptions {
-  /// Record a TraceLog (costs time/memory; for the explain tooling).
-  bool trace = false;
 };
 
 /// \brief HyPE — hybrid pass evaluation (paper §3, Evaluator).
@@ -69,7 +60,7 @@ struct EngineOptions {
 /// checks), then call `Leave`.
 class HypeEngine {
  public:
-  HypeEngine(const automata::Mfa& mfa, EngineOptions options = {});
+  explicit HypeEngine(const automata::Mfa& mfa);
   ~HypeEngine();
 
   struct EnterResult {
@@ -106,7 +97,6 @@ class HypeEngine {
   EvalStats* mutable_stats() { return &stats_; }
   const Cans& cans() const { return cans_; }
   const std::vector<PredInstance>& instances() const { return instances_; }
-  const TraceLog* trace() const { return trace_.get(); }
 
   /// Engine id that will be assigned to the next entered element.
   int32_t next_id() const { return next_id_; }
@@ -234,7 +224,6 @@ class HypeEngine {
   Cans cans_;
   EvalStats stats_;
   std::vector<int32_t> answers_;
-  std::unique_ptr<TraceLog> trace_;
   int32_t next_id_ = 0;
   uint64_t alloc_bytes_ = 0;  // drained by TakeAllocBytes()
   bool finished_ = false;

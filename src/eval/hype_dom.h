@@ -1,12 +1,12 @@
 /// \file
 /// \brief DOM-mode HyPE driver: one engine walk of an in-memory tree,
 /// optionally pruned by the TAX type index (docs/DESIGN.md §3; E2/E6 in
-/// §4).
+/// §4), and the iSMOQE explain tree rendered from that walk (§3.2).
 
 #ifndef SMOQE_EVAL_HYPE_DOM_H_
 #define SMOQE_EVAL_HYPE_DOM_H_
 
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "src/automata/mfa.h"
@@ -23,7 +23,6 @@ namespace smoqe::eval {
 struct DomEvalOptions {
   /// TAX index of the document; enables type-aware subtree pruning.
   const index::TaxIndex* tax = nullptr;
-  EngineOptions engine;
   /// Per-request guardrail (deadline/cancel/budget); nullptr = ungoverned.
   /// A tripped guard unwinds with its status — never a partial answer.
   const Guardrail* guard = nullptr;
@@ -33,19 +32,24 @@ struct DomEvalOptions {
 struct DomEvalResult {
   std::vector<const xml::Node*> answers;  ///< document order, unique
   EvalStats stats;
-  /// Engine-id → node mapping (pruned subtrees have no ids); needed to
-  /// render traces.
+  /// Engine-id → node mapping: every visited node (pruned subtrees have
+  /// no ids).
   std::vector<const xml::Node*> nodes_by_engine_id;
-  std::unique_ptr<TraceLog> trace;  ///< present iff options.engine.trace
 };
 
 /// \brief DOM-mode HyPE: drives the single-pass engine over an in-memory
 /// document (paper §2, "DOM mode").
 ///
-/// The MFA must have been compiled against `doc`'s name table.
+/// The MFA must have been compiled against `doc`'s name table. When
+/// `explain_tree` is non-null, the walk also writes its iSMOQE explain
+/// tree there: one line per element of `doc` with V=visited, P=pruned
+/// (subtree skipped), C=candidate, A=answer — the text analogue of
+/// iSMOQE's coloured tree mode. Elements under a pruned node are never
+/// visited and show "....". Without it the walk records no marks.
 Result<DomEvalResult> EvalHypeDom(const automata::Mfa& mfa,
                                   const xml::Document& doc,
-                                  const DomEvalOptions& options = {});
+                                  const DomEvalOptions& options = {},
+                                  std::string* explain_tree = nullptr);
 
 }  // namespace smoqe::eval
 

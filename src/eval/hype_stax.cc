@@ -17,7 +17,7 @@ Result<StaxEvalResult> EvalHypeStax(const automata::Mfa& mfa,
   batch_options.skip_whitespace_text = options.skip_whitespace_text;
   batch_options.guard = options.guard;
   BatchEvaluator batch(batch_options);
-  batch.AddPlan(&mfa, options.engine);
+  batch.AddPlan(&mfa);
   SMOQE_ASSIGN_OR_RETURN(std::vector<StaxEvalResult> results, batch.Run(xml));
   return std::move(results[0]);
 }

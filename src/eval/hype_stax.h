@@ -6,7 +6,6 @@
 #ifndef SMOQE_EVAL_HYPE_STAX_H_
 #define SMOQE_EVAL_HYPE_STAX_H_
 
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -15,13 +14,11 @@
 #include "src/common/counters.h"
 #include "src/common/guardrail.h"
 #include "src/common/status.h"
-#include "src/eval/engine.h"
 
 namespace smoqe::eval {
 
 /// Options for StAX-mode evaluation.
 struct StaxEvalOptions {
-  EngineOptions engine;
   /// Drop text events that are all whitespace (matches the DOM parser's
   /// default, so the two modes agree).
   bool skip_whitespace_text = true;

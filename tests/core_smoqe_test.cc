@@ -148,6 +148,19 @@ TEST_F(SmoqeTest, ExplainProducesMfaAndTrace) {
   EXPECT_NE(r->trace_tree.find("A"), std::string::npos);
 }
 
+TEST_F(SmoqeTest, StaxExplainHasMfaButNoTree) {
+  // The V/P/C/A tree needs DOM nodes; a streaming explain has only the
+  // MFA dump.
+  QueryOptions opts;
+  opts.explain = true;
+  opts.mode = EvalMode::kStax;
+  auto r = engine_.Query("ward", "//patient[visit]/pname", opts);
+  ASSERT_TRUE(r.ok());
+  EXPECT_FALSE(r->mfa_dump.empty());
+  EXPECT_TRUE(r->trace_tree.empty());
+  EXPECT_FALSE(r->answers_xml.empty());
+}
+
 TEST_F(SmoqeTest, ViewSchemaExposedToUsers) {
   auto schema = engine_.ViewSchema("autism-group");
   ASSERT_TRUE(schema.ok());

@@ -137,40 +137,35 @@ TEST(HypeTest, DeeplyNestedDocumentNoRecursionIssues) {
   EXPECT_EQ(HypeIds(doc, "//leaf").size(), 1u);
 }
 
-TEST(HypeTest, TraceRecordsLifecycle) {
-  xml::Document doc = MustDoc(kHospitalDoc);
-  auto query = MustQuery("//patient[visit]/pname");
+// The iSMOQE explain tree (V=visited, P=pruned, C=candidate, A=answer)
+// of `q` over `doc` with the TAX index on.
+std::string ExplainTree(const xml::Document& doc, std::string_view q) {
+  auto query = MustQuery(q);
   auto mfa = Mfa::Compile(*query, doc.names());
-  ASSERT_TRUE(mfa.ok());
+  EXPECT_TRUE(mfa.ok()) << mfa.status().ToString();
+  index::TaxIndex tax = index::TaxIndex::Build(doc);
   DomEvalOptions opts;
-  opts.engine.trace = true;
-  auto r = EvalHypeDom(*mfa, doc, opts);
-  ASSERT_TRUE(r.ok());
-  ASSERT_NE(r->trace, nullptr);
-  bool saw_visit = false, saw_candidate = false, saw_answer = false,
-       saw_resolve = false;
-  for (const TraceEvent& e : r->trace->events()) {
-    switch (e.kind) {
-      case TraceEvent::Kind::kVisit:
-        saw_visit = true;
-        break;
-      case TraceEvent::Kind::kCandidate:
-        saw_candidate = true;
-        break;
-      case TraceEvent::Kind::kAnswer:
-        saw_answer = true;
-        break;
-      case TraceEvent::Kind::kInstanceResolve:
-        saw_resolve = true;
-        break;
-      default:
-        break;
-    }
-  }
-  EXPECT_TRUE(saw_visit && saw_candidate && saw_answer && saw_resolve);
-  std::string tree = r->trace->RenderTree(doc, r->nodes_by_engine_id);
-  EXPECT_NE(tree.find("A"), std::string::npos);
-  EXPECT_NE(tree.find("hospital"), std::string::npos);
+  opts.tax = &tax;
+  std::string tree;
+  auto r = EvalHypeDom(*mfa, doc, opts, &tree);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return tree;
+}
+
+TEST(HypeTest, ExplainTreeMarksEveryNode) {
+  // a#1 has a <c> child: answer. a#2 has a <c> only below <d>, so TAX
+  // keeps it open but its predicate fails: candidate, not answer. <d>
+  // holds no <a> and its <c> is no child of an <a>, so TAX prunes <d> and
+  // the <c> under it is never entered.
+  xml::Document doc = MustDoc("<r><a><b/><c/></a><a><d><c/></d></a></r>");
+  EXPECT_EQ(ExplainTree(doc, "//a[c]"),
+            "V... r\n"
+            "V.CA   a\n"
+            "VP..     b\n"
+            "VP..     c\n"
+            "V.C.   a\n"
+            "VP..     d\n"
+            "....       c\n");
 }
 
 // Cans unit behaviour.

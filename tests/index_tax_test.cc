@@ -53,9 +53,11 @@ TEST(TaxTest, LeafHasEmptySet) {
 
 TEST(TaxTest, PruningSoundness) {
   // TAX on/off must produce identical answers for every corpus query on
-  // random documents (experiment E6's correctness side).
-  for (uint64_t seed = 31; seed <= 36; ++seed) {
+  // random documents (experiment E6's correctness side). Seed 35 is
+  // skipped: it generates a bare <hospital/> that checks nothing.
+  for (uint64_t seed : {31ull, 32ull, 33ull, 34ull, 36ull, 37ull}) {
     xml::Document doc = testutil::GenHospital(seed, 400);
+    ASSERT_GE(doc.num_nodes(), 150) << "seed " << seed;
     TaxIndex idx = TaxIndex::Build(doc);
     for (const char* q : testutil::HospitalQueryCorpus()) {
       auto query = MustQuery(q);
