@@ -6,9 +6,9 @@
 //     delete a patient: REJECTED, the explain string names the violated
 //     annotation;
 //   * a doctor (full view except audit trail) corrects a treatment:
-//     ACCEPTED — applied atomically, DTD-revalidated, TAX index repaired
-//     incrementally, materialized-view caches retained or invalidated by
-//     document epoch;
+//     ACCEPTED — targets resolved through the view by rewriting (never
+//     materializing it), applied atomically, DTD-revalidated, TAX index
+//     repaired incrementally, new document epoch published;
 //   * re-queries through both views and the TAX index show the
 //     maintained state.
 //
@@ -66,14 +66,12 @@ void TryUpdate(smoqe::core::Smoqe* engine, const char* who, const char* view,
   }
   std::printf(
       "    accepted: %llu target(s), +%llu/-%llu nodes, epoch -> %llu, "
-      "TAX sets repaired: %llu, view caches retained/invalidated: %llu/%llu\n",
+      "TAX sets repaired: %llu\n",
       (unsigned long long)r->stats.targets,
       (unsigned long long)r->stats.nodes_inserted,
       (unsigned long long)r->stats.nodes_deleted,
       (unsigned long long)r->stats.doc_epoch,
-      (unsigned long long)r->stats.tax_sets_recomputed,
-      (unsigned long long)r->stats.view_caches_retained,
-      (unsigned long long)r->stats.view_caches_invalidated);
+      (unsigned long long)r->stats.tax_sets_recomputed);
 }
 
 void Show(smoqe::core::Smoqe* engine, const char* who, const char* query,

@@ -10,7 +10,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <string>
 
@@ -18,25 +17,18 @@
 #include "src/index/tax.h"
 #include "src/view/access.h"
 #include "src/view/annotation.h"
-#include "src/view/materialize.h"
 #include "src/view/view_def.h"
 #include "src/xml/dom.h"
 #include "src/xml/dtd.h"
 
 namespace smoqe::core {
 
-/// Per-(document, view) caches derived from one document epoch: the
-/// materialized view with provenance, and the node-level access map. Both
-/// are invalidated by comparing `*_epoch` against `dom.epoch()` — a
-/// successful update bumps the epoch, and the facade either rebuilds
-/// lazily on next use or *retains* the materialization when the edit
-/// provably could not change it (DESIGN.md §6.5).
-struct ViewCacheEntry {
-  uint64_t fingerprint = 0;  ///< ViewEntry::fingerprint the caches match
-  uint64_t mv_epoch = 0;     ///< document epoch `mv` is valid at
-  std::optional<view::MaterializedView> mv;
-  uint64_t access_epoch = 0;  ///< document epoch `access` is valid at
-  std::unique_ptr<view::AccessMap> access;  ///< null until first needed
+/// A view's node-level access map over one document epoch, recomputed
+/// when the document epoch or the view's fingerprint moves on.
+struct AccessMapEntry {
+  uint64_t fingerprint = 0;  ///< ViewEntry::fingerprint `map` was built for
+  uint64_t epoch = 0;        ///< document epoch `map` is valid at
+  std::unique_ptr<view::AccessMap> map;  ///< null until first needed
 };
 
 /// \brief One epoch's immutable view of a document: the tree, its TAX
@@ -105,8 +97,8 @@ class DocumentSnapshot {
 
 /// A loaded document: the published snapshot plus the mutable service
 /// state around it. Lock order (docs/DESIGN.md §7.2): writer_mu →
-/// caches_mu → snap_mu_; readers take only snap_mu_ (shared, for the
-/// duration of one pointer copy).
+/// snap_mu_; readers take only snap_mu_ (shared, for the duration of one
+/// pointer copy).
 struct DocumentEntry {
   DocumentEntry(std::string text_, xml::Document dom_)
       : snapshot_(std::make_shared<const DocumentSnapshot>(
@@ -129,11 +121,9 @@ struct DocumentEntry {
   /// Serializes writers (Update, BuildIndex, LoadIndex): clone → mutate →
   /// publish must not interleave.
   std::mutex writer_mu;
-  /// Guards view_caches (materializations + access maps are shared
-  /// mutable service state, unlike the snapshots).
-  std::mutex caches_mu;
-  /// Per-view caches, keyed by view name. Guarded by caches_mu.
-  std::map<std::string, ViewCacheEntry> view_caches;
+  /// Per-view access maps, keyed by view name — the authorization input
+  /// of view updates. Guarded by writer_mu (only Update reads them).
+  std::map<std::string, AccessMapEntry> access_maps;
 
  private:
   mutable std::shared_mutex snap_mu_;

@@ -15,7 +15,6 @@
 #include "src/eval/hype_stax.h"
 #include "src/index/tax_io.h"
 #include "src/rewrite/rewriter.h"
-#include "src/rxpath/naive_eval.h"
 #include "src/rxpath/parser.h"
 #include "src/rxpath/printer.h"
 #include "src/rxpath/type_check.h"
@@ -23,6 +22,7 @@
 #include "src/update/authorize.h"
 #include "src/update/update_lang.h"
 #include "src/view/derive.h"
+#include "src/view/materialize.h"
 #include "src/view/spec_parser.h"
 #include "src/xml/dtd_parser.h"
 #include "src/xml/generator.h"
@@ -104,7 +104,6 @@ Smoqe::FacadeMetrics::FacadeMetrics(tel::MetricsRegistry& reg)
       update_errors(&reg.GetCounter("update.errors")),
       update_latency_ns(&reg.GetHistogram("update.latency_ns")),
       update_tax_repair_ns(&reg.GetHistogram("update.tax_repair_ns")),
-      update_tax_rebuild_ns(&reg.GetHistogram("update.tax_rebuild_ns")),
       update_nodes_inserted(&reg.GetCounter("update.nodes_inserted")),
       update_nodes_deleted(&reg.GetCounter("update.nodes_deleted")),
       guard_deadline_exceeded(&reg.GetCounter("guard.deadline_exceeded")),
@@ -917,76 +916,37 @@ Result<std::vector<QueryAnswer>> Smoqe::QueryBatchMulti(
   return RunBatch("query_batch_multi", nullptr, items, req);
 }
 
-Result<ViewCacheEntry*> Smoqe::GetViewCacheLocked(DocumentEntry* doc,
-                                                  const DocumentSnapshot& snap,
-                                                  const std::string& view_name,
-                                                  const ViewEntry* view,
-                                                  bool* cache_hit) {
-  ViewCacheEntry& cache = doc->view_caches[view_name];
-  if (cache.mv.has_value() && cache.fingerprint == view->fingerprint &&
-      cache.mv_epoch == snap.epoch) {
-    if (cache_hit != nullptr) *cache_hit = true;
-    return &cache;
-  }
-  SMOQE_ASSIGN_OR_RETURN(view::MaterializedView mv,
-                         view::Materialize(view->definition, *snap.dom));
-  if (cache.fingerprint != view->fingerprint) {
-    cache.access.reset();  // access maps are per-policy too
-  }
-  cache.fingerprint = view->fingerprint;
-  cache.mv_epoch = snap.epoch;
-  cache.mv.emplace(std::move(mv));
-  if (cache_hit != nullptr) *cache_hit = false;
-  return &cache;
-}
-
-Result<const view::AccessMap*> Smoqe::GetAccessMapLocked(
+const view::AccessMap* Smoqe::GetAccessMapLocked(
     DocumentEntry* doc, const DocumentSnapshot& snap,
     const std::string& view_name, const ViewEntry* view) {
-  if (view->policy == nullptr) {
-    return Status::FailedPrecondition(
-        "view '" + view_name +
-        "' was registered from a specification, not a policy; updates "
-        "require a policy-derived view");
-  }
-  ViewCacheEntry& cache = doc->view_caches[view_name];
-  if (cache.access == nullptr || cache.fingerprint != view->fingerprint ||
-      cache.access_epoch != snap.epoch) {
-    cache.access = std::make_unique<view::AccessMap>(
+  AccessMapEntry& entry = doc->access_maps[view_name];
+  if (entry.map == nullptr || entry.fingerprint != view->fingerprint ||
+      entry.epoch != snap.epoch) {
+    entry.map = std::make_unique<view::AccessMap>(
         view::AccessMap::Compute(*view->policy, *snap.dom));
-    cache.access_epoch = snap.epoch;
-    if (cache.fingerprint != view->fingerprint) {
-      cache.mv.reset();  // fingerprint owner changed; drop the sibling cache
-      cache.fingerprint = view->fingerprint;
-    }
+    entry.fingerprint = view->fingerprint;
+    entry.epoch = snap.epoch;
   }
-  return cache.access.get();
+  return entry.map.get();
 }
 
 Result<MaterializedViewAnswer> Smoqe::MaterializeView(
-    const std::string& doc_name, const std::string& view_name) {
-  DocumentEntry* doc = nullptr;
-  const ViewEntry* view = nullptr;
-  std::shared_ptr<const DocumentSnapshot> snap;
+    const std::string& doc_name, const std::string& view_name) const {
   std::shared_lock<std::shared_mutex> lock(catalog_mu_);
-  doc = catalog_.FindDocument(doc_name);
+  const DocumentEntry* doc = catalog_.FindDocument(doc_name);
   if (doc == nullptr) {
     return Status::NotFound("document '" + doc_name + "' is not loaded");
   }
-  view = catalog_.FindView(view_name);
+  const ViewEntry* view = catalog_.FindView(view_name);
   if (view == nullptr) {
     return Status::NotFound("view '" + view_name + "' is not registered");
   }
-  snap = doc->Acquire();
-  bool cache_hit = false;
-  std::lock_guard<std::mutex> caches(doc->caches_mu);
-  SMOQE_ASSIGN_OR_RETURN(
-      ViewCacheEntry * cache,
-      GetViewCacheLocked(doc, *snap, view_name, view, &cache_hit));
+  std::shared_ptr<const DocumentSnapshot> snap = doc->Acquire();
+  SMOQE_ASSIGN_OR_RETURN(view::MaterializedView mv,
+                         view::Materialize(view->definition, *snap->dom));
   MaterializedViewAnswer out;
-  out.xml = xml::SerializeDocument(cache->mv->document);
-  out.cache_hit = cache_hit;
-  out.epoch = cache->mv_epoch;
+  out.xml = xml::SerializeDocument(mv.document);
+  out.epoch = snap->epoch;
   return out;
 }
 
@@ -1052,39 +1012,38 @@ Result<UpdateResult> Smoqe::UpdateImpl(const std::string& doc_name,
     dtd = catalog_.FindDtd(doc_name);
   }
 
+  if (view != nullptr && view->policy == nullptr) {
+    return Status::FailedPrecondition(
+        "view '" + options.view +
+        "' was registered from a specification, not a policy; updates "
+        "require a policy-derived view");
+  }
+
   // One writer at a time per document; readers are never blocked — they
   // stay pinned to the base snapshot for as long as they need it.
   std::lock_guard<std::mutex> writer(doc->writer_mu);
   std::shared_ptr<const DocumentSnapshot> base = doc->Acquire();
 
-  // Resolve the target set to document node ids. View updates resolve in
-  // the view's virtual document (via the epoch-cached materialization and
-  // its provenance); direct updates resolve on the document itself.
+  // Resolve the target set to document node ids the way Query evaluates a
+  // path (DESIGN.md §6.1): the plan cache's plan — for view updates the
+  // target rewritten into an MFA over the document, so the view is never
+  // materialized — run by HyPE over the pinned base snapshot, TAX-pruned
+  // when it is indexed and governed by the request's guard.
   std::set<int32_t> target_ids;
   {
     tel::SpanScope span(tr, "resolve");
-    if (view == nullptr) {
-      rxpath::NaiveEvaluator eval(*base->dom);
-      for (const xml::Node* n : eval.Eval(*stmt.target)) {
-        target_ids.insert(n->node_id);
-      }
-    } else {
-      if (view->policy == nullptr) {
-        return Status::FailedPrecondition(
-            "view '" + options.view +
-            "' was registered from a specification, not a policy; updates "
-            "require a policy-derived view");
-      }
-      std::lock_guard<std::mutex> caches(doc->caches_mu);
-      SMOQE_ASSIGN_OR_RETURN(
-          ViewCacheEntry * cache,
-          GetViewCacheLocked(doc, *base, options.view, view, nullptr));
-      rxpath::NaiveEvaluator eval(cache->mv->document);
-      for (const xml::Node* n : eval.Eval(*stmt.target)) {
-        int32_t src = cache->mv->source_node_id[n->node_id];
-        if (src >= 0) target_ids.insert(src);
-      }
-    }
+    QueryOptions resolve;
+    resolve.view = options.view;
+    SMOQE_ASSIGN_OR_RETURN(
+        PlanUse plan,
+        GetPlan(rxpath::ToString(*stmt.target), resolve, nullptr));
+    eval::DomEvalOptions dom_opts;
+    dom_opts.tax = base->tax.get();
+    dom_opts.guard = guard;
+    SMOQE_ASSIGN_OR_RETURN(
+        eval::DomEvalResult r,
+        eval::EvalHypeDom(plan.plan->mfa, *base->dom, dom_opts));
+    for (const xml::Node* n : r.answers) target_ids.insert(n->node_id);
   }
 
   UpdateResult out;
@@ -1099,8 +1058,8 @@ Result<UpdateResult> Smoqe::UpdateImpl(const std::string& doc_name,
 
   // Copy-on-write: every check and mutation below runs against a private
   // clone; the published snapshot is untouched until the final Publish.
-  // Ids, orders and the epoch survive the clone, so id-keyed caches
-  // (access maps, provenance) computed at the base epoch apply verbatim.
+  // Ids, orders and the epoch survive the clone, so the access map
+  // computed at the base epoch applies verbatim.
   xml::Document clone = base->dom->Clone();
   // Post-clone growth (fragment grafts) charges the request budget; the
   // clone itself is the document's standing footprint, not request-owned.
@@ -1117,10 +1076,8 @@ Result<UpdateResult> Smoqe::UpdateImpl(const std::string& doc_name,
   // mutation, so a rejected or invalid update leaves everything intact.
   if (view != nullptr) {
     tel::SpanScope span(tr, "authorize");
-    std::lock_guard<std::mutex> caches(doc->caches_mu);
-    SMOQE_ASSIGN_OR_RETURN(
-        const view::AccessMap* access,
-        GetAccessMapLocked(doc, *base, options.view, view));
+    const view::AccessMap* access =
+        GetAccessMapLocked(doc, *base, options.view, view);
     SMOQE_RETURN_IF_ERROR(
         update::AuthorizeScript(*view->policy, *access, clone, script));
   }
@@ -1130,7 +1087,6 @@ Result<UpdateResult> Smoqe::UpdateImpl(const std::string& doc_name,
   update::ApplierOptions apply_opts;
   apply_opts.dtd = dtd;
   apply_opts.tax = tax_copy.has_value() ? &*tax_copy : nullptr;
-  apply_opts.rebuild_tax = options.rebuild_tax;
   apply_opts.guard = guard;
   update::UpdateApplier applier(&clone, apply_opts);
   if (options.dry_run) {
@@ -1139,107 +1095,24 @@ Result<UpdateResult> Smoqe::UpdateImpl(const std::string& doc_name,
     return out;  // the clone is discarded; nothing was published
   }
 
-  // View-cache retention (DESIGN.md §6.5): decide per *fresh* cached view
-  // BEFORE mutating — the test walks subtrees the update removes. A cache
-  // survives iff its policy is qualifier-free and the whole effect region
-  // is hidden from that view; everything else goes stale via the epoch.
-  std::vector<std::string> retain;
-  {
-    std::lock_guard<std::mutex> caches(doc->caches_mu);
-    for (auto& [name, cache] : doc->view_caches) {
-      if (!cache.mv.has_value() || cache.mv_epoch != base->epoch) continue;
-      const ViewEntry* v = catalog_.FindView(name);
-      if (v == nullptr || v->fingerprint != cache.fingerprint ||
-          v->policy == nullptr || v->policy->HasConditions()) {
-        continue;
-      }
-      auto access = GetAccessMapLocked(doc, *base, name, v);
-      if (!access.ok()) continue;
-      bool irrelevant = true;
-      for (const update::ResolvedEdit& e : script) {
-        if (e.kind != update::OpKind::kInsert &&
-            !(*access)->SubtreeHidden(e.target)) {
-          irrelevant = false;
-          break;
-        }
-        if (e.kind != update::OpKind::kDelete) {
-          // The grafted fragment must be entirely hidden from this view:
-          // with a qualifier-free policy that reduces to "the graft edge or
-          // an inherited Deny hides every fragment node". Walk the fragment
-          // simulating edge annotations from the graft parent's status.
-          const xml::Node* graft_parent =
-              e.kind == update::OpKind::kInsert ? e.target : e.target->parent;
-          if (graft_parent == nullptr) {
-            irrelevant = false;  // replacing the root is never irrelevant
-            break;
-          }
-          const xml::NameTable& names = *clone.names();
-          const xml::NameTable& fnames = *e.fragment->names();
-          struct Item {
-            const std::string* parent_name;
-            const xml::Node* node;
-            bool visible;
-          };
-          std::vector<Item> stack = {
-              {&names.NameOf(graft_parent->label), e.fragment->root(),
-               (*access)->visible(graft_parent->node_id)}};
-          while (irrelevant && !stack.empty()) {
-            Item it = stack.back();
-            stack.pop_back();
-            const std::string& child_name = fnames.NameOf(it.node->label);
-            const view::Annotation* ann =
-                v->policy->Find(*it.parent_name, child_name);
-            bool child_visible = it.visible;
-            if (ann != nullptr) {
-              child_visible = ann->kind == view::AnnKind::kAllow;
-            }
-            if (child_visible) {
-              irrelevant = false;
-              break;
-            }
-            for (const xml::Node* c = it.node->first_child; c != nullptr;
-                 c = c->next_sibling) {
-              if (c->is_element()) {
-                stack.push_back({&child_name, c, child_visible});
-              }
-            }
-          }
-          if (!irrelevant) break;
-        }
-      }
-      if (irrelevant) retain.push_back(name);
-    }
-  }
-
   update::ApplyStats applied;
   {
     tel::SpanScope span(tr, "apply");
     const auto apply_t0 = std::chrono::steady_clock::now();
     SMOQE_ASSIGN_OR_RETURN(applied, applier.Run(script));
-    if (tm_ != nullptr) {
-      // The repair-vs-rebuild split (DESIGN.md §6.4) is the metric that
-      // tells whether incremental TAX maintenance pays off in practice.
-      const int64_t apply_ns = ElapsedNs(apply_t0);
-      if (applied.tax_rebuilt) {
-        tm_->update_tax_rebuild_ns->Record(apply_ns);
-      } else {
-        tm_->update_tax_repair_ns->Record(apply_ns);
-      }
-    }
+    if (tm_ != nullptr) tm_->update_tax_repair_ns->Record(ElapsedNs(apply_t0));
   }
   out.stats.edits_applied = applied.edits_applied;
   out.stats.edits_dropped = applied.edits_dropped;
   out.stats.nodes_inserted = applied.nodes_inserted;
   out.stats.nodes_deleted = applied.nodes_deleted;
   out.stats.tax_sets_recomputed = applied.tax_sets_recomputed;
-  out.stats.tax_rebuilt = applied.tax_rebuilt ? 1 : 0;
-  const uint64_t new_epoch = clone.epoch();
-  out.stats.doc_epoch = new_epoch;
+  out.stats.doc_epoch = clone.epoch();
 
   // Last guard check *before Publish* — the fail-closed point. A trip
   // here (deadline landing mid-apply, budget blown by a graft) discards
   // the mutated clone and the shadow TAX copy; the published snapshot
-  // chain, caches and epoch are untouched.
+  // chain and epoch are untouched.
   if (guard != nullptr) SMOQE_RETURN_IF_ERROR(guard->Check());
   clone.set_memory_budget(nullptr);  // the budget dies with this request
 
@@ -1253,25 +1126,6 @@ Result<UpdateResult> Smoqe::UpdateImpl(const std::string& doc_name,
   doc->Publish(std::make_shared<const DocumentSnapshot>(
       std::make_shared<const xml::Document>(std::move(clone)),
       std::move(new_tax), nullptr));
-
-  // Epoch bookkeeping of the derived caches: retained materializations
-  // jump to the new epoch; everything else is now stale and rebuilds on
-  // next use (the access maps always go stale — node-level statuses can
-  // change whenever the tree does).
-  {
-    std::lock_guard<std::mutex> caches(doc->caches_mu);
-    for (const std::string& name : retain) {
-      doc->view_caches[name].mv_epoch = new_epoch;
-    }
-    for (const auto& [name, cache] : doc->view_caches) {
-      if (!cache.mv.has_value()) continue;
-      if (cache.mv_epoch == new_epoch) {
-        ++out.stats.view_caches_retained;
-      } else if (cache.mv_epoch == base->epoch) {
-        ++out.stats.view_caches_invalidated;
-      }
-    }
-  }
   return out;
 }
 

@@ -188,9 +188,6 @@ struct UpdateOptions {
   std::string dtd_name;
   /// Parse, resolve, authorize and validate — but do not mutate.
   bool dry_run = false;
-  /// Maintain the TAX index by full rebuild instead of incremental
-  /// ancestor-chain repair (the E12 differential/ablation knob).
-  bool rebuild_tax = false;
 };
 
 /// Counters of one update (the update-side analogue of EvalStats).
@@ -201,9 +198,6 @@ struct UpdateStats {
   uint64_t nodes_inserted = 0;
   uint64_t nodes_deleted = 0;
   uint64_t tax_sets_recomputed = 0;  ///< incremental TAX repair work
-  uint64_t tax_rebuilt = 0;          ///< 1 if maintenance fell back to Build
-  uint64_t view_caches_retained = 0;     ///< materializations that survived
-  uint64_t view_caches_invalidated = 0;  ///< materializations gone stale
   uint64_t doc_epoch = 0;  ///< document epoch after the update
 };
 
@@ -216,9 +210,8 @@ struct UpdateResult {
 
 /// Result of MaterializeView.
 struct MaterializedViewAnswer {
-  std::string xml;       ///< serialized view document
-  bool cache_hit = false;  ///< served from the per-epoch cache
-  uint64_t epoch = 0;    ///< document epoch the materialization reflects
+  std::string xml;     ///< serialized view document
+  uint64_t epoch = 0;  ///< document epoch the materialization reflects
 };
 
 /// \brief SMOQE — the Secure MOdular Query Engine facade (paper Fig. 1).
@@ -353,31 +346,32 @@ class Smoqe {
   /// Applies one update statement (`insert into p f` / `delete p` /
   /// `replace p with f`, docs/QUERY_LANGUAGE.md "Updates") to a loaded
   /// document. Direct updates (empty `options.view`) are trusted; view
-  /// updates resolve the target path *in the view* and are authorized
-  /// against the view's access annotations with accept/reject semantics —
-  /// a rejected update returns PermissionDenied naming the violated
-  /// annotation and leaves document, TAX index, caches and epoch
+  /// updates resolve the target path *in the view* (rewritten and
+  /// evaluated like a query; the view is never materialized) and are
+  /// authorized against the view's access annotations with accept/reject
+  /// semantics — a rejected update returns PermissionDenied naming the
+  /// violated annotation and leaves document, TAX index and epoch
   /// untouched. Accepted updates apply atomically (DTD-revalidated before
   /// any mutation) to a *clone* of the current snapshot, repair the TAX
-  /// index incrementally, retain/invalidate materialized-view caches, and
-  /// publish the clone as the new snapshot with a bumped epoch —
-  /// concurrent readers finish undisturbed on the old one (§7.1).
+  /// index incrementally, and publish the clone as the new snapshot with
+  /// a bumped epoch — concurrent readers finish undisturbed on the old
+  /// one (§7.1).
   /// Guard semantics (docs/DESIGN.md §9): a deadline / budget / cancel
-  /// trip — even one landing mid-apply — aborts *before Publish*, so the
-  /// published snapshot chain, TAX index, caches and epoch are exactly
-  /// as if the call never happened. Guard rejections are not
-  /// authorization denials: they return their own status codes and
-  /// append no audit record.
+  /// trip — even one landing mid-apply, or in target resolution — aborts
+  /// *before Publish*, so the published snapshot chain, TAX index and
+  /// epoch are exactly as if the call never happened. Guard rejections
+  /// are not authorization denials: they return their own status codes
+  /// and append no audit record.
   Result<UpdateResult> Update(const std::string& doc_name,
                               std::string_view update_text,
                               const UpdateOptions& options = {},
                               const RequestOptions& req = {});
 
-  /// Materializes a view of a document (cached per document epoch — the
-  /// epoch-invalidation consumer updates exercise; queries still answer
-  /// by rewriting, never through this).
-  Result<MaterializedViewAnswer> MaterializeView(const std::string& doc_name,
-                                                 const std::string& view_name);
+  /// Materializes a view of the document's current snapshot, afresh on
+  /// every call — the inspection and testing baseline. Queries and
+  /// updates never go through it: they answer by rewriting.
+  Result<MaterializedViewAnswer> MaterializeView(
+      const std::string& doc_name, const std::string& view_name) const;
 
   /// Serialized (compact) XML of the document's current DOM.
   Result<std::string> DocumentXml(const std::string& doc_name) const;
@@ -454,7 +448,6 @@ class Smoqe {
     tel::Counter* update_errors;
     tel::Histogram* update_latency_ns;
     tel::Histogram* update_tax_repair_ns;
-    tel::Histogram* update_tax_rebuild_ns;
     tel::Counter* update_nodes_inserted;
     tel::Counter* update_nodes_deleted;
     tel::Counter* guard_deadline_exceeded;
@@ -578,18 +571,10 @@ class Smoqe {
                              const Guardrail* guard,
                              std::vector<QueryAnswer>* out, tel::Trace* tr);
 
-  /// The view's materialized-view cache over the snapshot's epoch,
-  /// rebuilt if stale (fingerprint or epoch mismatch). Caller holds
-  /// doc->caches_mu; `cache_hit` reports which happened.
-  Result<ViewCacheEntry*> GetViewCacheLocked(DocumentEntry* doc,
-                                             const DocumentSnapshot& snap,
-                                             const std::string& view_name,
-                                             const ViewEntry* view,
-                                             bool* cache_hit);
-
   /// The view's node-level access map at the snapshot's epoch, recomputed
-  /// if stale. Caller holds doc->caches_mu.
-  Result<const view::AccessMap*> GetAccessMapLocked(
+  /// if stale (fingerprint or epoch mismatch). `view` must have a policy;
+  /// caller holds doc->writer_mu.
+  const view::AccessMap* GetAccessMapLocked(
       DocumentEntry* doc, const DocumentSnapshot& snap,
       const std::string& view_name, const ViewEntry* view);
 

@@ -211,12 +211,14 @@ struct TokChunk {
 
 /// Decodes up to `max_events` events into `out` (cleared first). Start
 /// labels are interned here, on the driver thread — workers only ever
-/// read the name table. Returns true once kEndDocument was consumed.
+/// read the name table. `ticker` polls the request guard per event.
+/// Returns true once kEndDocument was consumed.
 Result<bool> FillChunk(xml::StaxReader& reader, xml::NameTable* names,
                        int32_t* next_node_id, size_t max_events,
-                       TokChunk* out) {
+                       GuardTicker& ticker, TokChunk* out) {
   out->Clear();
   while (out->events.size() < max_events) {
+    if (ticker.Due()) SMOQE_RETURN_IF_ERROR(ticker.Now());
     SMOQE_ASSIGN_OR_RETURN(xml::StaxEvent ev, reader.Next());
     switch (ev) {
       case xml::StaxEvent::kStartDocument:
@@ -262,11 +264,15 @@ Result<bool> FillChunk(xml::StaxReader& reader, xml::NameTable* names,
 
 /// Advances one plan through a whole chunk — the same per-plan logic the
 /// serial scan applies per event, so the engine sees an identical
-/// Enter/Text/Leave sequence.
-void AdvancePlanOverChunk(PlanState& ps, const TokChunk& chunk,
-                          const xml::NameTable& names) {
+/// Enter/Text/Leave sequence. `ticker` polls the request guard per event;
+/// a trip stops the plan mid-chunk and is returned (the plan is then
+/// unusable and the caller fails the call).
+Status AdvancePlanOverChunk(PlanState& ps, const TokChunk& chunk,
+                            const xml::NameTable& names,
+                            GuardTicker& ticker) {
   ps.staged_events.clear();
   for (uint32_t i = 0; i < chunk.events.size(); ++i) {
+    if (ticker.Due()) SMOQE_RETURN_IF_ERROR(ticker.Now());
     const TokEvent& ev = chunk.events[i];
     switch (ev.kind) {
       case xml::StaxEvent::kStartElement: {
@@ -315,6 +321,7 @@ void AdvancePlanOverChunk(PlanState& ps, const TokChunk& chunk,
         break;  // never stored in chunks
     }
   }
+  return Status::OK();
 }
 
 /// Demultiplexes each plan's answer ids into serialized answers via its
@@ -509,8 +516,12 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::RunParallel(
   const size_t chunk_events = par.chunk_events == 0 ? 4096 : par.chunk_events;
   TokChunk cur, next;
   int32_t next_node_id = 0;
+  // The driver polls while tokenizing too: a chunk's decode can outlast
+  // the plans' advance through the previous one.
+  GuardTicker tok_ticker(options_.guard);
   SMOQE_ASSIGN_OR_RETURN(
-      bool eof, FillChunk(reader, names, &next_node_id, chunk_events, &cur));
+      bool eof, FillChunk(reader, names, &next_node_id, chunk_events,
+                          tok_ticker, &cur));
 
   CaptureStream cap;
   std::vector<uint8_t> staged;
@@ -527,16 +538,13 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::RunParallel(
   // One group's share of a chunk: advance its plans through `cur`.
   const std::function<void(size_t)> advance_group = [&](size_t g) {
     auto [begin, end] = group_range(g);
-    for (size_t k = begin; k < end; ++k) {
-      // Poll between plans: a chunk's wall time grows with the batch
-      // width, so the per-chunk check below alone would let deadline
-      // detection lag by a whole chunk of a wide batch. A tripped group
-      // stops; the caller fails the call after the join.
-      if (options_.guard != nullptr) {
-        group_status[g] = options_.guard->Check();
-        if (!group_status[g].ok()) break;
-      }
-      AdvancePlanOverChunk(*states[k], cur, *names);
+    // Poll inside the chunk: its wall time grows with the batch width, so
+    // the per-chunk check below alone would let deadline detection lag by
+    // a whole chunk of a wide batch. A tripped group stops; the caller
+    // fails the call after the join.
+    GuardTicker ticker(options_.guard);
+    for (size_t k = begin; k < end && group_status[g].ok(); ++k) {
+      group_status[g] = AdvancePlanOverChunk(*states[k], cur, *names, ticker);
     }
   };
   while (!cur.events.empty()) {
@@ -548,7 +556,8 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::RunParallel(
     // …while the caller tokenizes the next chunk behind the same reader.
     Status tok_status = Status::OK();
     if (!eof) {
-      auto r = FillChunk(reader, names, &next_node_id, chunk_events, &next);
+      auto r = FillChunk(reader, names, &next_node_id, chunk_events,
+                         tok_ticker, &next);
       if (r.ok()) {
         eof = *r;
       } else {
@@ -562,7 +571,7 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::RunParallel(
     // claimed yet itself, so it never waits on a queued task — and it
     // never runs a task that is not this chunk's.
     chunk.Join();
-    if (!tok_status.ok()) return tok_status;
+    if (!tok_status.ok()) return trip(std::move(tok_status));
     // A group that stopped early left its plans mid-chunk: fail closed.
     for (Status& st : group_status) {
       if (!st.ok()) return trip(std::move(st));

@@ -101,18 +101,4 @@ std::string AccessMap::ProtectingCondition(int32_t node_id) const {
   return e < 0 ? "(unconditional)" : edges_[static_cast<size_t>(e)];
 }
 
-bool AccessMap::SubtreeHidden(const xml::Node* n) const {
-  std::vector<const xml::Node*> stack = {n};
-  while (!stack.empty()) {
-    const xml::Node* cur = stack.back();
-    stack.pop_back();
-    if (nodes_[cur->node_id].visible) return false;
-    for (const xml::Node* c = cur->first_child; c != nullptr;
-         c = c->next_sibling) {
-      stack.push_back(c);
-    }
-  }
-  return true;
-}
-
 }  // namespace smoqe::view

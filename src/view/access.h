@@ -5,14 +5,10 @@
 ///
 /// Where DeriveView asks "which *types* does a user group see", AccessMap
 /// asks "which *nodes* of this document does it see, and why". The update
-/// subsystem uses it for both of its decisions (docs/DESIGN.md §6):
-///
-///  * authorization — an update posed through a view is rejected whole if
-///    its effect region touches a hidden or condition-protected node, and
-///    the explain string names the deciding annotation;
-///  * view-cache retention — an edit whose whole effect region is hidden
-///    from a qualifier-free view cannot change that view's
-///    materialization, so its cache survives the document epoch bump.
+/// subsystem authorizes with it (docs/DESIGN.md §6): an update posed
+/// through a view is rejected whole if its effect region touches a hidden
+/// or condition-protected node, and the explain string names the deciding
+/// annotation.
 
 #ifndef SMOQE_VIEW_ACCESS_H_
 #define SMOQE_VIEW_ACCESS_H_
@@ -61,10 +57,6 @@ class AccessMap {
   /// "hospital/patient : [visit/treatment/medication = 'autism']".
   /// Only meaningful when condition_protected(node_id).
   std::string ProtectingCondition(int32_t node_id) const;
-
-  /// True iff every node of the subtree rooted at `n` is hidden — the
-  /// edit-irrelevance test of the view-cache retention rule.
-  bool SubtreeHidden(const xml::Node* n) const;
 
  private:
   struct NodeState {

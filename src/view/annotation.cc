@@ -68,13 +68,6 @@ const Annotation* Policy::Find(std::string_view parent,
   return it == anns_.end() ? nullptr : &it->second;
 }
 
-bool Policy::HasConditions() const {
-  for (const auto& [edge, ann] : anns_) {
-    if (ann.kind == AnnKind::kCondition) return true;
-  }
-  return false;
-}
-
 Result<Policy> Policy::Parse(const xml::Dtd& dtd, std::string_view text) {
   Policy policy(&dtd);
   int line_no = 0;

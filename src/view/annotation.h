@@ -68,10 +68,6 @@ class Policy {
   const Annotation* Find(std::string_view parent,
                          std::string_view child) const;
 
-  /// True iff any annotation is conditional ([q]). Qualifier-free policies
-  /// admit the update subsystem's view-cache retention rule (DESIGN.md §6.5).
-  bool HasConditions() const;
-
   /// Parses the text format. All named edges are validated against `dtd`.
   static Result<Policy> Parse(const xml::Dtd& dtd, std::string_view text);
 

@@ -20,7 +20,8 @@ struct MaterializedView {
 /// \brief Materializes V(T): builds the view document an A-node at a time
 /// by evaluating σ(A,B) on the underlying document (paper §2: this is what
 /// SMOQE deliberately *avoids* doing online; the engine only materializes
-/// views in tests and in the E8 baseline benchmark).
+/// views for inspection (Smoqe::MaterializeView), in tests and in the E8
+/// baseline benchmark).
 ///
 /// Children are emitted grouped by view-DTD edge order; element attributes
 /// and direct text of extracted nodes are copied. The provenance map makes

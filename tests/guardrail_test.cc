@@ -434,6 +434,37 @@ TEST_F(GuardrailFacadeTest, UpdateBudgetAbortsPrePublish) {
   EXPECT_EQ(*e.DocumentEpoch("d"), 1u);
 }
 
+TEST_F(GuardrailFacadeTest, ViewUpdateResolutionChargesTheBudget) {
+  // Target resolution runs HyPE over the document, governed like a query:
+  // a budget too small for the walk fails the update closed, before any
+  // authorization decision (so without an audit record either).
+  Smoqe e;
+  ASSERT_TRUE(
+      e.RegisterDtd("hospital", testutil::kHospitalDtd, "hospital").ok());
+  ASSERT_TRUE(e.GenerateDocument("ward", "hospital", 7, 14000).ok());
+  ASSERT_TRUE(e.DefineView("research", "hospital", kNursePolicy).ok());
+  const std::string before = *e.DocumentXml("ward");
+  size_t elements = 0;
+  for (size_t i = 0; i + 1 < before.size(); ++i) {
+    if (before[i] == '<' && before[i + 1] != '/') ++elements;
+  }
+  ASSERT_GE(elements, 5000u);
+  const uint64_t audit_before = e.telemetry()->audit().total();
+
+  UpdateOptions research;
+  research.view = "research";
+  RequestOptions req;
+  req.max_memory_bytes = 1024;
+  auto r = e.Update("ward", "delete //treatment[test = 'unscheduled']",
+                    research, req);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
+      << r.status().ToString();
+  EXPECT_EQ(*e.DocumentXml("ward"), before);
+  EXPECT_EQ(*e.DocumentEpoch("ward"), 0u);
+  EXPECT_EQ(e.telemetry()->audit().total(), audit_before);
+}
+
 TEST_F(GuardrailFacadeTest, CancelledUpdateLeavesNoAuditRecord) {
   Smoqe e;
   ASSERT_TRUE(

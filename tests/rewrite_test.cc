@@ -5,12 +5,15 @@
 #include <algorithm>
 #include <set>
 
+#include "src/automata/mfa.h"
 #include "src/eval/hype_dom.h"
+#include "src/index/tax.h"
 #include "src/rewrite/expr_rewriter.h"
 #include "src/rxpath/naive_eval.h"
 #include "src/rxpath/printer.h"
 #include "src/view/derive.h"
 #include "src/view/materialize.h"
+#include "src/workload/workloads.h"
 #include "tests/test_util.h"
 
 namespace smoqe::rewrite {
@@ -85,17 +88,28 @@ std::vector<int32_t> ViewTruth(const ViewDefinition& view,
   return {ids.begin(), ids.end()};
 }
 
-/// Rewritten query evaluated directly on the document with HyPE.
-std::vector<int32_t> RewrittenAnswers(const ViewDefinition& view,
-                                      const xml::Document& doc,
-                                      const rxpath::PathExpr& q) {
-  auto mfa = RewriteToMfa(q, view, doc.names());
-  EXPECT_TRUE(mfa.ok()) << mfa.status().ToString();
-  auto r = eval::EvalHypeDom(*mfa, doc);
+/// Ids of the nodes HyPE selects on the document (TAX-pruned when `tax`
+/// is set), deduped.
+std::vector<int32_t> HypeIds(const automata::Mfa& mfa,
+                             const xml::Document& doc,
+                             const index::TaxIndex* tax = nullptr) {
+  eval::DomEvalOptions opts;
+  opts.tax = tax;
+  auto r = eval::EvalHypeDom(mfa, doc, opts);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   std::set<int32_t> ids;
   for (const xml::Node* n : r->answers) ids.insert(n->node_id);
   return {ids.begin(), ids.end()};
+}
+
+/// Rewritten query evaluated directly on the document with HyPE.
+std::vector<int32_t> RewrittenAnswers(const ViewDefinition& view,
+                                      const xml::Document& doc,
+                                      const rxpath::PathExpr& q,
+                                      const index::TaxIndex* tax = nullptr) {
+  auto mfa = RewriteToMfa(q, view, doc.names());
+  EXPECT_TRUE(mfa.ok()) << mfa.status().ToString();
+  return HypeIds(*mfa, doc, tax);
 }
 
 // =====================================================================
@@ -116,15 +130,91 @@ TEST_P(RewriteCorpusTest, EquivalentToMaterializedEvaluation) {
 INSTANTIATE_TEST_SUITE_P(ViewQueries, RewriteCorpusTest,
                          ::testing::ValuesIn(ViewQueryCorpus()));
 
+// Update target resolution (docs/DESIGN.md §6.1) rests on the same
+// property: Smoqe::Update compiles a target path's printed form (the
+// plan-cache key) — rewritten for a view, as-is for a trusted direct
+// update — and evaluates it with HyPE, TAX-pruned when the document is
+// indexed. These are the update targets of update_auth_test and of
+// update_maintenance_test's statement pool, plus the shape of the
+// benchmark writer's `//treatment[test = 'tK']`.
+std::vector<const char*> UpdateTargetCorpus() {
+  return {
+      "hospital",
+      "hospital/patient",
+      "hospital/patient[pname = 'Carol']",
+      "hospital/patient[pname = 'Eve']",
+      "hospital/patient/pname[. = 'Carol']",
+      "//pname",
+      "//treatment",
+      "//treatment[medication = 'headache']",
+      "//treatment[test]",
+      "//treatment[test = 'blood']",
+      "//patient[not(visit)]",
+      "//patient/visit[treatment/medication = 'cold']",
+      "//parent[patient[not(visit) and not(parent)]]",
+      "//medication[. = 'headache']",
+      "//visit[date = 'dx']",
+  };
+}
+
+/// S0 plus the policies the update suites update through.
+struct NamedPolicy {
+  const char* name;
+  const char* text;
+};
+
+std::vector<NamedPolicy> PropertyPolicies() {
+  return {
+      {"S0", kPolicyS0},
+      {"research", workload::kHospitalPolicyResearch},
+      {"autism-group", workload::kHospitalPolicyAutism},
+      {"no-visits", "patient/visit : N;\n"},
+  };
+}
+
 TEST(RewriteTest, PropertyOverRandomDocs) {
   xml::Dtd dtd = MustDtd(kHospitalDtd, "hospital");
-  ViewDefinition view = MustView(dtd, kPolicyS0);
+  std::vector<ViewDefinition> views;
+  for (const NamedPolicy& p : PropertyPolicies()) {
+    views.push_back(MustView(dtd, p.text));
+  }
+  // Update targets in printed form, as the facade compiles them.
+  std::vector<std::string> targets;
+  for (const char* qs : UpdateTargetCorpus()) {
+    targets.push_back(rxpath::ToString(*MustQuery(qs)));
+  }
+  std::vector<std::string> paths = targets;
+  for (const char* qs : ViewQueryCorpus()) paths.push_back(qs);
+  std::vector<xml::Document> docs;
+  docs.push_back(MustDoc(kHospitalDoc));
   for (uint64_t seed = 71; seed <= 78; ++seed) {
-    xml::Document doc = testutil::GenHospital(seed, 300);
-    for (const char* qs : ViewQueryCorpus()) {
+    docs.push_back(testutil::GenHospital(seed, 300));
+    ASSERT_GE(docs.back().num_nodes(), 150) << "seed " << seed;
+  }
+  for (size_t d = 0; d < docs.size(); ++d) {
+    const xml::Document& doc = docs[d];
+    const index::TaxIndex tax = index::TaxIndex::Build(doc);
+    for (const std::string& qs : paths) {
       auto q = MustQuery(qs);
-      EXPECT_EQ(RewrittenAnswers(view, doc, *q), ViewTruth(view, doc, *q))
-          << "seed " << seed << " query: " << qs;
+      for (size_t v = 0; v < views.size(); ++v) {
+        const std::string where = "doc " + std::to_string(d) + ", " +
+                                  PropertyPolicies()[v].name + ": " + qs;
+        std::vector<int32_t> truth = ViewTruth(views[v], doc, *q);
+        EXPECT_EQ(RewrittenAnswers(views[v], doc, *q), truth) << where;
+        EXPECT_EQ(RewrittenAnswers(views[v], doc, *q, &tax), truth)
+            << where << " (TAX)";
+      }
+    }
+    // Direct updates: the compiled target ≡ the reference evaluator.
+    for (const std::string& qs : targets) {
+      auto q = MustQuery(qs);
+      auto mfa = automata::Mfa::Compile(*q, doc.names());
+      ASSERT_TRUE(mfa.ok()) << mfa.status().ToString();
+      std::vector<int32_t> direct = testutil::NaiveIds(doc, *q);
+      std::sort(direct.begin(), direct.end());
+      EXPECT_EQ(HypeIds(*mfa, doc), direct) << "doc " << d << ": " << qs;
+      EXPECT_EQ(HypeIds(*mfa, doc, &tax), direct)
+          << "doc " << d << ": " << qs << " (TAX)";
     }
   }
 }
