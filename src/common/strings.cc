@@ -45,30 +45,39 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
          s.substr(s.size() - suffix.size()) == suffix;
 }
 
-std::string XmlEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
+void AppendXmlEscaped(std::string_view s, std::string* out) {
+  size_t run = 0;  // start of the pending unescaped run
+  for (size_t i = 0; i < s.size(); ++i) {
+    const char* entity;
+    switch (s[i]) {
       case '&':
-        out += "&amp;";
+        entity = "&amp;";
         break;
       case '<':
-        out += "&lt;";
+        entity = "&lt;";
         break;
       case '>':
-        out += "&gt;";
+        entity = "&gt;";
         break;
       case '"':
-        out += "&quot;";
+        entity = "&quot;";
         break;
       case '\'':
-        out += "&apos;";
+        entity = "&apos;";
         break;
       default:
-        out += c;
+        continue;
     }
+    out->append(s.data() + run, i - run);
+    out->append(entity);
+    run = i + 1;
   }
+  out->append(s.data() + run, s.size() - run);
+}
+
+std::string XmlEscape(std::string_view s) {
+  std::string out;
+  AppendXmlEscaped(s, &out);
   return out;
 }
 

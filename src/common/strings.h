@@ -21,6 +21,10 @@ std::string_view Trim(std::string_view s);
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);
 
+/// Appends `s` to `*out` with the five XML special characters (& < > " ')
+/// escaped, copying each unescaped run in one append.
+void AppendXmlEscaped(std::string_view s, std::string* out);
+
 /// Escapes the five XML special characters (& < > " ') for text/attr output.
 std::string XmlEscape(std::string_view s);
 

@@ -493,10 +493,9 @@ Result<QueryAnswer> Smoqe::EvalCompiled(const DocumentSnapshot& snap,
     }
     {
       tel::SpanScope span(tr, "materialize");
-      for (const xml::Node* n : r.answers) {
-        out.answers_xml.push_back(xml::SerializeNode(n, *names_));
-        out.answer_ids.push_back(n->node_id);
-      }
+      SMOQE_ASSIGN_OR_RETURN(out.answers_xml,
+                             xml::SerializeNodes(r.answers, *names_, guard));
+      for (const xml::Node* n : r.answers) out.answer_ids.push_back(n->node_id);
     }
     out.stats = r.stats;
   }

@@ -57,103 +57,118 @@ class SliceAttrs : public AttrProvider {
   const xml::NameTable& names_;
 };
 
-/// An in-flight subtree capture, keyed by the driver's document pre-order
-/// node id. One capture per staged element regardless of how many plans
-/// staged it — the serialized bytes are demultiplexed at FinishDocument.
-struct Capture {
-  int32_t node_id;
-  int open_depth;  ///< reader depth at which the capture started
-  std::string buffer;
-};
-
 /// \brief The shared answer-capture state machine, factored out so the
 /// serial scan (Run) and the parallel merge (RunParallel) produce
 /// byte-identical captures by construction.
+///
+/// One capture per staged element regardless of how many plans staged
+/// it, keyed by the driver's document pre-order node id. Each outermost
+/// capture opens a block, and every event inside it is appended to that
+/// block once; a nested capture is a [begin, end) span of its outermost
+/// block, so bytes stay O(captured subtree), not O(Σ nested subtrees).
+/// Answers are copied out of the blocks at AssembleResults.
 ///
 /// Start tags are held open ("<name a=\"v\"" without the '>') and closed
 /// lazily, so empty elements serialize as "<name/>" exactly like the DOM
 /// serializer (captures and SerializeNode must agree byte-for-byte).
 class CaptureStream {
  public:
+  /// A finished capture: `len` bytes at `begin` of blocks()[block].
+  struct Span {
+    uint32_t block;
+    size_t begin;
+    size_t len;
+  };
+
   /// `staged` says some plan put this element in its Cans at Enter.
   void StartElement(const std::string& name,
                     const xml::StaxAttr* attrs_begin,
                     const xml::StaxAttr* attrs_end, int depth,
                     int32_t node_id, bool staged) {
-    if (captures_.empty() && !staged) return;
-    if (tag_open_) {
-      for (Capture& c : captures_) c.buffer += '>';
-      tag_open_ = false;
+    if (open_.empty()) {
+      if (!staged) return;
+      blocks_.emplace_back();
     }
-    open_tag_.clear();
-    open_tag_ += '<';
-    open_tag_ += name;
+    std::string& buf = blocks_.back();
+    const size_t before = buf.size();
+    CloseStartTag(buf);
+    if (staged) open_.push_back(Open{node_id, buf.size(), depth});
+    buf += '<';
+    buf += name;
     for (const xml::StaxAttr* a = attrs_begin; a != attrs_end; ++a) {
-      open_tag_ += ' ';
-      open_tag_ += a->name;
-      open_tag_ += "=\"";
-      open_tag_ += XmlEscape(a->value);
-      open_tag_ += '"';
+      buf += ' ';
+      buf += a->name;
+      buf += "=\"";
+      AppendXmlEscaped(a->value, &buf);
+      buf += '"';
     }
-    for (Capture& c : captures_) c.buffer += open_tag_;
-    if (staged) {
-      Capture c;
-      c.node_id = node_id;
-      c.open_depth = depth;
-      c.buffer = open_tag_;
-      captures_.push_back(std::move(c));
-    }
-    appended_ += open_tag_.size() * captures_.size();
-    tag_open_ = true;  // captures_ is non-empty here by construction
+    tag_open_ = true;
+    appended_ += buf.size() - before;
   }
 
   void Text(std::string_view raw) {
-    if (captures_.empty()) return;
-    if (tag_open_) {
-      for (Capture& c : captures_) c.buffer += '>';
-      tag_open_ = false;
-    }
-    std::string escaped = XmlEscape(raw);
-    for (Capture& c : captures_) c.buffer += escaped;
-    appended_ += escaped.size() * captures_.size();
+    if (open_.empty()) return;
+    std::string& buf = blocks_.back();
+    const size_t before = buf.size();
+    CloseStartTag(buf);
+    AppendXmlEscaped(raw, &buf);
+    appended_ += buf.size() - before;
   }
 
   void EndElement(const std::string& name, int depth) {
+    if (open_.empty()) return;
+    std::string& buf = blocks_.back();
+    const size_t before = buf.size();
     if (tag_open_) {
       // The closing element is empty: finish it as a self-closing tag.
-      for (Capture& c : captures_) c.buffer += "/>";
+      buf += "/>";
       tag_open_ = false;
     } else {
-      for (Capture& c : captures_) {
-        c.buffer += "</";
-        c.buffer += name;
-        c.buffer += '>';
-      }
-      appended_ += (name.size() + 3) * captures_.size();
+      buf += "</";
+      buf += name;
+      buf += '>';
     }
-    size_t buffered = 0;
-    for (const Capture& c : captures_) buffered += c.buffer.size();
-    peak_buffered_ = std::max(peak_buffered_, buffered);
-    if (!captures_.empty() && captures_.back().open_depth == depth + 1) {
-      finished_.emplace(captures_.back().node_id,
-                        std::move(captures_.back().buffer));
-      captures_.pop_back();
+    appended_ += buf.size() - before;
+    peak_buffered_ = std::max(peak_buffered_, buf.size());
+    if (open_.back().open_depth == depth + 1) {
+      const Open& c = open_.back();
+      finished_.emplace(c.node_id,
+                        Span{static_cast<uint32_t>(blocks_.size() - 1),
+                             c.begin, buf.size() - c.begin});
+      open_.pop_back();
     }
   }
 
-  const std::map<int32_t, std::string>& finished() const { return finished_; }
+  const std::map<int32_t, Span>& finished() const { return finished_; }
+  const std::vector<std::string>& blocks() const { return blocks_; }
+  /// Largest outermost capture block: the most capture bytes open at once.
   size_t peak_buffered() const { return peak_buffered_; }
   /// Monotone total of capture bytes written; drivers charge the delta
   /// since their last guard tick into the request MemoryBudget.
   uint64_t appended() const { return appended_; }
 
  private:
-  std::vector<Capture> captures_;
-  std::map<int32_t, std::string> finished_;
+  /// An in-flight capture: its node, where its bytes begin in the
+  /// current block, and the reader depth at which it started.
+  struct Open {
+    int32_t node_id;
+    size_t begin;
+    int open_depth;
+  };
+
+  void CloseStartTag(std::string& buf) {
+    if (tag_open_) {
+      buf += '>';
+      tag_open_ = false;
+    }
+  }
+
+  std::vector<Open> open_;          // innermost last
+  std::vector<std::string> blocks_;  // one per outermost capture
+  std::map<int32_t, Span> finished_;
   size_t peak_buffered_ = 0;
   uint64_t appended_ = 0;
-  bool tag_open_ = false;  // captures have an unclosed start tag pending
-  std::string open_tag_;   // scratch; reused across start events
+  bool tag_open_ = false;  // the current block has an unclosed start tag
 };
 
 /// Per-plan evaluation state: the plan's own engine (runs, guards,
@@ -325,15 +340,20 @@ Status AdvancePlanOverChunk(PlanState& ps, const TokChunk& chunk,
 }
 
 /// Demultiplexes each plan's answer ids into serialized answers via its
-/// candidate map and the shared finished-capture table.
+/// candidate map and the shared finished-capture table: only candidates
+/// that became answers are copied out of their capture block. The copies
+/// are charged to `guard` (nullptr = ungoverned) before they are made.
 Result<std::vector<StaxEvalResult>> AssembleResults(
     std::vector<std::unique_ptr<PlanState>>& states,
-    const CaptureStream& cap) {
+    const CaptureStream& cap, const Guardrail* guard) {
   std::vector<StaxEvalResult> results(states.size());
   for (size_t k = 0; k < states.size(); ++k) {
     PlanState& ps = *states[k];
     const std::vector<int32_t>& ids = ps.engine.FinishDocument();
     StaxEvalResult& out = results[k];
+    std::vector<CaptureStream::Span> spans;
+    spans.reserve(ids.size());
+    uint64_t copied = 0;
     for (int32_t id : ids) {
       // Answers are candidates, so the binary search always lands.
       auto cand = std::lower_bound(ps.candidate_nodes.begin(),
@@ -346,7 +366,18 @@ Result<std::vector<StaxEvalResult>> AssembleResults(
         return Status::Internal("plan " + std::to_string(k) + " answer " +
                                 std::to_string(id) + " was never captured");
       }
-      out.answers.push_back(StaxAnswer{id, it->second});
+      spans.push_back(it->second);
+      copied += it->second.len;
+    }
+    if (guard != nullptr) {
+      guard->ChargeBytes(copied);
+      SMOQE_RETURN_IF_ERROR(guard->Check());
+    }
+    out.answers.reserve(ids.size());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const CaptureStream::Span& sp = spans[i];
+      out.answers.push_back(StaxAnswer{
+          ids[i], cap.blocks()[sp.block].substr(sp.begin, sp.len)});
     }
     out.stats = ps.engine.stats();
     // The capture footprint is shared by the whole batch; every plan
@@ -481,7 +512,7 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::Run(
       }
       case xml::StaxEvent::kEndDocument:
         SMOQE_RETURN_IF_ERROR(ticker.Now());
-        return AssembleResults(states, cap);
+        return AssembleResults(states, cap, options_.guard);
     }
   }
 }
@@ -626,7 +657,7 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::RunParallel(
   // Final Cans selection per plan is independent — fan it out too.
   pool.ParallelFor(states.size(),
                    [&](size_t k) { states[k]->engine.FinishDocument(); });
-  return AssembleResults(states, cap);
+  return AssembleResults(states, cap, options_.guard);
 }
 
 EvalStats BatchEvaluator::AggregateStats(

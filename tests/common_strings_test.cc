@@ -41,6 +41,15 @@ TEST(StringsTest, XmlEscape) {
   EXPECT_EQ(XmlEscape("a<b>&'\"c"), "a&lt;b&gt;&amp;&apos;&quot;c");
   EXPECT_EQ(XmlEscape("plain"), "plain");
   EXPECT_EQ(XmlEscape(""), "");
+  // All five entities adjacent, with no unescaped run between them.
+  EXPECT_EQ(XmlEscape("&<>\"'"), "&amp;&lt;&gt;&quot;&apos;");
+  EXPECT_EQ(XmlEscape("<<x>>"), "&lt;&lt;x&gt;&gt;");
+  // AppendXmlEscaped appends: what is already in the buffer stays.
+  std::string out = "<a k=\"";
+  AppendXmlEscaped("x&y'", &out);
+  AppendXmlEscaped("", &out);
+  AppendXmlEscaped("\"z", &out);
+  EXPECT_EQ(out, "<a k=\"x&amp;y&apos;&quot;z");
 }
 
 TEST(StringsTest, XmlNameValidation) {

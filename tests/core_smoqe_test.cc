@@ -6,6 +6,7 @@
 #include <set>
 
 #include "src/workload/workloads.h"
+#include "src/xml/serializer.h"
 #include "tests/test_util.h"
 
 namespace smoqe::core {
@@ -92,6 +93,36 @@ TEST_F(SmoqeTest, StaxModeAgreesWithDomMode) {
     auto stax = engine_.Query("ward", q, opts);
     ASSERT_TRUE(stax.ok()) << stax.status().ToString();
     EXPECT_EQ(stax->answers_xml, dom->answers_xml) << q;
+  }
+}
+
+TEST_F(SmoqeTest, NestedViewAnswersAgreeAcrossPaths) {
+  // Recursive view queries on a deep genealogy return answers nested in
+  // other answers: DOM (one walk per outermost answer), DOM+TAX and StAX
+  // (one capture block per outermost answer) must agree byte for byte.
+  auto doc = workload::GenHospitalDeep(1, 8000);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  ASSERT_GE(doc->num_nodes(), 5000);
+  const std::string text = xml::SerializeDocument(*doc);
+  ASSERT_TRUE(engine_.LoadDocument("deep", text).ok());
+  ASSERT_TRUE(engine_.BuildIndex("deep").ok());
+  for (const char* q : {"//patient[parent/patient[treatment]]", "//patient"}) {
+    QueryOptions dom;
+    dom.view = "autism-group";
+    QueryOptions tax = dom;
+    tax.use_tax = true;
+    QueryOptions stax = dom;
+    stax.mode = EvalMode::kStax;
+    auto a = engine_.Query("deep", q, dom);
+    auto b = engine_.Query("deep", q, tax);
+    auto c = engine_.Query("deep", q, stax);
+    ASSERT_TRUE(a.ok() && b.ok() && c.ok()) << q;
+    ASSERT_GE(a->answers_xml.size(), 100u) << q;
+    size_t bytes = 0;
+    for (const std::string& x : a->answers_xml) bytes += x.size();
+    EXPECT_GT(bytes, 10 * text.size()) << q << ": answers must nest deeply";
+    EXPECT_TRUE(b->answers_xml == a->answers_xml) << q << ": DOM+TAX";
+    EXPECT_TRUE(c->answers_xml == a->answers_xml) << q << ": StAX";
   }
 }
 

@@ -6,6 +6,7 @@
 #include "src/core/smoqe.h"
 #include "src/eval/batch.h"
 #include "src/eval/hype_dom.h"
+#include "src/workload/workloads.h"
 #include "src/xml/serializer.h"
 #include "tests/test_util.h"
 
@@ -117,6 +118,69 @@ TEST(StaxEvalTest, BufferedBytesBoundedByCandidates) {
   EXPECT_GT(r->answers.size(), 0u);
   EXPECT_LT(r->stats.buffered_bytes, text.size() / 4)
       << "peak capture should be far below document size";
+}
+
+TEST(StaxEvalTest, NestedCapturesBufferOnce) {
+  // //patient on a deep genealogy: every enclosing patient is an open
+  // capture, yet each event is buffered once, in its outermost capture's
+  // block, so the peak stays within the document's own size.
+  auto names = xml::NameTable::Create();
+  auto doc = workload::GenHospitalDeep(1, 8000, names);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  ASSERT_GE(doc->num_nodes(), 5000);
+  const std::string text = xml::SerializeDocument(*doc);
+  auto query = MustQuery("//patient");
+  auto mfa = Mfa::Compile(*query, names);
+  ASSERT_TRUE(mfa.ok());
+
+  auto stax = EvalHypeStax(*mfa, text);
+  ASSERT_TRUE(stax.ok()) << stax.status().ToString();
+  EXPECT_LE(stax->stats.buffered_bytes, text.size());
+  auto dom = EvalHypeDom(*mfa, *doc);
+  ASSERT_TRUE(dom.ok());
+  ASSERT_EQ(stax->answers.size(), dom->answers.size());
+  ASSERT_GE(stax->answers.size(), 200u);
+  size_t answer_bytes = 0;
+  for (size_t i = 0; i < dom->answers.size(); ++i) {
+    ASSERT_EQ(stax->answers[i].xml,
+              xml::SerializeNode(dom->answers[i], *names))
+        << "answer " << i;
+    answer_bytes += stax->answers[i].xml.size();
+  }
+  EXPECT_GT(answer_bytes, 10 * text.size()) << "the answers must nest deeply";
+
+  // The parallel batch replays the same capture stream on the driver
+  // thread after each join: identical answers and peak.
+  auto v5 = MustQuery("//patient[parent/patient[treatment]]");
+  auto mfa_v5 = Mfa::Compile(*v5, names);
+  ASSERT_TRUE(mfa_v5.ok());
+  BatchEvaluator batch;
+  batch.AddPlan(&*mfa);
+  batch.AddPlan(&*mfa_v5);
+  auto serial = batch.Run(text);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ThreadPool pool(4);
+  BatchParallelOptions par;
+  par.pool = &pool;
+  par.chunk_events = 512;
+  auto parallel = batch.RunParallel(text, par);
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  ASSERT_EQ(serial->size(), 2u);
+  ASSERT_EQ(parallel->size(), 2u);
+  for (size_t k = 0; k < 2; ++k) {
+    const StaxEvalResult& s = (*serial)[k];
+    const StaxEvalResult& p = (*parallel)[k];
+    EXPECT_LE(s.stats.buffered_bytes, text.size());
+    EXPECT_EQ(p.stats.buffered_bytes, s.stats.buffered_bytes);
+    ASSERT_EQ(p.answers.size(), s.answers.size());
+    for (size_t i = 0; i < s.answers.size(); ++i) {
+      EXPECT_EQ(p.answers[i].xml, s.answers[i].xml);
+    }
+  }
+  ASSERT_EQ((*serial)[0].answers.size(), stax->answers.size());
+  for (size_t i = 0; i < stax->answers.size(); ++i) {
+    EXPECT_EQ((*serial)[0].answers[i].xml, stax->answers[i].xml);
+  }
 }
 
 TEST(StaxEvalTest, MalformedInputSurfacesParseError) {

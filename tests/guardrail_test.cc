@@ -15,6 +15,12 @@
 #include <vector>
 
 #include "src/core/smoqe.h"
+#include "src/eval/hype_dom.h"
+#include "src/rewrite/rewriter.h"
+#include "src/view/annotation.h"
+#include "src/view/derive.h"
+#include "src/workload/workloads.h"
+#include "src/xml/serializer.h"
 #include "tests/test_util.h"
 
 namespace smoqe {
@@ -307,6 +313,65 @@ TEST_F(GuardrailFacadeTest, MemoryBudgetUnwindsWithResourceExhausted) {
   auto expected = control.Query("big", kHotQuery);
   ASSERT_TRUE(expected.ok());
   EXPECT_EQ(probe->answers_xml, expected->answers_xml);
+}
+
+TEST_F(GuardrailFacadeTest, MaterializationChargesTheBudget) {
+  // //patient through the nurses view on a deep genealogy returns every
+  // visible patient and its visible ancestors: a few KB of evaluation
+  // state, MBs of nested answer bytes. A budget between the two must
+  // stop the request while its answers are serialized.
+  auto names = xml::NameTable::Create();
+  auto doc = workload::GenHospitalDeep(1, 8000, names);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  ASSERT_GE(doc->num_nodes(), 5000);
+  constexpr char kQuery[] = "//patient";
+  Smoqe e;
+  ASSERT_TRUE(
+      e.RegisterDtd("hospital", workload::kHospitalDtd, "hospital").ok());
+  ASSERT_TRUE(e.LoadDocument("ward", xml::SerializeDocument(*doc)).ok());
+  ASSERT_TRUE(
+      e.DefineView("nurses", "hospital", workload::kHospitalPolicyAutism)
+          .ok());
+  QueryOptions nurses;
+  nurses.view = "nurses";
+
+  // What evaluation alone charges: the same rewritten plan run by HyPE
+  // under an unlimited (still accounting) budget.
+  const xml::Dtd dtd = workload::HospitalDtd();  // the policy points into it
+  auto policy = view::Policy::Parse(dtd, workload::kHospitalPolicyAutism);
+  ASSERT_TRUE(policy.ok());
+  auto view = view::DeriveView(*policy);
+  ASSERT_TRUE(view.ok());
+  auto mfa = rewrite::RewriteToMfa(*testutil::MustQuery(kQuery), *view, names);
+  ASSERT_TRUE(mfa.ok());
+  MemoryBudget eval_budget;
+  Guardrail eval_guard(Deadline(), nullptr, &eval_budget);
+  eval::DomEvalOptions dom_opts;
+  dom_opts.guard = &eval_guard;
+  auto evaluated = eval::EvalHypeDom(*mfa, *doc, dom_opts);
+  ASSERT_TRUE(evaluated.ok());
+  const uint64_t eval_bytes = eval_budget.used();
+
+  auto full = e.Query("ward", kQuery, nurses);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_EQ(full->answers_xml.size(), evaluated->answers.size());
+  uint64_t answer_bytes = 0;
+  for (const std::string& a : full->answers_xml) answer_bytes += a.size();
+
+  RequestOptions req;
+  req.max_memory_bytes = 2 * eval_bytes + (64 << 10);
+  ASSERT_LT(req.max_memory_bytes, answer_bytes / 4);
+  const uint64_t tripped_before = e.telemetry()
+                                      ->registry()
+                                      .GetCounter("guard.budget_exceeded")
+                                      .Value();
+  auto r = e.Query("ward", kQuery, nurses, req);
+  ASSERT_FALSE(r.ok()) << "materialization must charge the budget";
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
+      << r.status().ToString();
+  EXPECT_GE(e.telemetry()->registry().GetCounter("guard.budget_exceeded")
+                .Value(),
+            tripped_before + 1);
 }
 
 TEST_F(GuardrailFacadeTest, PreCancelledTokenFailsFast) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "src/common/guardrail.h"
+#include "src/workload/workloads.h"
 #include "src/xml/serializer.h"
 
 namespace smoqe::xml {
@@ -302,6 +306,167 @@ TEST(XmlSerializerTest, EscapesAttributeValues) {
   ASSERT_TRUE(r2.ok());
   NameId v = r2->names()->Lookup("v");
   EXPECT_STREQ(r2->root()->FindAttr(v), "a&b<c\"d");
+}
+
+// --- SerializeNodes: one walk per outermost node, nested nodes as spans ---
+
+// Every node of `root`'s subtree in document order (elements and text).
+void CollectPreOrder(const Node* root, std::vector<const Node*>* out) {
+  out->push_back(root);
+  for (const Node* c = root->first_child; c != nullptr; c = c->next_sibling) {
+    CollectPreOrder(c, out);
+  }
+}
+
+std::vector<const Node*> PreOrder(const Document& doc) {
+  std::vector<const Node*> nodes;
+  CollectPreOrder(doc.root(), &nodes);
+  return nodes;
+}
+
+std::vector<const Node*> Labeled(const Document& doc, std::string_view name) {
+  std::vector<const Node*> out;
+  for (const Node* n : PreOrder(doc)) {
+    if (n->is_element() && doc.names()->NameOf(n->label) == name) {
+      out.push_back(n);
+    }
+  }
+  return out;
+}
+
+// The differential: SerializeNodes(nodes)[i] == SerializeNode(nodes[i]).
+void ExpectSameAsPerNode(const std::vector<const Node*>& nodes,
+                         const NameTable& names) {
+  auto got = SerializeNodes(nodes, names);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->size(), nodes.size());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    EXPECT_EQ((*got)[i], SerializeNode(nodes[i], names)) << "node " << i;
+  }
+}
+
+Document MustParse(std::string_view text) {
+  auto r = ParseDocument(text);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return r.MoveValue();
+}
+
+TEST(XmlSerializeNodesTest, NestedChainsOfADeepDocument) {
+  auto doc = workload::GenHospitalDeep(1, 8000);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  ASSERT_GE(doc->num_nodes(), 5000);
+  const std::vector<const Node*> patients = Labeled(*doc, "patient");
+  // Chains: some patient is nested in another patient.
+  size_t nested = 0;
+  for (const Node* p : patients) {
+    for (const Node* a = p->parent; a != nullptr; a = a->parent) {
+      if (a->label == p->label) {
+        ++nested;
+        break;
+      }
+    }
+  }
+  ASSERT_GE(nested, 100u);
+  ExpectSameAsPerNode(patients, *doc->names());
+  // Every node at once: elements and text, each nested in all ancestors.
+  ExpectSameAsPerNode(PreOrder(*doc), *doc->names());
+}
+
+TEST(XmlSerializeNodesTest, DisjointAndNestedMixed) {
+  Document doc = MustParse(
+      "<a><b><c/><b>x<b/></b></b><d><b>y</b></d><b/><e><f>z</f></e></a>");
+  std::vector<const Node*> nodes = Labeled(doc, "b");
+  ASSERT_EQ(nodes.size(), 5u);
+  nodes.push_back(Labeled(doc, "d")[0]);
+  nodes.push_back(Labeled(doc, "f")[0]);
+  std::sort(nodes.begin(), nodes.end(), [](const Node* x, const Node* y) {
+    return x->order < y->order;
+  });
+  ExpectSameAsPerNode(nodes, *doc.names());
+}
+
+TEST(XmlSerializeNodesTest, TextNodeAnswers) {
+  Document doc = MustParse("<a><b>one &amp; two</b>three<c>&lt;4&gt;</c></a>");
+  std::vector<const Node*> texts;
+  for (const Node* n : PreOrder(doc)) {
+    if (n->is_text()) texts.push_back(n);
+  }
+  ASSERT_EQ(texts.size(), 3u);
+  ExpectSameAsPerNode(texts, *doc.names());
+  // Text nodes nested in element answers.
+  std::vector<const Node*> mixed = PreOrder(doc);
+  ExpectSameAsPerNode(mixed, *doc.names());
+}
+
+TEST(XmlSerializeNodesTest, AttributesWithEveryEntity) {
+  Document doc = MustParse(
+      "<r a=\"&amp;&lt;&gt;&quot;&apos;\" b=\"x'y\">"
+      "<s k=\"1 &lt; 2 &amp;&amp; 3 &gt; 2\">q&quot;&apos;</s></r>");
+  auto got = SerializeNodes(PreOrder(doc), *doc.names());
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ((*got)[0],
+            "<r a=\"&amp;&lt;&gt;&quot;&apos;\" b=\"x&apos;y\">"
+            "<s k=\"1 &lt; 2 &amp;&amp; 3 &gt; 2\">q&quot;&apos;</s></r>");
+  ExpectSameAsPerNode(PreOrder(doc), *doc.names());
+}
+
+TEST(XmlSerializeNodesTest, SelfClosingElements) {
+  Document doc = MustParse("<r><e/><f><e/></f><e x=\"1\"/></r>");
+  auto got = SerializeNodes(Labeled(doc, "e"), *doc.names());
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got,
+            (std::vector<std::string>{"<e/>", "<e/>", "<e x=\"1\"/>"}));
+  ExpectSameAsPerNode(PreOrder(doc), *doc.names());
+}
+
+TEST(XmlSerializeNodesTest, RootAloneAndEmptyList) {
+  Document doc = MustParse("<a><b>t</b><c/></a>");
+  ExpectSameAsPerNode({doc.root()}, *doc.names());
+  Document bare = MustParse("<a/>");
+  ExpectSameAsPerNode({bare.root()}, *bare.names());
+  auto none = SerializeNodes({}, *doc.names());
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none->empty());
+}
+
+TEST(XmlSerializeNodesTest, AnyOrderAndDuplicatesGiveTheSameStrings) {
+  Document doc = MustParse("<a><b><c>1</c></b><c>2</c></a>");
+  std::vector<const Node*> nodes = PreOrder(doc);
+  std::reverse(nodes.begin(), nodes.end());
+  ExpectSameAsPerNode(nodes, *doc.names());
+  const Node* b = Labeled(doc, "b")[0];
+  ExpectSameAsPerNode({b, b, doc.root(), b}, *doc.names());
+}
+
+TEST(XmlSerializeNodesTest, GuardTripReturnsNoPartialResult) {
+  auto doc = workload::GenHospitalDeep(1, 8000);
+  ASSERT_TRUE(doc.ok());
+  const std::vector<const Node*> patients = Labeled(*doc, "patient");
+  size_t bytes = 0;
+  for (const Node* p : patients) bytes += SerializeNode(p, *doc->names()).size();
+
+  // A budget below the answer bytes trips; the scratch buffer and the
+  // copies are what it is charged with.
+  MemoryBudget budget(bytes / 2);
+  Guardrail guard(Deadline(), nullptr, &budget);
+  auto tripped = SerializeNodes(patients, *doc->names(), &guard);
+  ASSERT_FALSE(tripped.ok());
+  EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(budget.exceeded());
+
+  CancelToken cancel;
+  cancel.Cancel();
+  Guardrail cancelled(Deadline(), &cancel, nullptr);
+  auto stopped = SerializeNodes(patients, *doc->names(), &cancelled);
+  ASSERT_FALSE(stopped.ok());
+  EXPECT_EQ(stopped.status().code(), StatusCode::kCancelled);
+
+  // An unlimited budget still accounts: at least every answer byte.
+  MemoryBudget unlimited;
+  Guardrail governed(Deadline(), nullptr, &unlimited);
+  auto ok = SerializeNodes(patients, *doc->names(), &governed);
+  ASSERT_TRUE(ok.ok());
+  EXPECT_GE(unlimited.used(), bytes);
 }
 
 }  // namespace
