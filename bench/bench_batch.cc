@@ -79,6 +79,13 @@ std::vector<const automata::Mfa*> CompileMix(const std::vector<std::string>& mix
   return plans;
 }
 
+/// One batch evaluator over `plans` (plan i answers result i).
+eval::BatchEvaluator MakeBatch(const std::vector<const automata::Mfa*>& plans) {
+  eval::BatchEvaluator batch;
+  for (const automata::Mfa* mfa : plans) batch.AddPlan(mfa);
+  return batch;
+}
+
 void Sequential(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const std::string& text =
@@ -102,10 +109,10 @@ void Batch(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const std::string& text =
       Corpus::Get().HospitalText(static_cast<size_t>(state.range(1)));
-  auto plans = CompileMix(QueryMix(n));
+  const eval::BatchEvaluator batch = MakeBatch(CompileMix(QueryMix(n)));
   size_t answers = 0;
   for (auto _ : state) {
-    auto r = eval::EvalHypeStaxBatch(plans, text);
+    auto r = batch.Run(text);
     Corpus::Check(r.ok(), "batch eval");
     answers = 0;
     for (const auto& plan_result : *r) answers += plan_result.answers.size();
@@ -126,10 +133,11 @@ void WriteBatchTrajectory(const char* path) {
     for (size_t n : {size_t{1}, size_t{4}, size_t{16}, size_t{64}}) {
       auto mix = QueryMix(n);
       auto plans = CompileMix(mix);
+      const eval::BatchEvaluator batch = MakeBatch(plans);
 
       // Correctness gate: batch answers must be byte-identical to the
       // sequential passes, else the speedup row would be meaningless.
-      auto batch_r = eval::EvalHypeStaxBatch(plans, text);
+      auto batch_r = batch.Run(text);
       Corpus::Check(batch_r.ok(), "batch trajectory eval");
       uint64_t answers = 0;
       for (size_t i = 0; i < plans.size(); ++i) {
@@ -155,7 +163,7 @@ void WriteBatchTrajectory(const char* path) {
         }
       });
       double batch_ns = bench::MeasureMinNsPerIter([&] {
-        auto r = eval::EvalHypeStaxBatch(plans, text);
+        auto r = batch.Run(text);
         Corpus::Check(r.ok(), "batch eval");
       });
       // Per-call latency distribution of the same two pipelines (§8:
@@ -172,7 +180,7 @@ void WriteBatchTrajectory(const char* path) {
       const bench::LatencyPercentiles batch_pct =
           bench::MeasureLatencyPercentiles(
               [&] {
-                auto r = eval::EvalHypeStaxBatch(plans, text);
+                auto r = batch.Run(text);
                 Corpus::Check(r.ok(), "batch eval");
               },
               /*min_iters=*/20, /*min_seconds=*/0.2);

@@ -79,22 +79,29 @@ struct MutableDoc {
 
 /// One maintenance op: graft a visit under the target, then delete it.
 /// Document size is invariant across iterations (ids/sets grow, content
-/// does not). Returns the per-op maintenance counters.
+/// does not). `rebuild` applies the edits without TAX and rebuilds the
+/// index with a full TaxIndex::Build after each one; otherwise the
+/// applier repairs it incrementally. Returns the per-op maintenance
+/// counters.
 update::ApplyStats EditPair(MutableDoc* m, const update::UpdateStatement& stmt,
                             bool rebuild) {
   update::ApplierOptions opts;
-  opts.tax = &m->tax;
-  opts.rebuild_tax = rebuild;
+  opts.tax = rebuild ? nullptr : &m->tax;
   update::UpdateApplier applier(&m->doc, opts);
+  auto maintain = [&] {
+    if (rebuild) m->tax = index::TaxIndex::Build(m->doc);
+  };
   auto ins = applier.Run({update::ResolvedEdit{update::OpKind::kInsert,
                                                m->target, &*stmt.fragment}});
   Corpus::Check(ins.ok(), "bench insert");
+  maintain();
   // The grafted copy is the newest id in the document.
   xml::Node* grafted = m->doc.mutable_node(m->doc.num_nodes() - 1);
   while (grafted->parent != m->target) grafted = grafted->parent;
   auto del = applier.Run(
       {update::ResolvedEdit{update::OpKind::kDelete, grafted, nullptr}});
   Corpus::Check(del.ok(), "bench delete");
+  maintain();
   update::ApplyStats stats = *ins;
   stats.nodes_deleted += del->nodes_deleted;
   stats.tax_sets_recomputed += del->tax_sets_recomputed;

@@ -1,6 +1,7 @@
 #include "src/common/strings.h"
 
 #include <cctype>
+#include <cstdio>
 
 namespace smoqe {
 
@@ -79,6 +80,39 @@ std::string XmlEscape(std::string_view s) {
   std::string out;
   AppendXmlEscaped(s, &out);
   return out;
+}
+
+void AppendJsonEscaped(std::string_view s, std::string* out) {
+  size_t run = 0;  // start of the pending unescaped run
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"':
+        out->append("\\\"");
+        break;
+      case '\\':
+        out->append("\\\\");
+        break;
+      case '\n':
+        out->append("\\n");
+        break;
+      case '\t':
+        out->append("\\t");
+        break;
+      case '\r':
+        out->append("\\r");
+        break;
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        out->append(buf);
+      }
+    }
+  }
+  out->append(s.data() + run, s.size() - run);
 }
 
 uint64_t Fnv1a64(std::string_view s) {

@@ -28,6 +28,11 @@ void AppendXmlEscaped(std::string_view s, std::string* out);
 /// Escapes the five XML special characters (& < > " ') for text/attr output.
 std::string XmlEscape(std::string_view s);
 
+/// Appends `s` to `*out` as the body of a JSON string: '"' and '\\' are
+/// backslash-escaped, \n \t \r get their short escapes and every other
+/// control character becomes \u00XX, so distinct inputs stay distinct.
+void AppendJsonEscaped(std::string_view s, std::string* out);
+
 /// 64-bit FNV-1a hash. Stable across runs and platforms (used for plan
 /// fingerprints that end up in cache keys, so std::hash's
 /// implementation-defined values won't do).

@@ -81,6 +81,38 @@ tel::Profile MakeProfile(const char* op, uint64_t total_ns,
   return p;
 }
 
+/// The evaluation preconditions of one query on one snapshot, checked for
+/// Query and for every batch item alike: StAX streams the text, so it
+/// cannot use TAX, and TAX needs a built index.
+Status CheckEvalPreconditions(const QueryOptions& options,
+                              const DocumentSnapshot& snap,
+                              const std::string& doc_name) {
+  if (!options.use_tax) return Status::OK();
+  if (options.mode == EvalMode::kStax) {
+    return Status::InvalidArgument(
+        "TAX requires DOM mode (the index addresses materialized nodes)");
+  }
+  if (snap.tax == nullptr) {
+    return Status::FailedPrecondition(
+        "document '" + doc_name + "' has no TAX index; call BuildIndex");
+  }
+  return Status::OK();
+}
+
+/// Fills what an answer carries besides its answers and explain tree:
+/// the plan's unknown labels, the snapshot's epoch, the MFA dump (under
+/// explain) and the evaluator's stats with this plan's cache hit or miss.
+void FillAnswer(const CompiledPlan& plan, bool cache_hit,
+                const DocumentSnapshot& snap, const QueryOptions& options,
+                const EvalStats& stats, QueryAnswer* out) {
+  out->unknown_labels = plan.unknown_labels;
+  out->doc_epoch = snap.epoch;
+  if (options.explain) out->mfa_dump = plan.mfa.ToString();
+  out->stats = stats;
+  out->stats.plan_cache_hits = cache_hit ? 1 : 0;
+  out->stats.plan_cache_misses = cache_hit ? 0 : 1;
+}
+
 }  // namespace
 
 Smoqe::FacadeMetrics::FacadeMetrics(tel::MetricsRegistry& reg)
@@ -449,58 +481,39 @@ Result<Smoqe::PlanUse> Smoqe::GetPlan(std::string_view query_text,
 }
 
 Result<QueryAnswer> Smoqe::EvalCompiled(const DocumentSnapshot& snap,
-                                        const std::string& doc_name,
                                         const PlanUse& pu,
                                         const QueryOptions& options,
                                         const Guardrail* guard,
                                         tel::Trace* tr) {
-  const CompiledPlan& plan = *pu.plan;
+  const automata::Mfa& mfa = pu.plan->mfa;
   QueryAnswer out;
-  out.unknown_labels = plan.unknown_labels;
-  out.doc_epoch = snap.epoch;
-  if (options.explain) out.mfa_dump = plan.mfa.ToString();
-
   if (options.mode == EvalMode::kStax) {
-    if (options.use_tax) {
-      return Status::InvalidArgument(
-          "TAX requires DOM mode (the index addresses materialized nodes)");
-    }
-    eval::StaxEvalOptions stax_opts;
-    stax_opts.guard = guard;
     // The streaming pass captures answer subtrees as it scans, so
     // evaluation and materialization are one span here.
     tel::SpanScope span(tr, "evaluate");
     SMOQE_ASSIGN_OR_RETURN(eval::StaxEvalResult r,
-                           eval::EvalHypeStax(plan.mfa, snap.text(), stax_opts));
+                           eval::EvalHypeStax(mfa, snap.text(), guard));
     for (auto& a : r.answers) out.answers_xml.push_back(std::move(a.xml));
-    out.stats = r.stats;
-  } else {
-    eval::DomEvalOptions dom_opts;
-    dom_opts.guard = guard;
-    if (options.use_tax) {
-      if (snap.tax == nullptr) {
-        return Status::FailedPrecondition(
-            "document '" + doc_name + "' has no TAX index; call BuildIndex");
-      }
-      dom_opts.tax = snap.tax.get();
-    }
-    eval::DomEvalResult r;
-    {
-      tel::SpanScope span(tr, "evaluate");
-      SMOQE_ASSIGN_OR_RETURN(
-          r, eval::EvalHypeDom(plan.mfa, *snap.dom, dom_opts,
-                               options.explain ? &out.trace_tree : nullptr));
-    }
-    {
-      tel::SpanScope span(tr, "materialize");
-      SMOQE_ASSIGN_OR_RETURN(out.answers_xml,
-                             xml::SerializeNodes(r.answers, *names_, guard));
-      for (const xml::Node* n : r.answers) out.answer_ids.push_back(n->node_id);
-    }
-    out.stats = r.stats;
+    FillAnswer(*pu.plan, pu.cache_hit, snap, options, r.stats, &out);
+    return out;
   }
-  out.stats.plan_cache_hits = pu.cache_hit ? 1 : 0;
-  out.stats.plan_cache_misses = pu.cache_hit ? 0 : 1;
+  eval::DomEvalOptions dom_opts;
+  dom_opts.guard = guard;
+  if (options.use_tax) dom_opts.tax = snap.tax.get();
+  eval::DomEvalResult r;
+  {
+    tel::SpanScope span(tr, "evaluate");
+    SMOQE_ASSIGN_OR_RETURN(
+        r, eval::EvalHypeDom(mfa, *snap.dom, dom_opts,
+                             options.explain ? &out.trace_tree : nullptr));
+  }
+  {
+    tel::SpanScope span(tr, "materialize");
+    SMOQE_ASSIGN_OR_RETURN(out.answers_xml,
+                           xml::SerializeNodes(r.answers, *names_, guard));
+    for (const xml::Node* n : r.answers) out.answer_ids.push_back(n->node_id);
+  }
+  FillAnswer(*pu.plan, pu.cache_hit, snap, options, r.stats, &out);
   return out;
 }
 
@@ -601,8 +614,8 @@ Result<QueryAnswer> Smoqe::QueryImpl(const std::string& doc_name,
   }
   // No lock held during evaluation: the snapshot is pinned, the plan is
   // immutable and shared.
-  Result<QueryAnswer> out =
-      EvalCompiled(*snap, doc_name, plan, options, guard, tr);
+  SMOQE_RETURN_IF_ERROR(CheckEvalPreconditions(options, *snap, doc_name));
+  Result<QueryAnswer> out = EvalCompiled(*snap, plan, options, guard, tr);
   if (out.ok() && want_canonical) {
     out->canonical_query = plan.plan->normalized_query;
   }
@@ -659,7 +672,6 @@ Result<QueryAnswer> Smoqe::Query(const std::string& doc_name,
 }
 
 Status Smoqe::EvalBatchOnSnapshot(const DocumentSnapshot& snap,
-                                  const std::string& doc_name,
                                   const std::vector<DocBatchItem>& items,
                                   const std::vector<PlanUse>& plans,
                                   const std::vector<size_t>& sel,
@@ -679,9 +691,7 @@ Status Smoqe::EvalBatchOnSnapshot(const DocumentSnapshot& snap,
     if (tm_ != nullptr) {
       tm_->batch_plans_per_scan->Record(stax_items.size());
     }
-    eval::BatchStaxOptions batch_opts;
-    batch_opts.guard = guard;
-    eval::BatchEvaluator batch(batch_opts);
+    eval::BatchEvaluator batch(guard);
     for (size_t i : stax_items) batch.AddPlan(&plans[i].plan->mfa);
     tel::SpanScope span(tr, "evaluate.stax_scan");
     Result<std::vector<eval::StaxEvalResult>> results_or =
@@ -689,7 +699,6 @@ Status Smoqe::EvalBatchOnSnapshot(const DocumentSnapshot& snap,
       if (ParallelEnabled()) {
         eval::BatchParallelOptions par;
         par.pool = pool_.get();
-        par.chunk_events = options_.stax_chunk_events;
         par.chunk_ns = tm_ != nullptr ? tm_->batch_chunk_ns : nullptr;
         return batch.RunParallel(snap.text(), par);
       }
@@ -700,15 +709,12 @@ Status Smoqe::EvalBatchOnSnapshot(const DocumentSnapshot& snap,
     for (size_t j = 0; j < stax_items.size(); ++j) {
       const size_t i = stax_items[j];
       QueryAnswer& a = (*out)[i];
-      a.unknown_labels = plans[i].plan->unknown_labels;
-      a.doc_epoch = snap.epoch;
-      if (items[i].options.explain) a.mfa_dump = plans[i].plan->mfa.ToString();
       for (auto& ans : results[j].answers) {
         a.answers_xml.push_back(std::move(ans.xml));
       }
-      a.stats = results[j].stats;  // batch_plans set by the evaluator
-      a.stats.plan_cache_hits = plans[i].cache_hit ? 1 : 0;
-      a.stats.plan_cache_misses = plans[i].cache_hit ? 0 : 1;
+      // batch_plans is set by the evaluator.
+      FillAnswer(*plans[i].plan, plans[i].cache_hit, snap, items[i].options,
+                 results[j].stats, &a);
     }
   }
 
@@ -724,8 +730,7 @@ Status Smoqe::EvalBatchOnSnapshot(const DocumentSnapshot& snap,
       // materialize), parented under the shared dom_items span; workers
       // append concurrently, which Trace supports.
       tel::SpanScope item_span(tr, "item", dom_span.index());
-      auto answer =
-          EvalCompiled(snap, doc_name, plans[i], items[i].options, guard, tr);
+      auto answer = EvalCompiled(snap, plans[i], items[i].options, guard, tr);
       if (answer.ok()) {
         (*out)[i] = std::move(*answer);
       } else {
@@ -794,18 +799,10 @@ Result<std::vector<QueryAnswer>> Smoqe::QueryBatchMultiImpl(
     for (size_t i = 0; i < items.size(); ++i) {
       const QueryOptions& o = items[i].options;
       Group& g = groups[group_idx[i]];
-      Status item_st = Status::OK();
       auto plan = GetPlan(items[i].query, o, nullptr);
-      if (!plan.ok()) {
-        item_st = plan.status();
-      } else if (o.mode == EvalMode::kStax && o.use_tax) {
-        item_st = Status::InvalidArgument(
-            "TAX requires DOM mode (the index addresses materialized nodes)");
-      } else if (o.mode == EvalMode::kDom && o.use_tax &&
-                 g.snap->tax == nullptr) {
-        item_st = Status::FailedPrecondition(
-            "document '" + g.doc_name + "' has no TAX index; call BuildIndex");
-      }
+      Status item_st = plan.ok()
+                           ? CheckEvalPreconditions(o, *g.snap, g.doc_name)
+                           : plan.status();
       if (!item_st.ok()) {
         out[i].status = item_st.WithContext("batch item " + std::to_string(i));
         continue;
@@ -819,8 +816,8 @@ Result<std::vector<QueryAnswer>> Smoqe::QueryBatchMultiImpl(
   std::vector<Status> statuses(groups.size(), Status::OK());
   auto eval_group = [&](size_t gi) {
     const Group& g = groups[gi];
-    statuses[gi] = EvalBatchOnSnapshot(*g.snap, g.doc_name, items, plans,
-                                       g.sel, guard, &out, tr);
+    statuses[gi] = EvalBatchOnSnapshot(*g.snap, items, plans, g.sel, guard,
+                                       &out, tr);
   };
   // Independent documents evaluate concurrently; within a group the usual
   // batch parallelism applies (nested ParallelFor is deadlock-free — the

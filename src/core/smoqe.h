@@ -44,9 +44,6 @@ struct EngineOptions {
   /// serial (no pool is created, so batches take the serial path).
   /// Query() is always serial.
   int max_threads = 0;
-  /// Events per tokenizer chunk of the parallel StAX batch driver (the
-  /// fork/join grain behind the shared tokenizer).
-  size_t stax_chunk_events = 4096;
   /// Telemetry (docs/DESIGN.md §8): metrics registry + trace recorder +
   /// security audit log, on by default. `telemetry.enabled = false`
   /// removes all instrumentation (no registry exists; DumpMetrics renders
@@ -463,11 +460,11 @@ class Smoqe {
   Result<PlanUse> GetPlan(std::string_view query_text,
                           const QueryOptions& options, tel::Trace* tr);
 
-  /// Evaluates a resolved plan over a pinned snapshot (single query).
-  /// Takes no lock; safe on any thread. `guard` (nullable) is polled by
-  /// the evaluator's event loop.
+  /// Evaluates a resolved plan over a pinned snapshot (single query)
+  /// whose evaluation preconditions were checked. Takes no lock; safe on
+  /// any thread. `guard` (nullable) is polled by the evaluator's event
+  /// loop.
   Result<QueryAnswer> EvalCompiled(const DocumentSnapshot& snap,
-                                   const std::string& doc_name,
                                    const PlanUse& plan,
                                    const QueryOptions& options,
                                    const Guardrail* guard, tel::Trace* tr);
@@ -564,7 +561,6 @@ class Smoqe {
   /// failures land in out[i].status; only document-level failures (a
   /// failed shared StAX scan, a guard trip) return non-OK.
   Status EvalBatchOnSnapshot(const DocumentSnapshot& snap,
-                             const std::string& doc_name,
                              const std::vector<DocBatchItem>& items,
                              const std::vector<PlanUse>& plans,
                              const std::vector<size_t>& sel,

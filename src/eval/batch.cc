@@ -16,31 +16,28 @@ namespace smoqe::eval {
 
 namespace {
 
-class StaxAttrs : public AttrProvider {
- public:
-  StaxAttrs(const std::vector<xml::StaxAttr>& attrs,
-            const xml::NameTable& names)
-      : attrs_(attrs), names_(names) {}
-
-  const char* Find(xml::NameId name) const override {
-    const std::string& want = names_.NameOf(name);
-    for (const xml::StaxAttr& a : attrs_) {
-      if (a.name == want) return a.value.c_str();
-    }
-    return nullptr;
-  }
-
- private:
-  const std::vector<xml::StaxAttr>& attrs_;
-  const xml::NameTable& names_;
+/// One decoded event as both drivers hand it to the plans and to the
+/// capture stream. `str` is the element name (start/end) or the raw text
+/// (characters); the other fields are set on start elements only. `str`
+/// is a pointer, not a view, so handing an event to a plan that never
+/// reads the string costs no load of it.
+struct ScanEvent {
+  xml::StaxEvent kind;
+  int depth;
+  const std::string* str;
+  /// Interned label; kNoName while every plan skips (a skipping plan
+  /// never reads it).
+  xml::NameId label = xml::kNoName;
+  int32_t node_id = -1;  ///< the driver's document pre-order id
+  const xml::StaxAttr* attrs_begin = nullptr;
+  const xml::StaxAttr* attrs_end = nullptr;
 };
 
-/// Attribute view over a slice of a chunk's decoded attributes (the
-/// parallel driver's analogue of StaxAttrs).
-class SliceAttrs : public AttrProvider {
+/// Attribute view over a [begin, end) range of decoded attributes.
+class AttrRange : public AttrProvider {
  public:
-  SliceAttrs(const xml::StaxAttr* begin, const xml::StaxAttr* end,
-             const xml::NameTable& names)
+  AttrRange(const xml::StaxAttr* begin, const xml::StaxAttr* end,
+            const xml::NameTable& names)
       : begin_(begin), end_(end), names_(names) {}
 
   const char* Find(xml::NameId name) const override {
@@ -80,11 +77,43 @@ class CaptureStream {
     size_t len;
   };
 
-  /// `staged` says some plan put this element in its Cans at Enter.
-  void StartElement(const std::string& name,
-                    const xml::StaxAttr* attrs_begin,
-                    const xml::StaxAttr* attrs_end, int depth,
-                    int32_t node_id, bool staged) {
+  /// Appends one scan event; `staged` (start elements) says some plan
+  /// put the element in its Cans at Enter.
+  void Append(const ScanEvent& ev, bool staged) {
+    switch (ev.kind) {
+      case xml::StaxEvent::kStartElement:
+        StartElement(ev, staged);
+        break;
+      case xml::StaxEvent::kCharacters:
+        Text(*ev.str);
+        break;
+      case xml::StaxEvent::kEndElement:
+        EndElement(*ev.str, ev.depth);
+        break;
+      case xml::StaxEvent::kStartDocument:
+      case xml::StaxEvent::kEndDocument:
+        break;
+    }
+  }
+
+  const std::map<int32_t, Span>& finished() const { return finished_; }
+  const std::vector<std::string>& blocks() const { return blocks_; }
+  /// Largest outermost capture block: the most capture bytes open at once.
+  size_t peak_buffered() const { return peak_buffered_; }
+  /// Capture bytes written since the last call (charged into the request
+  /// MemoryBudget by ChargeAndCheck).
+  uint64_t TakeAppended() { return std::exchange(appended_, 0); }
+
+ private:
+  /// An in-flight capture: its node, where its bytes begin in the
+  /// current block, and the reader depth at which it started.
+  struct Open {
+    int32_t node_id;
+    size_t begin;
+    int open_depth;
+  };
+
+  void StartElement(const ScanEvent& ev, bool staged) {
     if (open_.empty()) {
       if (!staged) return;
       blocks_.emplace_back();
@@ -92,10 +121,10 @@ class CaptureStream {
     std::string& buf = blocks_.back();
     const size_t before = buf.size();
     CloseStartTag(buf);
-    if (staged) open_.push_back(Open{node_id, buf.size(), depth});
+    if (staged) open_.push_back(Open{ev.node_id, buf.size(), ev.depth});
     buf += '<';
-    buf += name;
-    for (const xml::StaxAttr* a = attrs_begin; a != attrs_end; ++a) {
+    buf += *ev.str;
+    for (const xml::StaxAttr* a = ev.attrs_begin; a != ev.attrs_end; ++a) {
       buf += ' ';
       buf += a->name;
       buf += "=\"";
@@ -115,7 +144,7 @@ class CaptureStream {
     appended_ += buf.size() - before;
   }
 
-  void EndElement(const std::string& name, int depth) {
+  void EndElement(std::string_view name, int depth) {
     if (open_.empty()) return;
     std::string& buf = blocks_.back();
     const size_t before = buf.size();
@@ -139,23 +168,6 @@ class CaptureStream {
     }
   }
 
-  const std::map<int32_t, Span>& finished() const { return finished_; }
-  const std::vector<std::string>& blocks() const { return blocks_; }
-  /// Largest outermost capture block: the most capture bytes open at once.
-  size_t peak_buffered() const { return peak_buffered_; }
-  /// Monotone total of capture bytes written; drivers charge the delta
-  /// since their last guard tick into the request MemoryBudget.
-  uint64_t appended() const { return appended_; }
-
- private:
-  /// An in-flight capture: its node, where its bytes begin in the
-  /// current block, and the reader depth at which it started.
-  struct Open {
-    int32_t node_id;
-    size_t begin;
-    int open_depth;
-  };
-
   void CloseStartTag(std::string& buf) {
     if (tag_open_) {
       buf += '>';
@@ -167,7 +179,7 @@ class CaptureStream {
   std::vector<std::string> blocks_;  // one per outermost capture
   std::map<int32_t, Span> finished_;
   size_t peak_buffered_ = 0;
-  uint64_t appended_ = 0;
+  uint64_t appended_ = 0;  // since the last TakeAppended
   bool tag_open_ = false;  // the current block has an unclosed start tag
 };
 
@@ -179,6 +191,8 @@ class CaptureStream {
 /// `staged_events` only after the chunk's join.
 struct PlanState {
   explicit PlanState(const automata::Mfa& mfa) : engine(mfa) {}
+
+  bool skipping() const { return skip_depth >= 0; }
 
   HypeEngine engine;
   /// Reader depth of the element whose subtree this plan is skipping
@@ -198,6 +212,53 @@ struct PlanState {
   std::vector<uint32_t> staged_events;
 };
 
+/// The per-plan event step both drivers run, so every engine sees the
+/// same Enter/Text/Leave sequence whichever driver feeds it. A skipping
+/// plan counts skipped elements as pruned and receives nothing but the
+/// skip root's direct text (when its guards need it) and the Leave that
+/// matches the skip root's Enter. Returns true when the plan staged a
+/// start element as a candidate.
+bool StepPlan(PlanState& ps, const ScanEvent& ev,
+              const xml::NameTable& names) {
+  switch (ev.kind) {
+    case xml::StaxEvent::kStartElement: {
+      if (ps.skipping()) {
+        ps.engine.mutable_stats()->nodes_pruned += 1;
+        return false;
+      }
+      AttrRange attrs(ev.attrs_begin, ev.attrs_end, names);
+      const size_t candidates_before = ps.engine.cans().node_count();
+      const int32_t engine_id = ps.engine.next_id();
+      HypeEngine::EnterResult r = ps.engine.Enter(ev.label, attrs);
+      if (r.can_skip_subtree) {
+        ps.skip_depth = ev.depth;
+        ps.skip_needs_text = r.needs_direct_text;
+      }
+      if (ps.engine.cans().node_count() == candidates_before) return false;
+      ps.candidate_nodes.emplace_back(engine_id, ev.node_id);
+      return true;
+    }
+    case xml::StaxEvent::kCharacters:
+      if (!ps.skipping() ||
+          (ps.skip_needs_text && ev.depth == ps.skip_depth)) {
+        ps.engine.Text(*ev.str);
+      }
+      return false;
+    case xml::StaxEvent::kEndElement:
+      if (!ps.skipping()) {
+        ps.engine.Leave();
+      } else if (ev.depth == ps.skip_depth - 1) {
+        ps.engine.Leave();  // the Leave matching the skip root's Enter
+        ps.skip_depth = -1;
+      }
+      return false;
+    case xml::StaxEvent::kStartDocument:
+    case xml::StaxEvent::kEndDocument:
+      break;
+  }
+  return false;
+}
+
 /// One decoded event of a tokenizer chunk.
 struct TokEvent {
   xml::StaxEvent kind;
@@ -216,71 +277,63 @@ struct TokChunk {
   std::vector<TokEvent> events;
   std::vector<xml::StaxAttr> attrs;
   std::vector<std::string> strings;
+  /// `events` with their strings and attributes resolved, built once the
+  /// buffers stop growing: every plan reads these, so a plan skipping a
+  /// subtree touches only an event's kind and depth.
+  std::vector<ScanEvent> scan;
 
   void Clear() {
     events.clear();
     attrs.clear();
     strings.clear();
+    scan.clear();
+  }
+
+  void Resolve() {
+    for (const TokEvent& e : events) {
+      scan.push_back(ScanEvent{e.kind, e.depth, &strings[e.str], e.label,
+                               e.node_id, attrs.data() + e.attr_begin,
+                               attrs.data() + e.attr_end});
+    }
   }
 };
 
-/// Decodes up to `max_events` events into `out` (cleared first). Start
-/// labels are interned here, on the driver thread — workers only ever
-/// read the name table. `ticker` polls the request guard per event.
-/// Returns true once kEndDocument was consumed.
+/// Decodes up to `max_events` events into `out` (cleared first) and
+/// resolves them. Start labels are interned here, on the driver thread —
+/// workers only ever read the name table. `ticker` polls the request
+/// guard per event. Returns true once kEndDocument was consumed.
 Result<bool> FillChunk(xml::StaxReader& reader, xml::NameTable* names,
                        int32_t* next_node_id, size_t max_events,
                        GuardTicker& ticker, TokChunk* out) {
   out->Clear();
-  while (out->events.size() < max_events) {
+  bool eof = false;
+  while (!eof && out->events.size() < max_events) {
     if (ticker.Due()) SMOQE_RETURN_IF_ERROR(ticker.Now());
     SMOQE_ASSIGN_OR_RETURN(xml::StaxEvent ev, reader.Next());
-    switch (ev) {
-      case xml::StaxEvent::kStartDocument:
-        continue;
-      case xml::StaxEvent::kEndDocument:
-        return true;
-      case xml::StaxEvent::kStartElement: {
-        TokEvent e;
-        e.kind = ev;
-        e.depth = reader.depth();
-        e.label = names->Intern(reader.name());
-        e.node_id = (*next_node_id)++;
-        e.attr_begin = static_cast<uint32_t>(out->attrs.size());
-        for (const xml::StaxAttr& a : reader.attrs()) out->attrs.push_back(a);
-        e.attr_end = static_cast<uint32_t>(out->attrs.size());
-        e.str = static_cast<uint32_t>(out->strings.size());
-        out->strings.push_back(reader.name());
-        out->events.push_back(e);
-        break;
-      }
-      case xml::StaxEvent::kEndElement: {
-        TokEvent e;
-        e.kind = ev;
-        e.depth = reader.depth();
-        e.str = static_cast<uint32_t>(out->strings.size());
-        out->strings.push_back(reader.name());
-        out->events.push_back(e);
-        break;
-      }
-      case xml::StaxEvent::kCharacters: {
-        TokEvent e;
-        e.kind = ev;
-        e.depth = reader.depth();
-        e.str = static_cast<uint32_t>(out->strings.size());
-        out->strings.push_back(reader.text());
-        out->events.push_back(e);
-        break;
-      }
+    eof = ev == xml::StaxEvent::kEndDocument;
+    if (eof || ev == xml::StaxEvent::kStartDocument) continue;
+    TokEvent e;
+    e.kind = ev;
+    e.depth = reader.depth();
+    e.str = static_cast<uint32_t>(out->strings.size());
+    if (ev == xml::StaxEvent::kStartElement) {
+      e.label = names->Intern(reader.name());
+      e.node_id = (*next_node_id)++;
+      e.attr_begin = static_cast<uint32_t>(out->attrs.size());
+      for (const xml::StaxAttr& a : reader.attrs()) out->attrs.push_back(a);
+      e.attr_end = static_cast<uint32_t>(out->attrs.size());
     }
+    out->strings.push_back(ev == xml::StaxEvent::kCharacters ? reader.text()
+                                                             : reader.name());
+    out->events.push_back(e);
   }
-  return false;
+  out->Resolve();
+  return eof;
 }
 
-/// Advances one plan through a whole chunk — the same per-plan logic the
-/// serial scan applies per event, so the engine sees an identical
-/// Enter/Text/Leave sequence. `ticker` polls the request guard per event;
-/// a trip stops the plan mid-chunk and is returned (the plan is then
+/// Advances one plan through a whole chunk with StepPlan, recording the
+/// start events it staged. `ticker` polls the request guard per event; a
+/// trip stops the plan mid-chunk and is returned (the plan is then
 /// unusable and the caller fails the call).
 Status AdvancePlanOverChunk(PlanState& ps, const TokChunk& chunk,
                             const xml::NameTable& names,
@@ -288,55 +341,21 @@ Status AdvancePlanOverChunk(PlanState& ps, const TokChunk& chunk,
   ps.staged_events.clear();
   for (uint32_t i = 0; i < chunk.events.size(); ++i) {
     if (ticker.Due()) SMOQE_RETURN_IF_ERROR(ticker.Now());
-    const TokEvent& ev = chunk.events[i];
-    switch (ev.kind) {
-      case xml::StaxEvent::kStartElement: {
-        if (ps.skip_depth >= 0) {
-          ps.engine.mutable_stats()->nodes_pruned += 1;
-          break;
-        }
-        SliceAttrs attrs(chunk.attrs.data() + ev.attr_begin,
-                         chunk.attrs.data() + ev.attr_end, names);
-        size_t candidates_before = ps.engine.cans().node_count();
-        int32_t engine_id = ps.engine.next_id();
-        HypeEngine::EnterResult r = ps.engine.Enter(ev.label, attrs);
-        if (ps.engine.cans().node_count() > candidates_before) {
-          ps.staged_events.push_back(i);
-          ps.candidate_nodes.emplace_back(engine_id, ev.node_id);
-        }
-        if (r.can_skip_subtree) {
-          ps.skip_depth = ev.depth;
-          ps.skip_needs_text = r.needs_direct_text;
-        }
-        break;
-      }
-      case xml::StaxEvent::kCharacters: {
-        if (ps.skip_depth >= 0) {
-          if (ps.skip_needs_text && ev.depth == ps.skip_depth) {
-            ps.engine.Text(chunk.strings[ev.str]);
-          }
-        } else {
-          ps.engine.Text(chunk.strings[ev.str]);
-        }
-        break;
-      }
-      case xml::StaxEvent::kEndElement: {
-        if (ps.skip_depth >= 0) {
-          if (ev.depth == ps.skip_depth - 1) {
-            ps.engine.Leave();  // the Leave matching the skip root's Enter
-            ps.skip_depth = -1;
-          }
-        } else {
-          ps.engine.Leave();
-        }
-        break;
-      }
-      case xml::StaxEvent::kStartDocument:
-      case xml::StaxEvent::kEndDocument:
-        break;  // never stored in chunks
-    }
+    if (StepPlan(ps, chunk.scan[i], names)) ps.staged_events.push_back(i);
   }
   return Status::OK();
+}
+
+/// The pass's budget charge: the capture bytes and every engine's
+/// allocations since the last charge go into `guard`'s MemoryBudget, then
+/// the guard is checked. It drains the engines' counters, so drivers call
+/// it only while no worker is advancing a plan.
+Status ChargeAndCheck(const Guardrail& guard, CaptureStream& cap,
+                      const std::vector<std::unique_ptr<PlanState>>& states) {
+  uint64_t bytes = cap.TakeAppended();
+  for (const auto& ps : states) bytes += ps->engine.TakeAllocBytes();
+  guard.ChargeBytes(bytes);
+  return guard.Check();
 }
 
 /// Demultiplexes each plan's answer ids into serialized answers via its
@@ -407,8 +426,7 @@ Result<std::vector<std::unique_ptr<PlanState>>> MakePlanStates(
 
 }  // namespace
 
-BatchEvaluator::BatchEvaluator(BatchStaxOptions options)
-    : options_(options) {}
+BatchEvaluator::BatchEvaluator(const Guardrail* guard) : guard_(guard) {}
 
 int BatchEvaluator::AddPlan(const automata::Mfa* mfa) {
   plans_.push_back(mfa);
@@ -421,99 +439,48 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::Run(
   SMOQE_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<PlanState>> states,
                          MakePlanStates(plans_));
   xml::NameTable* names = plans_[0]->names().get();
-
-  xml::StaxOptions stax_options;
-  stax_options.skip_whitespace_text = options_.skip_whitespace_text;
-  xml::StaxReader reader(xml, stax_options);
-
-  size_t live_plans = states.size();  // plans not currently skipping
-
+  xml::StaxReader reader(xml);
+  // Plans not currently skipping: while none is live, start tags are not
+  // even interned.
+  int live_plans = static_cast<int>(states.size());
   CaptureStream cap;
   int32_t next_node_id = 0;
-  GuardTicker ticker(options_.guard);
-  uint64_t charged_capture = 0;
+  GuardTicker ticker(guard_);
 
   while (true) {
     if (ticker.Due()) {
-      uint64_t bytes = cap.appended() - charged_capture;
-      charged_capture = cap.appended();
-      for (auto& ps : states) bytes += ps->engine.TakeAllocBytes();
-      options_.guard->ChargeBytes(bytes);
-      SMOQE_RETURN_IF_ERROR(ticker.Now());
+      SMOQE_RETURN_IF_ERROR(ChargeAndCheck(*guard_, cap, states));
     }
-    SMOQE_ASSIGN_OR_RETURN(xml::StaxEvent ev, reader.Next());
-    const int depth = reader.depth();
-
-    switch (ev) {
+    SMOQE_ASSIGN_OR_RETURN(xml::StaxEvent kind, reader.Next());
+    ScanEvent ev{kind, reader.depth(), nullptr};
+    switch (kind) {
       case xml::StaxEvent::kStartDocument:
         continue;
-      case xml::StaxEvent::kStartElement: {
-        const int32_t node_id = next_node_id++;
-        bool stage_capture = false;
-        if (live_plans > 0) {
-          // Shared per-event work: one intern, one attribute view.
-          xml::NameId label = names->Intern(reader.name());
-          StaxAttrs attrs(reader.attrs(), *names);
-          for (auto& ps : states) {
-            if (ps->skip_depth >= 0) {
-              ps->engine.mutable_stats()->nodes_pruned += 1;
-              continue;
-            }
-            size_t candidates_before = ps->engine.cans().node_count();
-            int32_t engine_id = ps->engine.next_id();
-            HypeEngine::EnterResult r = ps->engine.Enter(label, attrs);
-            if (ps->engine.cans().node_count() > candidates_before) {
-              stage_capture = true;
-              ps->candidate_nodes.emplace_back(engine_id, node_id);
-            }
-            if (r.can_skip_subtree) {
-              ps->skip_depth = depth;
-              ps->skip_needs_text = r.needs_direct_text;
-              --live_plans;
-            }
-          }
-        } else {
-          for (auto& ps : states) {
-            ps->engine.mutable_stats()->nodes_pruned += 1;
-          }
-        }
-        cap.StartElement(reader.name(), reader.attrs().data(),
-                         reader.attrs().data() + reader.attrs().size(), depth,
-                         node_id, stage_capture);
-        break;
-      }
-      case xml::StaxEvent::kCharacters: {
-        for (auto& ps : states) {
-          if (ps->skip_depth >= 0) {
-            if (ps->skip_needs_text && depth == ps->skip_depth) {
-              ps->engine.Text(reader.text());
-            }
-          } else {
-            ps->engine.Text(reader.text());
-          }
-        }
-        cap.Text(reader.text());
-        break;
-      }
-      case xml::StaxEvent::kEndElement: {
-        cap.EndElement(reader.name(), depth);
-        for (auto& ps : states) {
-          if (ps->skip_depth >= 0) {
-            if (depth == ps->skip_depth - 1) {
-              ps->engine.Leave();  // the Leave matching the skip root's Enter
-              ps->skip_depth = -1;
-              ++live_plans;
-            }
-          } else {
-            ps->engine.Leave();
-          }
-        }
-        break;
-      }
       case xml::StaxEvent::kEndDocument:
         SMOQE_RETURN_IF_ERROR(ticker.Now());
-        return AssembleResults(states, cap, options_.guard);
+        return AssembleResults(states, cap, guard_);
+      case xml::StaxEvent::kStartElement:
+        ev.str = &reader.name();
+        if (live_plans > 0) ev.label = names->Intern(reader.name());
+        ev.node_id = next_node_id++;
+        ev.attrs_begin = reader.attrs().data();
+        ev.attrs_end = ev.attrs_begin + reader.attrs().size();
+        break;
+      case xml::StaxEvent::kEndElement:
+        ev.str = &reader.name();
+        break;
+      case xml::StaxEvent::kCharacters:
+        ev.str = &reader.text();
+        break;
     }
+    bool staged = false;
+    for (auto& ps : states) {
+      const bool was_skipping = ps->skipping();
+      staged |= StepPlan(*ps, ev, *names);
+      live_plans += static_cast<int>(was_skipping) -
+                    static_cast<int>(ps->skipping());
+    }
+    cap.Append(ev, staged);
   }
 }
 
@@ -540,23 +507,19 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::RunParallel(
     return std::make_pair(begin, begin + per + (g < extra ? 1 : 0));
   };
 
-  xml::StaxOptions stax_options;
-  stax_options.skip_whitespace_text = options_.skip_whitespace_text;
-  xml::StaxReader reader(xml, stax_options);
-
+  xml::StaxReader reader(xml);
   const size_t chunk_events = par.chunk_events == 0 ? 4096 : par.chunk_events;
   TokChunk cur, next;
   int32_t next_node_id = 0;
   // The driver polls while tokenizing too: a chunk's decode can outlast
   // the plans' advance through the previous one.
-  GuardTicker tok_ticker(options_.guard);
+  GuardTicker tok_ticker(guard_);
   SMOQE_ASSIGN_OR_RETURN(
       bool eof, FillChunk(reader, names, &next_node_id, chunk_events,
                           tok_ticker, &cur));
 
   CaptureStream cap;
   std::vector<uint8_t> staged;
-  uint64_t charged_capture = 0;
   std::vector<Status> group_status(groups, Status::OK());
   // A tripped guard returns at once: the plan states of a wide batch are
   // thousands of small allocations per plan, so they are freed on the
@@ -573,7 +536,7 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::RunParallel(
     // the per-chunk check below alone would let deadline detection lag by
     // a whole chunk of a wide batch. A tripped group stops; the caller
     // fails the call after the join.
-    GuardTicker ticker(options_.guard);
+    GuardTicker ticker(guard_);
     for (size_t k = begin; k < end && group_status[g].ok(); ++k) {
       group_status[g] = AdvancePlanOverChunk(*states[k], cur, *names, ticker);
     }
@@ -615,24 +578,7 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::RunParallel(
       for (uint32_t i : ps->staged_events) staged[i] = 1;
     }
     for (uint32_t i = 0; i < cur.events.size(); ++i) {
-      const TokEvent& ev = cur.events[i];
-      switch (ev.kind) {
-        case xml::StaxEvent::kStartElement:
-          cap.StartElement(cur.strings[ev.str],
-                           cur.attrs.data() + ev.attr_begin,
-                           cur.attrs.data() + ev.attr_end, ev.depth,
-                           ev.node_id, staged[i] != 0);
-          break;
-        case xml::StaxEvent::kCharacters:
-          cap.Text(cur.strings[ev.str]);
-          break;
-        case xml::StaxEvent::kEndElement:
-          cap.EndElement(cur.strings[ev.str], ev.depth);
-          break;
-        case xml::StaxEvent::kStartDocument:
-        case xml::StaxEvent::kEndDocument:
-          break;
-      }
+      cap.Append(cur.scan[i], staged[i] != 0);
     }
     if (par.chunk_ns != nullptr) {
       par.chunk_ns->Record(static_cast<uint64_t>(
@@ -640,15 +586,10 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::RunParallel(
               std::chrono::steady_clock::now() - chunk_t0)
               .count()));
     }
-    // Per-chunk guard tick on the driver thread — the workers have
-    // joined, so the engines' allocation counters are safe to drain. A
-    // chunk bounds deadline-detection latency to a few thousand events.
-    if (options_.guard != nullptr) {
-      uint64_t bytes = cap.appended() - charged_capture;
-      charged_capture = cap.appended();
-      for (auto& ps : states) bytes += ps->engine.TakeAllocBytes();
-      options_.guard->ChargeBytes(bytes);
-      Status st = options_.guard->Check();
+    // Per-chunk budget charge on the driver thread — the workers have
+    // joined, so the engines' allocation counters are safe to drain.
+    if (guard_ != nullptr) {
+      Status st = ChargeAndCheck(*guard_, cap, states);
       if (!st.ok()) return trip(std::move(st));
     }
     std::swap(cur, next);
@@ -657,7 +598,7 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::RunParallel(
   // Final Cans selection per plan is independent — fan it out too.
   pool.ParallelFor(states.size(),
                    [&](size_t k) { states[k]->engine.FinishDocument(); });
-  return AssembleResults(states, cap, options_.guard);
+  return AssembleResults(states, cap, guard_);
 }
 
 EvalStats BatchEvaluator::AggregateStats(
@@ -665,14 +606,6 @@ EvalStats BatchEvaluator::AggregateStats(
   EvalStats total;
   for (const StaxEvalResult& r : results) total.MergeFrom(r.stats);
   return total;
-}
-
-Result<std::vector<StaxEvalResult>> EvalHypeStaxBatch(
-    const std::vector<const automata::Mfa*>& plans, std::string_view xml,
-    const BatchStaxOptions& options) {
-  BatchEvaluator batch(options);
-  for (const automata::Mfa* mfa : plans) batch.AddPlan(mfa);
-  return batch.Run(xml);
 }
 
 }  // namespace smoqe::eval

@@ -31,16 +31,6 @@
 
 namespace smoqe::eval {
 
-/// Options shared by every plan of a batch evaluation.
-struct BatchStaxOptions {
-  /// Drop all-whitespace text events (matches the DOM parser's default).
-  bool skip_whitespace_text = true;
-  /// Per-request guardrail (deadline/cancel/budget); nullptr = ungoverned.
-  /// Checked at the scan loop (serial) / between chunks (parallel); a
-  /// tripped guard unwinds the whole batch — never partial answers.
-  const Guardrail* guard = nullptr;
-};
-
 /// Knobs of the parallel batch driver (RunParallel).
 struct BatchParallelOptions {
   /// Pool supplying the worker threads; nullptr (or a pool without
@@ -80,7 +70,12 @@ struct BatchParallelOptions {
 /// shared peak capture footprint of the pass.
 class BatchEvaluator {
  public:
-  explicit BatchEvaluator(BatchStaxOptions options = {});
+  /// `guard` is the per-request guardrail (deadline/cancel/budget);
+  /// nullptr = ungoverned. It is polled per event by the serial scan, by
+  /// each plan group of the parallel driver and by that driver's
+  /// tokenizer; a tripped guard unwinds the whole batch — never partial
+  /// answers.
+  explicit BatchEvaluator(const Guardrail* guard = nullptr);
 
   /// Registers a compiled plan; returns its index in Run's result vector.
   /// Every plan must share the first plan's name table (checked by Run).
@@ -95,8 +90,9 @@ class BatchEvaluator {
   /// the calling thread decodes events into chunks (and tokenizes chunk
   /// k+1 while workers run chunk k), worker threads advance disjoint plan
   /// groups through each chunk, and the caller replays the shared capture
-  /// stream after each join. Every engine sees exactly the event sequence
-  /// Run would deliver, so answers and per-plan stats are identical.
+  /// stream after each join. Both drivers feed each plan through one
+  /// per-plan event step, so every engine sees exactly the event sequence
+  /// Run would deliver and answers and per-plan stats are identical.
   /// Falls back to Run when there is no pool, the pool has no workers or
   /// there are fewer than two plans.
   Result<std::vector<StaxEvalResult>> RunParallel(
@@ -111,15 +107,9 @@ class BatchEvaluator {
   static EvalStats AggregateStats(const std::vector<StaxEvalResult>& results);
 
  private:
-  BatchStaxOptions options_;
+  const Guardrail* guard_;
   std::vector<const automata::Mfa*> plans_;
 };
-
-/// One-shot convenience wrapper: evaluates `plans` over `xml` in a single
-/// pass. EvalHypeStax is this with N = 1.
-Result<std::vector<StaxEvalResult>> EvalHypeStaxBatch(
-    const std::vector<const automata::Mfa*>& plans, std::string_view xml,
-    const BatchStaxOptions& options = {});
 
 }  // namespace smoqe::eval
 

@@ -12,11 +12,8 @@ namespace smoqe::eval {
 // to maintain, and every single-query test exercises the batch code path.
 Result<StaxEvalResult> EvalHypeStax(const automata::Mfa& mfa,
                                     std::string_view xml,
-                                    const StaxEvalOptions& options) {
-  BatchStaxOptions batch_options;
-  batch_options.skip_whitespace_text = options.skip_whitespace_text;
-  batch_options.guard = options.guard;
-  BatchEvaluator batch(batch_options);
+                                    const Guardrail* guard) {
+  BatchEvaluator batch(guard);
   batch.AddPlan(&mfa);
   SMOQE_ASSIGN_OR_RETURN(std::vector<StaxEvalResult> results, batch.Run(xml));
   return std::move(results[0]);

@@ -17,15 +17,6 @@
 
 namespace smoqe::eval {
 
-/// Options for StAX-mode evaluation.
-struct StaxEvalOptions {
-  /// Drop text events that are all whitespace (matches the DOM parser's
-  /// default, so the two modes agree).
-  bool skip_whitespace_text = true;
-  /// Per-request guardrail; forwarded to the batch driver's scan loop.
-  const Guardrail* guard = nullptr;
-};
-
 /// One answer from a streaming evaluation.
 struct StaxAnswer {
   int32_t engine_id;  ///< element pre-order id in the stream
@@ -46,10 +37,15 @@ struct StaxEvalResult {
 /// during the same scan; candidates whose guards fail are discarded by the
 /// final Cans pass. Peak capture footprint is reported in
 /// `stats.buffered_bytes` (the paper's claim that Cans is much smaller
-/// than the document is experiment E4/E5).
+/// than the document is experiment E4/E5). Whitespace-only text is
+/// skipped, as the DOM parser skips it, so the two modes agree.
+///
+/// `guard` is the per-request guardrail; nullptr = ungoverned. The scan
+/// polls it per event and charges capture and engine allocations to its
+/// budget.
 Result<StaxEvalResult> EvalHypeStax(const automata::Mfa& mfa,
                                     std::string_view xml,
-                                    const StaxEvalOptions& options = {});
+                                    const Guardrail* guard = nullptr);
 
 }  // namespace smoqe::eval
 

@@ -1,7 +1,8 @@
 #include "src/telemetry/audit.h"
 
 #include <chrono>
-#include <cstdio>
+
+#include "src/common/strings.h"
 
 namespace smoqe::telemetry {
 
@@ -16,43 +17,6 @@ const char* AuditKindName(AuditKind kind) {
   }
   return "unknown";
 }
-
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 AuditLog::AuditLog(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
 
@@ -94,14 +58,18 @@ size_t AuditLog::size() const {
 std::string AuditLog::RenderJson(const AuditRecord& r) {
   std::string out = "{\"seq\": " + std::to_string(r.seq) +
                     ", \"unix_micros\": " + std::to_string(r.unix_micros) +
-                    ", \"kind\": \"" + AuditKindName(r.kind) + "\"" +
-                    ", \"view\": \"" + JsonEscape(r.view) + "\"" +
-                    ", \"doc\": \"" + JsonEscape(r.doc) + "\"" +
-                    ", \"doc_epoch\": " + std::to_string(r.doc_epoch) +
-                    ", \"statement\": \"" + JsonEscape(r.statement) + "\"" +
-                    ", \"allowed\": " + (r.allowed ? "true" : "false") +
-                    ", \"explain\": \"" + JsonEscape(r.explain) + "\"" +
-                    ", \"trace_id\": " + std::to_string(r.trace_id) + "}";
+                    ", \"kind\": \"" + AuditKindName(r.kind) +
+                    "\", \"view\": \"";
+  AppendJsonEscaped(r.view, &out);
+  out += "\", \"doc\": \"";
+  AppendJsonEscaped(r.doc, &out);
+  out += "\", \"doc_epoch\": " + std::to_string(r.doc_epoch) +
+         ", \"statement\": \"";
+  AppendJsonEscaped(r.statement, &out);
+  out += std::string("\", \"allowed\": ") + (r.allowed ? "true" : "false") +
+         ", \"explain\": \"";
+  AppendJsonEscaped(r.explain, &out);
+  out += "\", \"trace_id\": " + std::to_string(r.trace_id) + "}";
   return out;
 }
 

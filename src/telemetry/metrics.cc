@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <vector>
 
+#include "src/common/strings.h"
+
 namespace smoqe::telemetry {
 
 size_t ThreadShardIndex() {
@@ -196,17 +198,6 @@ std::string PrometheusName(const std::string& name) {
 
 namespace {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) continue;  // names are tame
-    out += c;
-  }
-  return out;
-}
-
 std::string FormatDouble(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.1f", v);
@@ -224,8 +215,9 @@ std::string MetricsRegistry::Render(DumpFormat format) const {
     for (const auto& [name, c] : counters_) {
       out += first ? "\n" : ",\n";
       first = false;
-      out += "    \"" + JsonEscape(name) +
-             "\": " + std::to_string(c->Value());
+      out += "    \"";
+      AppendJsonEscaped(name, &out);
+      out += "\": " + std::to_string(c->Value());
     }
     out += first ? "},\n" : "\n  },\n";
     out += "  \"gauges\": {";
@@ -233,8 +225,9 @@ std::string MetricsRegistry::Render(DumpFormat format) const {
     for (const auto& [name, g] : gauges_) {
       out += first ? "\n" : ",\n";
       first = false;
-      out += "    \"" + JsonEscape(name) +
-             "\": " + std::to_string(g->Value());
+      out += "    \"";
+      AppendJsonEscaped(name, &out);
+      out += "\": " + std::to_string(g->Value());
     }
     out += first ? "},\n" : "\n  },\n";
     out += "  \"histograms\": {";
@@ -243,8 +236,10 @@ std::string MetricsRegistry::Render(DumpFormat format) const {
       const Histogram::Snapshot s = h->TakeSnapshot();
       out += first ? "\n" : ",\n";
       first = false;
-      out += "    \"" + JsonEscape(name) + "\": {\"count\": " +
-             std::to_string(s.count) + ", \"sum\": " + std::to_string(s.sum) +
+      out += "    \"";
+      AppendJsonEscaped(name, &out);
+      out += "\": {\"count\": " + std::to_string(s.count) +
+             ", \"sum\": " + std::to_string(s.sum) +
              ", \"min\": " + std::to_string(s.min) +
              ", \"max\": " + std::to_string(s.max) +
              ", \"p50\": " + FormatDouble(s.p50) +
@@ -276,11 +271,6 @@ std::string MetricsRegistry::Render(DumpFormat format) const {
     out += pn + "_count " + std::to_string(s.count) + "\n";
   }
   return out;
-}
-
-MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry registry;
-  return registry;
 }
 
 }  // namespace smoqe::telemetry

@@ -152,10 +152,6 @@ class MetricsRegistry {
   /// and p50/p95/p99 (Prometheus: a summary with quantile labels).
   std::string Render(DumpFormat format) const;
 
-  /// Process-wide registry for embedders that aggregate several engines;
-  /// `Smoqe` instances own their own registry by default.
-  static MetricsRegistry& Global();
-
  private:
   mutable std::mutex mu_;  // guards the maps, never the metrics
   std::map<std::string, std::unique_ptr<Counter>> counters_;

@@ -3,6 +3,8 @@
 #include <chrono>
 #include <cstdio>
 
+#include "src/common/strings.h"
+
 namespace smoqe::telemetry {
 
 namespace {
@@ -11,39 +13,6 @@ int64_t NowUnixMicros() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::system_clock::now().time_since_epoch())
       .count();
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string HumanNs(uint64_t ns) {
@@ -64,6 +33,15 @@ void AppendU64(std::string& out, const char* key, uint64_t v, bool comma) {
   out += key;
   out += "\": " + std::to_string(v);
   if (comma) out += ", ";
+}
+
+/// `"key": "<escaped v>", ` — a string field followed by a comma.
+void AppendString(std::string& out, const char* key, const std::string& v) {
+  out += "\"";
+  out += key;
+  out += "\": \"";
+  AppendJsonEscaped(v, &out);
+  out += "\", ";
 }
 
 }  // namespace
@@ -110,12 +88,11 @@ std::string ProfileRenderer::Text(const Profile& profile) {
 std::string ProfileRenderer::Json(const Profile& profile) {
   std::string out = "{";
   AppendU64(out, "trace_id", profile.trace_id, true);
-  out += "\"op\": \"" + JsonEscape(profile.op) + "\", ";
-  out += "\"doc\": \"" + JsonEscape(profile.doc) + "\", ";
-  out += "\"view\": \"" + JsonEscape(profile.view) + "\", ";
-  out += "\"statement\": \"" + JsonEscape(profile.statement) + "\", ";
-  out += "\"canonical_query\": \"" + JsonEscape(profile.canonical_query) +
-         "\", ";
+  AppendString(out, "op", profile.op);
+  AppendString(out, "doc", profile.doc);
+  AppendString(out, "view", profile.view);
+  AppendString(out, "statement", profile.statement);
+  AppendString(out, "canonical_query", profile.canonical_query);
   out += std::string("\"plan_cache_hit\": ") +
          (profile.plan_cache_hit ? "true" : "false") + ", ";
   AppendU64(out, "doc_epoch", profile.doc_epoch, true);
@@ -126,8 +103,9 @@ std::string ProfileRenderer::Json(const Profile& profile) {
   for (const ProfileStage& s : profile.stages) {
     if (!first) out += ", ";
     first = false;
-    out += "{\"name\": \"" + JsonEscape(s.name) +
-           "\", \"parent\": " + std::to_string(s.parent) + ", ";
+    out += '{';
+    AppendString(out, "name", s.name);
+    out += "\"parent\": " + std::to_string(s.parent) + ", ";
     AppendU64(out, "ns", s.ns, false);
     out += "}";
   }
@@ -186,7 +164,7 @@ std::string SlowQueryLog::RenderJson() const {
     out += "{";
     AppendU64(out, "seq", e.seq, true);
     out += "\"unix_micros\": " + std::to_string(e.unix_micros) + ", ";
-    out += "\"role\": \"" + JsonEscape(e.role) + "\", ";
+    AppendString(out, "role", e.role);
     AppendU64(out, "threshold_ns", e.threshold_ns, true);
     out += "\"profile\": " + ProfileRenderer::Json(e.profile);
     out += "}";

@@ -7,8 +7,7 @@
 /// off; every helper here (and SpanScope in trace.h) is null-safe, so
 /// call sites stay branch-free. The registry/recorder/log are engine-
 /// scoped, not process-global, which keeps tests isolated and lets one
-/// process run several engines; `MetricsRegistry::Global()` remains for
-/// embedders that want cross-engine aggregation.
+/// process run several engines.
 
 #ifndef SMOQE_TELEMETRY_TELEMETRY_H_
 #define SMOQE_TELEMETRY_TELEMETRY_H_

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "src/common/strings.h"
+
 namespace smoqe::telemetry {
 
 namespace {
@@ -11,39 +13,6 @@ int64_t NowUnixMicros() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::system_clock::now().time_since_epoch())
       .count();
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// "1.234 ms" / "56.7 us" / "890 ns" — keeps the text renderer readable
@@ -211,24 +180,31 @@ std::string TraceRecorder::RenderText(const Trace& trace) {
 }
 
 std::string TraceRecorder::RenderJson(const Trace& trace) {
-  std::string out = "{\"id\": " + std::to_string(trace.id()) + ", \"name\": \"" +
-                    JsonEscape(trace.name()) + "\", \"start_unix_micros\": " +
-                    std::to_string(trace.start_unix_micros()) +
-                    ", \"duration_ns\": " +
-                    std::to_string(trace.duration_ns()) + ", \"attrs\": {";
+  std::string out =
+      "{\"id\": " + std::to_string(trace.id()) + ", \"name\": \"";
+  AppendJsonEscaped(trace.name(), &out);
+  out += "\", \"start_unix_micros\": " +
+         std::to_string(trace.start_unix_micros()) +
+         ", \"duration_ns\": " + std::to_string(trace.duration_ns()) +
+         ", \"attrs\": {";
   bool first = true;
   for (const auto& [k, v] : trace.attrs()) {
     if (!first) out += ", ";
     first = false;
-    out += "\"" + JsonEscape(k) + "\": \"" + JsonEscape(v) + "\"";
+    out += '"';
+    AppendJsonEscaped(k, &out);
+    out += "\": \"";
+    AppendJsonEscaped(v, &out);
+    out += '"';
   }
   out += "}, \"spans\": [";
   first = true;
   for (const SpanRecord& s : trace.spans()) {
     if (!first) out += ", ";
     first = false;
-    out += "{\"name\": \"" + JsonEscape(s.name) +
-           "\", \"parent\": " + std::to_string(s.parent) +
+    out += "{\"name\": \"";
+    AppendJsonEscaped(s.name, &out);
+    out += "\", \"parent\": " + std::to_string(s.parent) +
            ", \"start_ns\": " + std::to_string(s.start_ns) +
            ", \"end_ns\": " + std::to_string(s.end_ns) + "}";
   }

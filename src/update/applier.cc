@@ -275,21 +275,15 @@ Result<ApplyStats> UpdateApplier::Commit(const std::vector<PlannedEdit>& plan,
   doc_->RefreshOrder();
 
   if (options_.tax != nullptr) {
-    if (options_.rebuild_tax) {
-      SMOQE_ASSIGN_OR_RETURN(*options_.tax,
-                             index::TaxIndex::Build(*doc_, options_.guard));
-      stats.tax_rebuilt = true;
-    } else {
-      bool first = true;
-      for (const auto& [parent, grafted] : dirty) {
-        SMOQE_ASSIGN_OR_RETURN(
-            size_t recomputed,
-            options_.tax->RepairAfterEdit(
-                *doc_, parent, grafted,
-                first ? retired : std::vector<int32_t>(), options_.guard));
-        stats.tax_sets_recomputed += recomputed;
-        first = false;
-      }
+    bool first = true;
+    for (const auto& [parent, grafted] : dirty) {
+      SMOQE_ASSIGN_OR_RETURN(
+          size_t recomputed,
+          options_.tax->RepairAfterEdit(
+              *doc_, parent, grafted,
+              first ? retired : std::vector<int32_t>(), options_.guard));
+      stats.tax_sets_recomputed += recomputed;
+      first = false;
     }
   }
   return stats;

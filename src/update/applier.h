@@ -45,19 +45,15 @@ struct ApplyStats {
   uint64_t nodes_inserted = 0;
   uint64_t nodes_deleted = 0;
   uint64_t tax_sets_recomputed = 0;  ///< incremental repair work
-  bool tax_rebuilt = false;          ///< maintenance fell back to full Build
 };
 
 struct ApplierOptions {
   /// Revalidation schema; when null only structural rules are enforced
   /// (root preservation, well-formed grafts).
   const xml::Dtd* dtd = nullptr;
-  /// TAX index of the document, maintained across the update when
-  /// non-null (repaired incrementally, or rebuilt under `rebuild_tax`).
+  /// TAX index of the document, repaired incrementally across the update
+  /// when non-null.
   index::TaxIndex* tax = nullptr;
-  /// Maintain TAX by full rebuild instead of ancestor-chain repair — the
-  /// E12 differential/ablation knob.
-  bool rebuild_tax = false;
   /// Per-request guardrail, checked per edit while planning and again
   /// before the commit. A guard trip (or an armed "update.apply" /
   /// "tax.repair" fault) during the commit's TAX maintenance may leave

@@ -52,6 +52,27 @@ TEST(StringsTest, XmlEscape) {
   EXPECT_EQ(out, "<a k=\"x&amp;y&apos;&quot;z");
 }
 
+TEST(StringsTest, JsonEscape) {
+  auto escaped = [](std::string_view s) {
+    std::string out;
+    AppendJsonEscaped(s, &out);
+    return out;
+  };
+  EXPECT_EQ(escaped("plain"), "plain");
+  EXPECT_EQ(escaped(""), "");
+  EXPECT_EQ(escaped("say \"hi\""), "say \\\"hi\\\"");
+  EXPECT_EQ(escaped("a\\b"), "a\\\\b");
+  EXPECT_EQ(escaped("\n\t\r"), "\\n\\t\\r");
+  EXPECT_EQ(escaped(std::string_view("a\x01", 2)), "a\\u0001");
+  EXPECT_EQ(escaped(std::string_view("\0\x1f", 2)), "\\u0000\\u001f");
+  // Bytes from 0x20 up, UTF-8 included, pass through unchanged.
+  EXPECT_EQ(escaped("caf\xc3\xa9 ~"), "caf\xc3\xa9 ~");
+  // Appends: what is already in the buffer stays.
+  std::string out = "{\"k\": \"";
+  AppendJsonEscaped("x\"", &out);
+  EXPECT_EQ(out, "{\"k\": \"x\\\"");
+}
+
 TEST(StringsTest, XmlNameValidation) {
   EXPECT_TRUE(IsValidXmlName("patient"));
   EXPECT_TRUE(IsValidXmlName("_x"));

@@ -32,6 +32,7 @@
 #include "src/rxpath/parser.h"
 #include "src/workload/workloads.h"
 #include "src/xml/serializer.h"
+#include "src/xml/stax.h"
 #include "tests/test_util.h"
 
 namespace smoqe::core {
@@ -42,8 +43,25 @@ using testutil::kHospitalDoc;
 EngineOptions ParallelOptions() {
   EngineOptions o;
   o.max_threads = 4;
-  o.stax_chunk_events = 64;  // force multi-chunk scans on small documents
   return o;
+}
+
+/// The facade's StAX chunk grain: BatchParallelOptions' default.
+const size_t kChunkEvents = eval::BatchParallelOptions().chunk_events;
+
+/// Events the StAX batch drivers see in a loaded document (start tags,
+/// end tags and non-whitespace text), so a test can assert that its
+/// scans span several chunks.
+size_t StaxEventCount(const Smoqe& engine, const std::string& doc_name) {
+  auto text = engine.DocumentXml(doc_name);
+  if (!text.ok()) return 0;
+  xml::StaxReader reader(*text);
+  size_t events = 0;
+  for (;;) {
+    auto ev = reader.Next();
+    if (!ev.ok() || *ev == xml::StaxEvent::kEndDocument) return events;
+    if (*ev != xml::StaxEvent::kStartDocument) ++events;
+  }
 }
 
 class ConcurrencyTest : public ::testing::Test {
@@ -62,9 +80,11 @@ class ConcurrencyTest : public ::testing::Test {
                     ->DefineView("research-group", "hospital",
                                  workload::kHospitalPolicyResearch)
                     .ok());
-    // A bigger generated document so scans outlast a few context switches.
+    // A bigger generated document so scans outlast a few context switches
+    // and the parallel StAX batch runs several fork/join chunks.
     ASSERT_TRUE(
-        engine_->GenerateDocument("gen", "hospital", /*seed=*/7, 4000).ok());
+        engine_->GenerateDocument("gen", "hospital", /*seed=*/7, 16000).ok());
+    ASSERT_GE(StaxEventCount(*engine_, "gen"), 3 * kChunkEvents);
   }
 
   std::unique_ptr<Smoqe> engine_;
@@ -490,13 +510,12 @@ TEST(BatchParallelTest, FacadeBatchCountersEqualAggregatedItemStats) {
   // Facade invariant: after one QueryBatch, the engine's eval.* telemetry
   // counters equal the MergeFrom aggregate of the per-answer stats — the
   // registry and the returned answers tell one story.
-  EngineOptions o;
-  o.max_threads = 4;
-  o.stax_chunk_events = 64;
-  Smoqe engine(o);
+  Smoqe engine(ParallelOptions());
   ASSERT_TRUE(
       engine.RegisterDtd("hospital", testutil::kHospitalDtd, "hospital").ok());
-  ASSERT_TRUE(engine.LoadDocument("ward", kHospitalDoc).ok());
+  ASSERT_TRUE(
+      engine.GenerateDocument("ward", "hospital", /*seed=*/7, 16000).ok());
+  ASSERT_GE(StaxEventCount(engine, "ward"), 3 * kChunkEvents);
   std::vector<BatchQueryItem> items;
   QueryOptions stax;
   stax.mode = EvalMode::kStax;
@@ -566,15 +585,15 @@ TEST(BatchParallelTest, SerialEngineOptionMatchesParallelEngine) {
   auto make_engine = [&](int threads) {
     EngineOptions o;
     o.max_threads = threads;
-    o.stax_chunk_events = 32;
     auto e = std::make_unique<Smoqe>(o);
     EXPECT_TRUE(
         e->RegisterDtd("hospital", testutil::kHospitalDtd, "hospital").ok());
-    EXPECT_TRUE(e->GenerateDocument("gen", "hospital", /*seed=*/3, 2000).ok());
+    EXPECT_TRUE(e->GenerateDocument("gen", "hospital", /*seed=*/3, 16000).ok());
     return e;
   };
   auto serial = make_engine(1);
   auto parallel = make_engine(4);
+  ASSERT_GE(StaxEventCount(*parallel, "gen"), 3 * kChunkEvents);
   EXPECT_EQ(serial->pool(), nullptr);
   ASSERT_NE(parallel->pool(), nullptr);
 

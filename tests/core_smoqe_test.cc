@@ -232,6 +232,40 @@ TEST_F(SmoqeTest, ErrorPaths) {
   EXPECT_FALSE(engine_.LoadDocument("bad", "<a><b></a>").ok());
 }
 
+TEST_F(SmoqeTest, QueryAndBatchAgreeOnItemFailures) {
+  // Query and every QueryBatch item resolve the plan and check the
+  // evaluation preconditions the same way, so a failing item carries
+  // Query's status under its "batch item N" context.
+  QueryOptions unknown_view;
+  unknown_view.view = "ghost";
+  QueryOptions stax_tax;
+  stax_tax.mode = EvalMode::kStax;
+  stax_tax.use_tax = true;
+  QueryOptions dom_tax;
+  dom_tax.use_tax = true;  // "ward" has no TAX index
+  const std::vector<BatchQueryItem> items = {{"//pname", {}},
+                                             {"a[[", {}},
+                                             {"//pname", unknown_view},
+                                             {"//pname", stax_tax},
+                                             {"//pname", dom_tax}};
+  const std::vector<StatusCode> codes = {
+      StatusCode::kOk, StatusCode::kParseError, StatusCode::kNotFound,
+      StatusCode::kInvalidArgument, StatusCode::kFailedPrecondition};
+  auto batch = engine_.QueryBatch("ward", items);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_EQ(batch->size(), items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    const Status single =
+        engine_.Query("ward", items[i].query, items[i].options).status();
+    const Status& item = (*batch)[i].status;
+    EXPECT_EQ(single.code(), codes[i]) << "item " << i;
+    EXPECT_EQ(item.code(), single.code()) << "item " << i;
+    EXPECT_EQ(item.message(),
+              single.WithContext("batch item " + std::to_string(i)).message())
+        << "item " << i;
+  }
+}
+
 TEST_F(SmoqeTest, HandWrittenViewSpecification) {
   // The paper's other view-definition mode: register a view written
   // directly as view DTD + sigma, type-checked against the document DTD.

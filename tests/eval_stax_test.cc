@@ -217,7 +217,9 @@ TEST(BatchEvalTest, BatchAnswersByteIdenticalToSequential) {
     std::vector<const Mfa*> plans;
     for (const Mfa& m : mfas) plans.push_back(&m);
 
-    auto batch = EvalHypeStaxBatch(plans, text);
+    BatchEvaluator evaluator;
+    for (const Mfa* m : plans) evaluator.AddPlan(m);
+    auto batch = evaluator.Run(text);
     ASSERT_TRUE(batch.ok()) << "seed " << seed << ": "
                             << batch.status().ToString();
     ASSERT_EQ(batch->size(), plans.size());
@@ -244,13 +246,16 @@ TEST(BatchEvalTest, RejectsPlansFromDifferentNameTables) {
   auto ma = Mfa::Compile(*qa, names_a);
   auto mb = Mfa::Compile(*qb, names_b);
   ASSERT_TRUE(ma.ok() && mb.ok());
-  auto r = EvalHypeStaxBatch({&*ma, &*mb}, "<a><b/></a>");
+  BatchEvaluator batch;
+  batch.AddPlan(&*ma);
+  batch.AddPlan(&*mb);
+  auto r = batch.Run("<a><b/></a>");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(BatchEvalTest, EmptyBatchIsNoop) {
-  auto r = EvalHypeStaxBatch({}, "<a/>");
+  auto r = BatchEvaluator().Run("<a/>");
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->empty());
 }

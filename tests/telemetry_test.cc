@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <random>
 #include <string>
 #include <thread>
@@ -195,6 +196,72 @@ TEST(MetricsRegistry, RenderJsonShape) {
   // Braces balance (cheap well-formedness check without a JSON parser).
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
+}
+
+/// Decodes the JSON string literal whose opening quote is at `*pos` and
+/// moves `*pos` past its closing quote.
+std::string ReadJsonString(const std::string& json, size_t* pos) {
+  std::string out;
+  size_t i = *pos + 1;
+  while (json[i] != '"') {
+    const char c = json[i++];
+    if (c != '\\') {
+      out += c;
+      continue;
+    }
+    const char e = json[i++];
+    switch (e) {
+      case 'n':
+        out += '\n';
+        break;
+      case 't':
+        out += '\t';
+        break;
+      case 'r':
+        out += '\r';
+        break;
+      case 'u':
+        out += static_cast<char>(std::stoi(json.substr(i, 4), nullptr, 16));
+        i += 4;
+        break;
+      default:  // \" and \\ stand for themselves
+        out += e;
+    }
+  }
+  *pos = i + 1;
+  return out;
+}
+
+TEST(MetricsRegistry, ControlCharacterNamesRenderDistinctKeys) {
+  // Document names reach metric names (doc.epoch.<name>). A control
+  // character is escaped, not dropped, so two documents never share a key.
+  MetricsRegistry reg;
+  reg.GetCounter("doc.epoch.a").Add(1);
+  reg.GetCounter(std::string("doc.epoch.a\x01", 12)).Add(2);
+  const std::string json = reg.Render(DumpFormat::kJson);
+  EXPECT_NE(json.find("\"doc.epoch.a\\u0001\": 2"), std::string::npos)
+      << json;
+  EXPECT_EQ(std::count_if(json.begin(), json.end(),
+                          [](char c) {
+                            return c != '\n' &&
+                                   static_cast<unsigned char>(c) < 0x20;
+                          }),
+            0);
+  // Every counter key decodes back to the name it was registered under.
+  const size_t begin = json.find("\"counters\": {");
+  const size_t end = json.find('}', begin);
+  ASSERT_NE(begin, std::string::npos);
+  std::map<std::string, std::string> counters;
+  for (size_t pos = json.find('"', begin + 13); pos < end;
+       pos = json.find('"', pos)) {
+    const std::string key = ReadJsonString(json, &pos);
+    ASSERT_EQ(json.compare(pos, 2, ": "), 0) << json;
+    const size_t value_end = json.find_first_of(",\n", pos);
+    counters[key] = json.substr(pos + 2, value_end - pos - 2);
+  }
+  const std::map<std::string, std::string> want = {
+      {"doc.epoch.a", "1"}, {std::string("doc.epoch.a\x01", 12), "2"}};
+  EXPECT_EQ(counters, want);
 }
 
 TEST(MetricsRegistry, RenderPrometheusShape) {
