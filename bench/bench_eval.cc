@@ -87,9 +87,8 @@ void TwoPass(benchmark::State& state) {
 // BENCH_eval.json — the recorded perf trajectory (ns/node, nodes/sec,
 // peak active pairs) per workload × size. The engine has one hot path;
 // rows keep the "opt_all" config key of the retired E10 sweep. Its
-// no_dispatch / no_interning / no_hashdedup / opt_none rows are in the
-// committed file (a re-run replaces every hype_dom row, so after one they
-// live in the git history).
+// no_dispatch / no_interning / no_hashdedup / opt_none rows live in the
+// git history of BENCH_eval.json (a re-run replaces every hype_dom row).
 // ---------------------------------------------------------------------
 
 void SweepDom(const char* workload, const xml::Document& doc,
@@ -131,8 +130,10 @@ void WriteTrajectory(const char* path) {
       // The recursive-predicate query (Q0) and the mid-selectivity text
       // predicate cover the guard-heavy and scan-heavy regimes without
       // blowing up sweep time. The descendant-predicate queries run over
-      // the deep-genealogy document — with the default shallow nesting
-      // their frames never widen past the hashed-dedup threshold.
+      // the deep-genealogy document, where every nested patient's
+      // instance shares its ancestors' obligation runs: their
+      // max_active_pairs must stay flat as the document grows (CI's bench
+      // smoke fails a desc-* row above 8).
       std::string id(bq.id);
       if (id == "Q0" || id == "pred-text") {
         SweepDom("hospital", hospital, bq, &report);

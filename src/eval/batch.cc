@@ -457,7 +457,11 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::Run(
       case xml::StaxEvent::kStartDocument:
         continue;
       case xml::StaxEvent::kEndDocument:
-        SMOQE_RETURN_IF_ERROR(ticker.Now());
+        // The tail since the last tick (all of a document under one tick
+        // period) is charged before the answers are copied out.
+        if (guard_ != nullptr) {
+          SMOQE_RETURN_IF_ERROR(ChargeAndCheck(*guard_, cap, states));
+        }
         return AssembleResults(states, cap, guard_);
       case xml::StaxEvent::kStartElement:
         ev.str = &reader.name();

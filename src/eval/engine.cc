@@ -38,14 +38,9 @@ HypeEngine::HypeEngine(const automata::Mfa& mfa) : mfa_(mfa) {
     r.is_selection = true;
     r.state = state;
     r.guard = InstantiateSet(guard_preds, attrs);
-    AddRun(r);
+    AddRun(r, attrs);
   }
-  Frame& base = CurFrame();
-  for (size_t i = 0; i < base.runs.size(); ++i) {
-    Run r = base.runs[i];  // copy: the vector may grow/reallocate
-    EagerInstantiate(r, attrs);
-    HandleAccepts(r, attrs);
-  }
+  RunWorklist(attrs);
 }
 
 HypeEngine::~HypeEngine() = default;
@@ -57,6 +52,7 @@ HypeEngine::Frame& HypeEngine::PushFrame(int32_t id) {
   }
   Frame& f = stack_[depth_++];
   f.Reset(id);
+  accepted_ = 0;
   // New epoch: every dedup-table slot of previous frames is now stale.
   ++frame_epoch_;
   return f;
@@ -76,40 +72,69 @@ namespace {
 /// workload showed 4–16 equivalent and ≥32 measurably worse.
 constexpr size_t kRunIndexThreshold = 16;
 
-/// Hash of a run's dedup key (is_selection, ob, owner, leaf, state).
-/// `owner` and `state` carry nearly all the entropy; one 64-bit multiply
-/// spreads them.
+/// Hash of a run's dedup key (is_selection, ob, leaf, state). `state`
+/// carries most of the entropy; one 64-bit multiply spreads it.
 inline uint32_t RunKeyHash(bool is_selection, automata::ObligationId ob,
-                           InstId owner, int leaf, int state) {
-  uint32_t lo = (static_cast<uint32_t>(state) << 12) ^
-                (static_cast<uint32_t>(leaf) << 6) ^
-                static_cast<uint32_t>(ob) ^ (is_selection ? 1u : 0u);
-  uint64_t x =
-      (static_cast<uint64_t>(static_cast<uint32_t>(owner)) << 32) | lo;
+                           int leaf, int state) {
+  uint64_t x = (static_cast<uint64_t>(static_cast<uint32_t>(state)) << 32) |
+               ((static_cast<uint32_t>(leaf) << 16) ^
+                (static_cast<uint32_t>(ob) << 1) ^ (is_selection ? 1u : 0u));
   x *= 0x9e3779b97f4a7c15ull;
   return static_cast<uint32_t>(x >> 32);
 }
 
 }  // namespace
 
-bool HypeEngine::AddRun(Run run) {
+bool HypeEngine::CanShare(const Run& e, const Run& run) const {
+  return !run.is_selection && (e.owners >= 0 || run.owners >= 0) &&
+         pool_.IsSubset(e.guard, run.guard) &&
+         pool_.IsSubset(run.guard, e.guard);
+}
+
+HypeEngine::OwnerList HypeEngine::Cons(InstId inst, OwnerList tail) {
+  owner_nodes_.push_back(OwnerNode{inst, tail});
+  alloc_bytes_ += sizeof(OwnerNode);
+  return ~static_cast<OwnerList>(owner_nodes_.size() - 1);
+}
+
+void HypeEngine::ShareRun(Frame& cur, size_t index, const Run& run,
+                          const AttrProvider& attrs) {
+  Run& e = cur.runs[index];
+  // Cons the single owner onto the other list: O(1) either way, and the
+  // owners new to `e` are exactly run.owners.
+  e.owners = run.owners >= 0 ? Cons(run.owners, e.owners)
+                             : Cons(e.owners, run.owners);
+  if (index < accepted_) {
+    // An instance created during the worklist joined a run the worklist
+    // already handled here: its owners still owe this node's accepts.
+    Run delta = e;
+    delta.owners = run.owners;
+    HandleAccepts(delta, attrs);
+  }
+}
+
+void HypeEngine::AddRun(const Run& run, const AttrProvider& attrs) {
   Frame& cur = CurFrame();
   if (cur.runs.size() >= kRunIndexThreshold) {
-    return AddRunHashed(cur, run);
+    AddRunHashed(cur, run, attrs);
+    return;
   }
-  for (const Run& e : cur.runs) {
-    if (e.is_selection != run.is_selection || e.ob != run.ob ||
-        e.owner != run.owner || e.leaf != run.leaf || e.state != run.state) {
-      continue;
-    }
-    if (pool_.IsSubset(e.guard, run.guard)) {
+  size_t share = cur.runs.size();
+  for (size_t i = 0; i < cur.runs.size(); ++i) {
+    const Run& e = cur.runs[i];
+    if (!e.SameKey(run)) continue;
+    if (e.owners == run.owners && pool_.IsSubset(e.guard, run.guard)) {
       ++stats_.runs_deduped;
-      return false;  // dominated (or duplicated) by an existing run
+      return;  // dominated (or duplicated) by an existing run
     }
+    if (share == cur.runs.size() && CanShare(e, run)) share = i;
+  }
+  if (share < cur.runs.size()) {
+    ShareRun(cur, share, run, attrs);
+    return;
   }
   cur.runs.push_back(run);
   alloc_bytes_ += sizeof(Run);
-  return true;
 }
 
 void HypeEngine::SeedRunIndex(Frame& cur) {
@@ -126,13 +151,10 @@ void HypeEngine::SeedRunIndex(Frame& cur) {
   cur.run_next.assign(cur.runs.size(), -1);
   for (size_t i = 0; i < cur.runs.size(); ++i) {
     const Run& e = cur.runs[i];
-    uint32_t h = RunKeyHash(e.is_selection, e.ob, e.owner, e.leaf, e.state);
+    uint32_t h = RunKeyHash(e.is_selection, e.ob, e.leaf, e.state);
     size_t slot = h & mask;
     while (dedup_epoch_[slot] == frame_epoch_) {
-      const Run& head = cur.runs[static_cast<size_t>(dedup_head_[slot])];
-      if (head.is_selection == e.is_selection && head.ob == e.ob &&
-          head.owner == e.owner && head.leaf == e.leaf &&
-          head.state == e.state) {
+      if (cur.runs[static_cast<size_t>(dedup_head_[slot])].SameKey(e)) {
         cur.run_next[i] = dedup_head_[slot];
         break;
       }
@@ -143,7 +165,8 @@ void HypeEngine::SeedRunIndex(Frame& cur) {
   }
 }
 
-bool HypeEngine::AddRunHashed(Frame& cur, const Run& run) {
+void HypeEngine::AddRunHashed(Frame& cur, const Run& run,
+                              const AttrProvider& attrs) {
   // First insert past the linear threshold (run_next lagging runs) or a
   // table nearing half load reseeds; otherwise the table is current.
   if (cur.run_next.size() != cur.runs.size() ||
@@ -151,28 +174,30 @@ bool HypeEngine::AddRunHashed(Frame& cur, const Run& run) {
     SeedRunIndex(cur);
   }
   size_t mask = dedup_epoch_.size() - 1;
-  uint32_t h =
-      RunKeyHash(run.is_selection, run.ob, run.owner, run.leaf, run.state);
+  uint32_t h = RunKeyHash(run.is_selection, run.ob, run.leaf, run.state);
   size_t slot = h & mask;
   ++stats_.run_dedup_probes;
   while (dedup_epoch_[slot] == frame_epoch_) {
-    const Run& head = cur.runs[static_cast<size_t>(dedup_head_[slot])];
-    if (head.is_selection == run.is_selection && head.ob == run.ob &&
-        head.owner == run.owner && head.leaf == run.leaf &&
-        head.state == run.state) {
+    if (cur.runs[static_cast<size_t>(dedup_head_[slot])].SameKey(run)) {
       // Key chain found: only same-key runs are checked for dominance.
+      int32_t share = -1;
       for (int32_t i = dedup_head_[slot]; i >= 0; i = cur.run_next[i]) {
         const Run& e = cur.runs[static_cast<size_t>(i)];
-        if (pool_.IsSubset(e.guard, run.guard)) {
+        if (e.owners == run.owners && pool_.IsSubset(e.guard, run.guard)) {
           ++stats_.runs_deduped;
-          return false;
+          return;
         }
+        if (share < 0 && CanShare(e, run)) share = i;
+      }
+      if (share >= 0) {
+        ShareRun(cur, static_cast<size_t>(share), run, attrs);
+        return;
       }
       cur.run_next.push_back(dedup_head_[slot]);
       dedup_head_[slot] = static_cast<int32_t>(cur.runs.size());
       cur.runs.push_back(run);
       alloc_bytes_ += sizeof(Run);
-      return true;
+      return;
     }
     slot = (slot + 1) & mask;
     ++stats_.run_dedup_probes;
@@ -182,7 +207,6 @@ bool HypeEngine::AddRunHashed(Frame& cur, const Run& run) {
   cur.run_next.push_back(-1);
   cur.runs.push_back(run);
   alloc_bytes_ += sizeof(Run);
-  return true;
 }
 
 GuardRef HypeEngine::InstantiateSet(const PredSet& preds,
@@ -218,12 +242,12 @@ InstId HypeEngine::Instantiate(PredId pred, const AttrProvider& attrs) {
       Run r;
       r.is_selection = false;
       r.ob = ob_id;
-      r.owner = id;
       r.leaf = static_cast<int>(leaf);
       r.state = state;
       r.guard = InstantiateSet(guard_preds, attrs);
+      r.owners = id;
       ++stats_.obligations;
-      AddRun(r);
+      AddRun(r, attrs);
     }
     // ε acceptance: the path can match the anchor itself.
     for (const PredSet& accept : ob.nfa.initial_accept_guards) {
@@ -285,20 +309,20 @@ void HypeEngine::HandleAccepts(const Run& run, const AttrProvider& attrs) {
       const Obligation& ob = mfa_.obligation(run.ob);
       switch (ob.test.kind) {
         case AcceptTest::Kind::kExists:
-          Witness(run.owner, run.leaf, g);
+          WitnessAll(run.owners, run.leaf, g);
           break;
         case AcceptTest::Kind::kAttrExists:
         case AcceptTest::Kind::kAttrEq: {
           const char* v = attrs.Find(ob.test.attr);
           if (v != nullptr && (ob.test.kind == AcceptTest::Kind::kAttrExists ||
                                ob.test.value == v)) {
-            Witness(run.owner, run.leaf, g);
+            WitnessAll(run.owners, run.leaf, g);
           }
           break;
         }
         case AcceptTest::Kind::kTextEq:
           cur.pending_text.push_back(
-              PendingText{run.owner, run.leaf, g, &ob.test.value});
+              PendingText{run.owners, run.leaf, g, &ob.test.value});
           cur.needs_text = true;
           break;
       }
@@ -318,6 +342,26 @@ void HypeEngine::Witness(InstId owner, int leaf, GuardRef guard) {
   alts.push_back(guard);
 }
 
+void HypeEngine::WitnessAll(OwnerList owners, int leaf, GuardRef guard) {
+  for (; owners < 0; owners = owner_nodes_[~owners].next) {
+    Witness(owner_nodes_[~owners].inst, leaf, guard);
+  }
+  Witness(owners, leaf, guard);
+}
+
+void HypeEngine::RunWorklist(const AttrProvider& attrs) {
+  // Phase 2: eager instantiation + acceptance; instantiation may append
+  // further obligation runs, which are processed in turn, or share owners
+  // into runs already here (ShareRun).
+  Frame& cur = CurFrame();
+  for (size_t i = 0; i < cur.runs.size(); ++i) {
+    EagerInstantiate(Run(cur.runs[i]), attrs);  // copy: runs may grow
+    // Re-read: instantiation may have shared owners into this run.
+    HandleAccepts(Run(cur.runs[i]), attrs);
+    accepted_ = i + 1;
+  }
+}
+
 void HypeEngine::AdvanceRun(const Frame& parent, const Run& r,
                             const FlatNfa::Transition& t,
                             const AttrProvider& attrs) {
@@ -331,14 +375,10 @@ void HypeEngine::AdvanceRun(const Frame& parent, const Run& r,
   }
   // dst predicates anchor at this node.
   for (PredId p : t.dst_preds) g = pool_.Merge(g, Instantiate(p, attrs));
-  Run nr;
-  nr.is_selection = r.is_selection;
-  nr.ob = r.ob;
-  nr.owner = r.owner;
-  nr.leaf = r.leaf;
+  Run nr = r;
   nr.state = t.target;
   nr.guard = g;
-  AddRun(nr);
+  AddRun(nr, attrs);
 }
 
 HypeEngine::EnterResult HypeEngine::Enter(xml::NameId label,
@@ -358,13 +398,7 @@ HypeEngine::EnterResult HypeEngine::Enter(xml::NameId label,
     }
   }
 
-  // Phase 2: worklist — eager instantiation + acceptance; instantiation
-  // may append further obligation runs, which are processed in turn.
-  for (size_t i = 0; i < cur.runs.size(); ++i) {
-    Run r = cur.runs[i];  // copy: vector may reallocate
-    EagerInstantiate(r, attrs);
-    HandleAccepts(r, attrs);
-  }
+  RunWorklist(attrs);
 
   stats_.max_active_pairs =
       std::max<uint64_t>(stats_.max_active_pairs, cur.runs.size());
@@ -437,7 +471,7 @@ void HypeEngine::Leave() {
   // Text checks resolve now that the element's direct text is complete.
   for (PendingText& pt : cur.pending_text) {
     if (cur.direct_text == *pt.value) {
-      Witness(pt.owner, pt.leaf, pt.guard);
+      WitnessAll(pt.owners, pt.leaf, pt.guard);
     }
   }
   cur.pending_text.clear();

@@ -1,10 +1,10 @@
 /// \file
 /// \brief The HyPE engine: per-open-element frames of (state, guard)
 /// runs advanced over one pre-order traversal. One hot path: a transition
-/// scan per run, guards in an append-only arena, and hashed run dedup once
-/// a frame is wide — the mechanism that pays on the deep-genealogy rows
-/// (docs/DESIGN.md §3.2–§3.5). Drivers: hype_dom.h (DOM), hype_stax.h /
-/// batch.h (streaming).
+/// scan per run, guards in an append-only arena, obligation runs shared by
+/// every predicate instance that reaches the same (state, guard), and
+/// hashed run dedup once a frame is wide (docs/DESIGN.md §3.2–§3.5).
+/// Drivers: hype_dom.h (DOM), hype_stax.h / batch.h (streaming).
 
 #ifndef SMOQE_EVAL_ENGINE_H_
 #define SMOQE_EVAL_ENGINE_H_
@@ -112,17 +112,35 @@ class HypeEngine {
   }
 
  private:
+  /// The instances an obligation run reports to: an InstId (>= 0) for the
+  /// common one-owner run — no storage — or ~i for node i of `owner_nodes_`,
+  /// a persistent cons list whose last tail is again an inline InstId.
+  /// Lists are shared, never mutated: a frame extends a run's list by
+  /// consing a new head, and the parent frame's runs keep the old one.
+  using OwnerList = int32_t;
+  struct OwnerNode {
+    InstId inst;
+    OwnerList next;
+  };
+
+  /// Dedup key: (is_selection, ob, leaf, state). The owners are not part
+  /// of it — one obligation run serves every instance on its list.
   struct Run {
     bool is_selection;
     automata::ObligationId ob = -1;  // obligation runs
-    InstId owner = -1;               // instance the obligation reports to
-    int leaf = -1;                   // leaf position in the owner's pred
+    int leaf = -1;                   // leaf position in the owners' pred
     int state = 0;
     GuardRef guard = GuardPool::kEmpty;
+    OwnerList owners = -1;  // obligation runs only: the instances reported to
+
+    bool SameKey(const Run& o) const {
+      return is_selection == o.is_selection && ob == o.ob && leaf == o.leaf &&
+             state == o.state;
+    }
   };
 
   struct PendingText {
-    InstId owner;
+    OwnerList owners;
     int leaf;
     GuardRef guard;
     const std::string* value;  // expected text (owned by the Mfa)
@@ -176,12 +194,21 @@ class HypeEngine {
   GuardRef InstantiateSet(const automata::PredSet& preds,
                           const AttrProvider& attrs);
 
-  /// Pushes a run into the current frame unless a same-key run with a
-  /// guard ⊆ its guard exists (guard dominance); returns true if it
-  /// survived as new work. Past kRunIndexThreshold runs the same-key runs
-  /// are found through the hashed dedup table instead of a linear scan.
-  bool AddRun(Run run);
-  bool AddRunHashed(Frame& cur, const Run& run);
+  /// Pushes a run into the current frame unless a same-key run with the
+  /// same owner list and a guard ⊆ its guard exists (guard dominance), or
+  /// a same-key obligation run with an equal guard can take its owners
+  /// (ShareRun). Past kRunIndexThreshold runs the same-key runs are found
+  /// through the hashed dedup table instead of a linear scan.
+  void AddRun(const Run& run, const AttrProvider& attrs);
+  void AddRunHashed(Frame& cur, const Run& run, const AttrProvider& attrs);
+  /// True iff `run`'s owners can join same-key run `e` in O(1): both are
+  /// obligation runs with equal guards, and one list is a single owner.
+  bool CanShare(const Run& e, const Run& run) const;
+  /// Joins `run`'s owners to cur.runs[index] (CanShare holds). If the
+  /// worklist already handled that run's accepts at this node, the
+  /// joining owners get them now.
+  void ShareRun(Frame& cur, size_t index, const Run& run,
+                const AttrProvider& attrs);
   /// (Re)seeds the dedup table with `cur`'s runs — on first use past the
   /// linear threshold and on growth.
   void SeedRunIndex(Frame& cur);
@@ -191,6 +218,10 @@ class HypeEngine {
                   const automata::FlatNfa::Transition& t,
                   const AttrProvider& attrs);
 
+  /// Phase 2 of Enter (and of the constructor's document frame): the
+  /// worklist over the current frame's runs.
+  void RunWorklist(const AttrProvider& attrs);
+
   /// Handles acceptance of `run` at the current frame.
   void HandleAccepts(const Run& run, const AttrProvider& attrs);
 
@@ -199,6 +230,9 @@ class HypeEngine {
   void EagerInstantiate(const Run& run, const AttrProvider& attrs);
 
   void Witness(InstId owner, int leaf, GuardRef guard);
+  /// Witnesses `leaf` of every instance on `owners`.
+  void WitnessAll(OwnerList owners, int leaf, GuardRef guard);
+  OwnerList Cons(InstId inst, OwnerList tail);
   void ResolveFrame(Frame* frame);
 
   /// Pooled frame stack: entries [0, depth_) are active; popped frames
@@ -221,13 +255,16 @@ class HypeEngine {
   std::vector<int32_t> dedup_head_;
   uint64_t frame_epoch_ = 0;
   std::vector<PredInstance> instances_;
+  std::vector<OwnerNode> owner_nodes_;  // per-traversal owner-list arena
   Cans cans_;
   EvalStats stats_;
   std::vector<int32_t> answers_;
   int32_t next_id_ = 0;
   uint64_t alloc_bytes_ = 0;  // drained by TakeAllocBytes()
   bool finished_ = false;
-  size_t work_cursor_ = 0;  // worklist position within current frame's runs
+  /// Runs at the front of the current frame whose accepts the worklist
+  /// has handled (ShareRun's delta rule).
+  size_t accepted_ = 0;
 };
 
 }  // namespace smoqe::eval

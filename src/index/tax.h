@@ -2,6 +2,7 @@
 #define SMOQE_INDEX_TAX_H_
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/bitset.h"
@@ -22,10 +23,14 @@ namespace smoqe::index {
 /// type sets prune subtrees for queries with or without `//` (paper's
 /// comparison).
 ///
-/// Layout: one DynamicBitset per element, indexed by the node's document
-/// id, with bit positions = NameIds of the shared name table at build
-/// time. Built in a single post-order pass, O(|T|·W) where W is words per
-/// set. The compressed on-disk form is in tax_io.h (experiment E7).
+/// Layout: type sets are interned. Each document id holds a 4-byte
+/// reference into a table of distinct DynamicBitsets (bit positions =
+/// NameIds of the shared name table); ref 0 means "no set" (text nodes and
+/// retired ids). A document has few distinct descendant-type sets — a
+/// 30k-node deep hospital ward has 17 — so the index costs about 4 bytes
+/// per id instead of a bitset header plus a heap chunk per element. Built
+/// in a single post-order pass, O(|T|·W) where W is words per set. The
+/// compressed on-disk form is in tax_io.h (experiment E7).
 class TaxIndex {
  public:
   /// Builds the index for `doc`. Width is the name-table size at call
@@ -35,16 +40,17 @@ class TaxIndex {
   static TaxIndex Build(const xml::Document& doc);
 
   /// Guarded build: ticks `guard` during the post-order walk and charges
-  /// the bitset bytes against its budget. A tripped guard abandons the
-  /// half-built index and returns the guard's status.
+  /// the reference array and every interned set against its budget. A
+  /// tripped guard abandons the half-built index and returns the guard's
+  /// status.
   static Result<TaxIndex> Build(const xml::Document& doc,
                                 const Guardrail* guard);
 
   /// Descendant type set of the element with document id `node_id`
   /// (bits exclude the node's own label). Returns nullptr for text nodes.
   const DynamicBitset* DescendantTypes(int32_t node_id) const {
-    const DynamicBitset& b = sets_[node_id];
-    return b.size() == 0 ? nullptr : &b;
+    const uint32_t ref = refs_[node_id];
+    return ref == 0 ? nullptr : &sets_[ref];
   }
 
   /// Incrementally repairs the index after a structural edit whose lowest
@@ -55,7 +61,10 @@ class TaxIndex {
   /// up to the root from their children's (now final) sets. Sets created
   /// here use the *current* name-table width; untouched sets keep their
   /// build-time width (the evaluator's prune test and DescendantTypes are
-  /// width-tolerant, and EquivalentTo compares bits, not widths).
+  /// width-tolerant, and EquivalentTo compares bits, not widths). A
+  /// recomputed set whose bits are already in the table reuses that
+  /// entry, whatever its width; sets no id refers to any more stay in the
+  /// table (at most one per recomputed set) until the next Build.
   ///
   /// Call once per dirty parent of an edit script, after the script's
   /// mutations; any call order is correct because every chain runs to the
@@ -84,7 +93,10 @@ class TaxIndex {
   size_t type_width() const { return width_; }
   /// Number of indexed elements.
   size_t num_elements() const { return elements_; }
-  /// In-memory footprint of the raw (uncompressed) index.
+  /// Number of distinct descendant-type sets in the intern table.
+  size_t distinct_sets() const { return sets_.size() - 1; }
+  /// In-memory footprint of the (uncompressed) index: the per-id
+  /// references plus the intern table.
   size_t memory_bytes() const;
 
   /// Structured dump (element path → type list) of the first `max_nodes`
@@ -93,22 +105,35 @@ class TaxIndex {
 
  private:
   friend class TaxIo;
-  TaxIndex() = default;
+  TaxIndex() : sets_(1) {}
 
+  /// Returns the table reference of a set with `bits`' bits (width-
+  /// insensitive), adding a copy of `bits` when it is new.
+  uint32_t Intern(const DynamicBitset& bits);
   /// Recomputes one element's set from its children's sets (which must be
-  /// final) at width `width`.
-  void RecomputeFromChildren(const xml::Node* n, size_t width);
+  /// final) in `scratch`, a buffer of the build or repair width.
+  void RecomputeFromChildren(const xml::Node* n, DynamicBitset* scratch);
   /// Builds sets for every element of a freshly grafted subtree
   /// (post-order pointer walk) at width `width`. `ticker` may be null
   /// (unguarded); a tripped guard stops the walk mid-subtree.
   Status BuildSubtree(const xml::Node* subtree, size_t width,
                       size_t* recomputed, GuardTicker* ticker);
+  /// Charges `guard` (may be null) for the table bytes added since the
+  /// last charge.
+  void ChargeNewSets(const Guardrail* guard);
 
   size_t width_ = 0;
   size_t elements_ = 0;
-  // Indexed by document node id; text nodes and retired ids hold empty
-  // (width 0) sets.
+  // Indexed by document node id: a reference into sets_, 0 for text
+  // nodes and retired ids.
+  std::vector<uint32_t> refs_;
+  // The intern table. sets_[0] is an empty placeholder that no element
+  // refers to (a childless element refers to an interned empty set).
   std::vector<DynamicBitset> sets_;
+  // Hash of a set's bits → its references.
+  std::unordered_multimap<uint64_t, uint32_t> set_index_;
+  size_t table_bytes_ = 0;    // bytes held by sets_ entries and set_index_
+  size_t charged_bytes_ = 0;  // of table_bytes_, charged to a guard
 };
 
 }  // namespace smoqe::index

@@ -14,7 +14,7 @@ constexpr char kMagic[] = "TAX1";
 std::string TaxIo::Encode(const TaxIndex& index) {
   std::string out(kMagic, 4);
   PutVarint64(&out, index.width_);
-  PutVarint64(&out, index.sets_.size());
+  PutVarint64(&out, index.refs_.size());
   PutVarint64(&out, index.elements_);
 
   // Sets repaired after a name-table growth are wider than sets built
@@ -22,20 +22,22 @@ std::string TaxIo::Encode(const TaxIndex& index) {
   // set to the index width by zero-extension — bit positions are NameIds,
   // so padding is lossless, and Decode's fixed words-per-set framing
   // stays valid.
+  // Interning makes equal bits equal references, so "identical to the
+  // previous element's set" is a reference compare.
   const size_t words_per_set = (index.width_ + 63) / 64;
-  const DynamicBitset* prev = nullptr;
-  for (const DynamicBitset& set : index.sets_) {
-    if (set.size() == 0) {
+  uint32_t prev = 0;
+  for (uint32_t ref : index.refs_) {
+    if (ref == 0) {
       out.push_back(2);  // text node placeholder
       continue;
     }
-    if (prev != nullptr && set.SameBits(*prev)) {
+    if (ref == prev) {
       out.push_back(1);  // identical to previous element's set
-      prev = &set;
       continue;
     }
+    prev = ref;
     out.push_back(0);
-    const std::vector<uint64_t>& words = set.words();
+    const std::vector<uint64_t>& words = index.sets_[ref].words();
     auto word_at = [&](size_t i) -> uint64_t {
       return i < words.size() ? words[i] : 0;
     };
@@ -51,7 +53,6 @@ std::string TaxIo::Encode(const TaxIndex& index) {
       for (size_t k = 0; k < lits; ++k) PutVarint64(&out, words[i + k]);
       i += lits;
     }
-    prev = &set;
   }
   return out;
 }
@@ -67,27 +68,33 @@ Result<TaxIndex> TaxIo::Decode(std::string_view bytes) {
   if (num_sets > (1ull << 40)) {
     return Status::ParseError("implausible TAX set count");
   }
+  // Every set takes at least its flag byte.
+  if (num_sets > in.size()) return Status::ParseError("truncated TAX index");
 
   TaxIndex idx;
   idx.width_ = width;
   idx.elements_ = elements;
-  idx.sets_.resize(num_sets);
+  idx.refs_.resize(num_sets);
   const size_t words_per_set = (width + 63) / 64;
 
-  int64_t prev = -1;
+  uint32_t prev = 0;
+  DynamicBitset set;  // decode buffer, sized at the first literal set
   for (uint64_t s = 0; s < num_sets; ++s) {
     if (in.empty()) return Status::ParseError("truncated TAX index");
     uint8_t flag = static_cast<uint8_t>(in[0]);
     in.remove_prefix(1);
     if (flag == 2) continue;  // text node: empty set
     if (flag == 1) {
-      if (prev < 0) return Status::ParseError("TAX copy flag with no prior set");
-      idx.sets_[s] = idx.sets_[prev];
-      prev = static_cast<int64_t>(s);
+      if (prev == 0) return Status::ParseError("TAX copy flag with no prior set");
+      idx.refs_[s] = prev;
       continue;
     }
     if (flag != 0) return Status::ParseError("bad TAX set flag");
-    DynamicBitset set(width);
+    if (set.size() != width) {
+      set = DynamicBitset(width);
+    } else {
+      set.Clear();
+    }
     std::vector<uint64_t>& words = set.mutable_words();
     size_t i = 0;
     while (i < words_per_set) {
@@ -105,8 +112,7 @@ Result<TaxIndex> TaxIo::Decode(std::string_view bytes) {
       }
       i += lits;
     }
-    idx.sets_[s] = std::move(set);
-    prev = static_cast<int64_t>(s);
+    prev = idx.refs_[s] = idx.Intern(set);
   }
   if (!in.empty()) {
     return Status::ParseError("trailing bytes after TAX index");

@@ -23,7 +23,8 @@ class TaxIo {
   /// Serializes the index to its compressed byte form.
   static std::string Encode(const TaxIndex& index);
 
-  /// Reconstructs an index from bytes produced by Encode.
+  /// Reconstructs an index from bytes produced by Encode, interning the
+  /// sets it reads (equal sets share one table entry, as after Build).
   static Result<TaxIndex> Decode(std::string_view bytes);
 
   /// Convenience file wrappers.

@@ -2,7 +2,9 @@
 // query, each evaluation path — DOM, DOM with TAX pruning, and StAX over
 // the serialized document — must return the reference naive evaluator's
 // answers. Covers the hospital and org workloads, plus the deep-genealogy
-// hospital variant, whose frames exceed the hashed-dedup threshold so
+// hospital variant: there, descendant predicates share obligation runs
+// across the instances of every ancestor, and some anchored random
+// queries still exceed the hashed-dedup threshold, so
 // AddRunHashed/SeedRunIndex execute on every path (StAX and TAX included).
 
 #include <gtest/gtest.h>
@@ -155,13 +157,85 @@ TEST(HotPathEquivTest, BenchQueriesOnDeepHospital) {
   }
 }
 
-// The deep document must actually reach the wide-frame regime, or the
-// suites above silently stop covering the hashed path.
-TEST(HotPathEquivTest, DeepHospitalExercisesHashedDedup) {
+// Nested descendant predicates make instances at every level of the deep
+// genealogy share obligation runs with their ancestors' instances, each
+// owner under its own guard; `not()` and `or` over `.//` paths resolve
+// those owners at different elements. Every path must still agree with
+// the naive evaluator.
+TEST(HotPathEquivTest, SharedObligationRunsOnDeepHospital) {
   auto names = xml::NameTable::Create();
   auto doc = workload::GenHospitalDeep(1234, 4000, names);
   ASSERT_TRUE(doc.ok());
-  auto query = rxpath::ParseQuery("//patient[.//medication = 'autism']/pname");
+  ASSERT_GT(doc->num_nodes(), 3000u);
+  PathAgreement paths(*doc);
+  rxpath::NaiveEvaluator naive(*doc);
+  size_t answered = 0;
+  for (const char* text : {
+           "//patient[.//patient[.//medication = 'autism']]/pname",
+           "//patient[not(.//patient[treatment])]",
+           "//patient[not(.//patient[visit/treatment/test])]/pname",
+           "//patient[.//medication = 'autism' or .//test = 'blood']/pname",
+           "//patient[.//patient[.//medication = 'autism'] and "
+           "not(.//test)]/pname",
+           "//patient[.//pname = 'Alice' or "
+           "not(.//patient[.//medication = 'headache'])]/pname",
+           "//patient[.//parent[.//test] and .//medication]/visit/date",
+           "//parent[.//patient[not(.//parent)]]/patient/pname",
+           "(*)*/patient[(parent/patient)*/visit[.//medication = "
+           "'autism']]/pname",
+       }) {
+    SCOPED_TRACE(text);
+    auto query = rxpath::ParseQuery(text);
+    ASSERT_TRUE(query.ok());
+    paths.Expect(**query);
+    if (!naive.Eval(**query).empty()) ++answered;
+  }
+  EXPECT_GE(answered, 6u) << "most queries must select something";
+}
+
+// Obligation runs are keyed without their owner, so a descendant
+// predicate evaluated at every level of the genealogy keeps one run per
+// (obligation, leaf, state, guard): the frame width does not grow with
+// the document's depth or size.
+TEST(HotPathEquivTest, DescendantPredicatesStayNarrow) {
+  auto names = xml::NameTable::Create();
+  auto small = workload::GenHospitalDeep(1234, 1000, names);
+  auto large = workload::GenHospitalDeep(1234, 16000, names);
+  ASSERT_TRUE(small.ok());
+  ASSERT_TRUE(large.ok());
+  ASSERT_GT(large->num_nodes(), 10 * small->num_nodes());
+  int checked = 0;
+  for (const auto& bq : workload::HospitalQueries()) {
+    const std::string id(bq.id);
+    if (id != "desc-pred" && id != "desc-neg") continue;
+    SCOPED_TRACE(id);
+    auto query = rxpath::ParseQuery(bq.text);
+    ASSERT_TRUE(query.ok());
+    auto mfa = automata::Mfa::Compile(**query, names);
+    ASSERT_TRUE(mfa.ok());
+    auto on_small = EvalHypeDom(*mfa, *small);
+    auto on_large = EvalHypeDom(*mfa, *large);
+    ASSERT_TRUE(on_small.ok());
+    ASSERT_TRUE(on_large.ok());
+    EXPECT_EQ(on_small->stats.max_active_pairs,
+              on_large->stats.max_active_pairs);
+    EXPECT_LE(on_large->stats.max_active_pairs, 8u);
+    ++checked;
+  }
+  EXPECT_EQ(checked, 2);
+}
+
+// Some random queries still widen frames past the hashed-dedup threshold
+// (the anchored `(*)*` prefix over a `(*)*` body keeps many distinct
+// selection states and guards alive), so the random suites above keep
+// covering AddRunHashed/SeedRunIndex on every path.
+TEST(HotPathEquivTest, DeepHospitalExercisesHashedDedup) {
+  auto names = xml::NameTable::Create();
+  auto doc = workload::GenHospitalDeep(1234, 2500, names);
+  ASSERT_TRUE(doc.ok());
+  auto query = rxpath::ParseQuery(
+      "(*)*/(*[test]/(*)*/treatment/test/pname/date[text() = 'blood']/date/"
+      "treatment[date | parent = 'headache']/((*)*/treatment)[test])");
   ASSERT_TRUE(query.ok());
   auto mfa = automata::Mfa::Compile(**query, names);
   ASSERT_TRUE(mfa.ok());
@@ -169,6 +243,7 @@ TEST(HotPathEquivTest, DeepHospitalExercisesHashedDedup) {
   ASSERT_TRUE(r.ok());
   EXPECT_GT(r->stats.max_active_pairs, 16u);  // above kRunIndexThreshold
   EXPECT_GT(r->stats.run_dedup_probes, 0u);
+  PathAgreement(*doc).Expect(**query);
 }
 
 }  // namespace

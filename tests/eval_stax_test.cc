@@ -260,6 +260,33 @@ TEST(BatchEvalTest, EmptyBatchIsNoop) {
   EXPECT_TRUE(r->empty());
 }
 
+// The serial scan charges its budget at guard ticks (every 256 events);
+// the engine growth of the events after the last tick must still be
+// charged before the results are assembled. Here no tick ever fires
+// (under 256 events) and nothing is answered (no answer copies to
+// charge), so only the end-of-document charge can trip the budget.
+TEST(BatchEvalTest, SerialScanChargesTheTailBeforeAssembling) {
+  xml::Document doc = MustDoc(kHospitalDoc);
+  ASSERT_LT(doc.num_nodes(), 100);  // ≤ 2 events per node: under one tick
+  auto mfa = Mfa::Compile(*MustQuery("//patient[.//medication = 'none']"),
+                          doc.names());
+  ASSERT_TRUE(mfa.ok());
+
+  MemoryBudget unlimited;
+  Guardrail accounting(Deadline(), nullptr, &unlimited);
+  auto counted = EvalHypeStax(*mfa, kHospitalDoc, &accounting);
+  ASSERT_TRUE(counted.ok()) << counted.status().ToString();
+  EXPECT_TRUE(counted->answers.empty());
+  ASSERT_GT(unlimited.used(), 1u) << "the engine's allocations were charged";
+
+  MemoryBudget tiny(1);
+  Guardrail guard(Deadline(), nullptr, &tiny);
+  auto r = EvalHypeStax(*mfa, kHospitalDoc, &guard);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
+      << r.status().ToString();
+}
+
 // Facade batch over the shared StAX scan: a failing item (parse error,
 // mode conflict) fails only itself; its siblings — including items that
 // ride the same streaming pass — still complete (ISSUE S3 / smoqe.h

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/varint.h"
 #include "src/index/tax.h"
 #include "src/index/tax_io.h"
 #include "src/update/applier.h"
@@ -91,6 +92,20 @@ TEST(TaxIoEdge, RetiredSlotsRoundTripAsEmpty) {
   TaxIndex back = RoundTrip(idx);
   EXPECT_TRUE(back.EquivalentTo(idx));
   EXPECT_EQ(back.DescendantTypes(ids[0]), nullptr);
+}
+
+// A header may claim any set count; every set takes at least one byte,
+// so a count beyond the remaining input is rejected before the per-id
+// references are allocated.
+TEST(TaxIoEdge, SetCountBeyondInputIsRejected) {
+  std::string bytes = "TAX1";
+  PutVarint64(&bytes, 9);           // width
+  PutVarint64(&bytes, 1ull << 39);  // set count
+  PutVarint64(&bytes, 1);           // elements
+  bytes += std::string(8, '\2');     // eight text placeholders
+  auto r = TaxIo::Decode(bytes);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kParseError);
 }
 
 }  // namespace

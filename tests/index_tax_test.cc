@@ -8,6 +8,8 @@
 #include "src/automata/mfa.h"
 #include "src/eval/hype_dom.h"
 #include "src/index/tax_io.h"
+#include "src/update/applier.h"
+#include "src/update/update_lang.h"
 #include "tests/test_util.h"
 
 namespace smoqe::index {
@@ -126,12 +128,92 @@ TEST(TaxIoTest, EncodeDecodeRoundTrip) {
   }
 }
 
+// Bytes of the index's sets stored one bitset per id — the layout the
+// compressed form and the interned index are both measured against.
+size_t UninternedBytes(const xml::Document& doc, const TaxIndex& idx) {
+  return static_cast<size_t>(doc.num_nodes()) * ((idx.type_width() + 63) / 64) *
+         8;
+}
+
 TEST(TaxIoTest, CompressionShrinksIndex) {
   xml::Document doc = testutil::GenHospital(5, 5000);
   TaxIndex idx = TaxIndex::Build(doc);
   std::string bytes = TaxIo::Encode(idx);
-  EXPECT_LT(bytes.size(), idx.memory_bytes() / 2)
+  EXPECT_LT(bytes.size(), UninternedBytes(doc, idx) / 2)
       << "compressed form should be much smaller than raw bitsets";
+}
+
+TEST(TaxTest, InterningSharesSets) {
+  xml::Document doc = testutil::GenHospital(5, 5000);
+  ASSERT_GT(doc.num_nodes(), 2000);
+  TaxIndex idx = TaxIndex::Build(doc);
+  // A ward's elements fall into a handful of descendant-type sets.
+  EXPECT_GT(idx.num_elements(), 1000u);
+  EXPECT_LE(idx.distinct_sets(), 64u);
+  EXPECT_LT(idx.memory_bytes(), UninternedBytes(doc, idx));
+  // Equal sets are one table entry: equal bits, same pointer.
+  const DynamicBitset* first_leaf = nullptr;
+  for (int32_t id = 0; id < doc.num_nodes(); ++id) {
+    const DynamicBitset* set = idx.DescendantTypes(id);
+    if (set == nullptr || set->Any()) continue;
+    if (first_leaf == nullptr) first_leaf = set;
+    EXPECT_EQ(set, first_leaf) << "node " << id;
+  }
+  ASSERT_NE(first_leaf, nullptr);
+  // Decoding interns the same way.
+  auto back = TaxIo::Decode(TaxIo::Encode(idx));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->distinct_sets(), idx.distinct_sets());
+  EXPECT_TRUE(back->EquivalentTo(idx));
+}
+
+// Incremental repair interns its recomputed sets into the existing table;
+// after every edit the index must equal a from-scratch build.
+TEST(TaxTest, RepairAfterEditMatchesRebuild) {
+  auto names = xml::NameTable::Create();
+  xml::Document doc = testutil::GenHospital(5, 2000, names);
+  ASSERT_GT(doc.num_nodes(), 500);
+  TaxIndex idx = TaxIndex::Build(doc);
+  const size_t distinct_before = idx.distinct_sets();
+  struct Step {
+    const char* update;
+    const char* target;  // resolved on the current document
+  };
+  for (const Step& step : {
+           Step{"insert into hospital/patient <visit><treatment><test>t</test>"
+                "</treatment><date>d</date></visit>",
+                "hospital/patient"},
+           Step{"delete hospital/patient/visit", "hospital/patient/visit"},
+           Step{"replace hospital/patient/pname with <pname><note/></pname>",
+                "hospital/patient/pname"},
+           Step{"insert into hospital <patient><pname>p</pname></patient>",
+                "hospital"},
+       }) {
+    SCOPED_TRACE(step.update);
+    auto stmt = update::ParseUpdate(step.update, names);
+    ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+    auto ids = testutil::NaiveIds(doc, *MustQuery(step.target));
+    ASSERT_FALSE(ids.empty());
+    update::ApplierOptions opts;
+    opts.tax = &idx;
+    update::UpdateApplier applier(&doc, opts);
+    // Edit the first and the last target: two dirty ancestor chains.
+    std::vector<update::ResolvedEdit> edits = {update::ResolvedEdit{
+        stmt->kind, doc.mutable_node(ids.front()),
+        stmt->fragment ? &*stmt->fragment : nullptr}};
+    if (ids.size() > 1) {
+      edits.push_back(update::ResolvedEdit{
+          stmt->kind, doc.mutable_node(ids.back()),
+          stmt->fragment ? &*stmt->fragment : nullptr});
+    }
+    auto stats = applier.Run(edits);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_GT(stats->tax_sets_recomputed, 0u);
+    EXPECT_TRUE(idx.EquivalentTo(TaxIndex::Build(doc)));
+  }
+  // Recomputed sets mostly hit existing entries; the new label (note)
+  // adds a few.
+  EXPECT_LE(idx.distinct_sets(), distinct_before + 16);
 }
 
 TEST(TaxIoTest, SaveLoadFile) {
