@@ -54,7 +54,7 @@ void Decode(benchmark::State& state) {
   index::TaxIndex idx = index::TaxIndex::Build(doc);
   std::string encoded = index::TaxIo::Encode(idx);
   for (auto _ : state) {
-    auto back = index::TaxIo::Decode(encoded);
+    auto back = index::TaxIo::Decode(encoded, idx.type_width());
     Corpus::Check(back.ok(), "decode");
     benchmark::DoNotOptimize(back);
   }

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
 
   const std::string path = "/tmp/smoqe_example_tax.idx";
   if (!smoqe::index::TaxIo::Save(tax, path).ok()) return 1;
-  auto loaded = smoqe::index::TaxIo::Load(path);
+  auto loaded = smoqe::index::TaxIo::Load(path, doc->names()->size());
   if (!loaded.ok()) return 1;
   std::printf("persisted and reloaded from %s\n\n", path.c_str());
 

@@ -412,9 +412,20 @@ Status Smoqe::LoadIndex(const std::string& doc_name, const std::string& path) {
   if (doc == nullptr) {
     return Status::NotFound("document '" + doc_name + "' is not loaded");
   }
-  SMOQE_ASSIGN_OR_RETURN(index::TaxIndex idx, index::TaxIo::Load(path));
+  // The file is untrusted: its width is bounded by the name table (which
+  // only grows) and it must have a slot for every id of the document,
+  // since DescendantTypes does not bounds-check.
+  SMOQE_ASSIGN_OR_RETURN(
+      index::TaxIndex idx,
+      index::TaxIo::Load(path, doc->Acquire()->dom->names()->size()));
   std::lock_guard<std::mutex> writer(doc->writer_mu);
   std::shared_ptr<const DocumentSnapshot> base = doc->Acquire();
+  const size_t ids = static_cast<size_t>(base->dom->num_nodes());
+  if (idx.num_ids() < ids) {
+    return Status::InvalidArgument(
+        "TAX index '" + path + "' covers " + std::to_string(idx.num_ids()) +
+        " ids; document '" + doc_name + "' has " + std::to_string(ids));
+  }
   doc->Publish(std::make_shared<const DocumentSnapshot>(
       base->dom, std::make_shared<const index::TaxIndex>(std::move(idx)),
       base->text_if_ready()));

@@ -93,6 +93,9 @@ class TaxIndex {
   size_t type_width() const { return width_; }
   /// Number of indexed elements.
   size_t num_elements() const { return elements_; }
+  /// Number of document ids the index has a slot for (DescendantTypes
+  /// accepts exactly the ids below it).
+  size_t num_ids() const { return refs_.size(); }
   /// Number of distinct descendant-type sets in the intern table.
   size_t distinct_sets() const { return sets_.size() - 1; }
   /// In-memory footprint of the (uncompressed) index: the per-id

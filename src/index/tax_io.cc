@@ -57,7 +57,8 @@ std::string TaxIo::Encode(const TaxIndex& index) {
   return out;
 }
 
-Result<TaxIndex> TaxIo::Decode(std::string_view bytes) {
+Result<TaxIndex> TaxIo::Decode(std::string_view bytes,
+                               size_t max_width) {
   if (bytes.size() < 4 || bytes.substr(0, 4) != kMagic) {
     return Status::ParseError("not a TAX index (bad magic)");
   }
@@ -65,6 +66,11 @@ Result<TaxIndex> TaxIo::Decode(std::string_view bytes) {
   SMOQE_ASSIGN_OR_RETURN(uint64_t width, GetVarint64(&in));
   SMOQE_ASSIGN_OR_RETURN(uint64_t num_sets, GetVarint64(&in));
   SMOQE_ASSIGN_OR_RETURN(uint64_t elements, GetVarint64(&in));
+  if (width > max_width) {
+    return Status::ParseError("TAX width " + std::to_string(width) +
+                              " exceeds the name table (" +
+                              std::to_string(max_width) + ")");
+  }
   if (num_sets > (1ull << 40)) {
     return Status::ParseError("implausible TAX set count");
   }
@@ -129,13 +135,13 @@ Status TaxIo::Save(const TaxIndex& index, const std::string& path) {
   return Status::OK();
 }
 
-Result<TaxIndex> TaxIo::Load(const std::string& path) {
+Result<TaxIndex> TaxIo::Load(const std::string& path, size_t max_width) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open '" + path + "'");
   std::ostringstream buf;
   buf << in.rdbuf();
   std::string bytes = buf.str();
-  return Decode(bytes);
+  return Decode(bytes, max_width);
 }
 
 }  // namespace smoqe::index

@@ -25,11 +25,13 @@ class TaxIo {
 
   /// Reconstructs an index from bytes produced by Encode, interning the
   /// sets it reads (equal sets share one table entry, as after Build).
-  static Result<TaxIndex> Decode(std::string_view bytes);
+  /// The bytes are untrusted: a width above `max_width` (the name-table
+  /// size of the document it is for) is a ParseError, not an allocation.
+  static Result<TaxIndex> Decode(std::string_view bytes, size_t max_width);
 
   /// Convenience file wrappers.
   static Status Save(const TaxIndex& index, const std::string& path);
-  static Result<TaxIndex> Load(const std::string& path);
+  static Result<TaxIndex> Load(const std::string& path, size_t max_width);
 };
 
 }  // namespace smoqe::index

@@ -174,11 +174,14 @@ void Server::Stop() {
   if (!started_) return;
   started_ = false;
   running_.store(false, std::memory_order_release);
-  WakeLoop();
+  const uint64_t one = 1;
+  // A full eventfd counter (EAGAIN) still wakes the loop; nothing to do.
+  [[maybe_unused]] ssize_t n = ::write(event_fd_, &one, sizeof one);
   if (loop_thread_.joinable()) loop_thread_.join();
   // The loop cancelled every session token on the way out, so request
   // tasks stuck inside an engine call unwind at their next guard check
-  // and queued ones fail fast. They hold `this`: wait them out.
+  // and queued ones (successors included) fail fast. They hold `this`
+  // and may still write to open fds: wait them out.
   {
     std::unique_lock<std::mutex> lock(tasks_mu_);
     tasks_cv_.wait(lock, [this] { return tasks_ == 0; });
@@ -189,17 +192,6 @@ void Server::Stop() {
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
   if (event_fd_ >= 0) ::close(event_fd_);
   listen_fd_ = epoll_fd_ = event_fd_ = -1;
-  {
-    std::lock_guard<std::mutex> lock(done_mu_);
-    done_.clear();
-  }
-}
-
-void Server::WakeLoop() {
-  if (event_fd_ < 0) return;
-  const uint64_t one = 1;
-  // A full eventfd counter (EAGAIN) still wakes the loop; nothing to do.
-  [[maybe_unused]] ssize_t n = ::write(event_fd_, &one, sizeof one);
 }
 
 // ---------------------------------------------------------------------
@@ -229,26 +221,25 @@ void Server::LoopMain() {
       }
       auto it = conns_.find(tag);
       if (it == conns_.end()) continue;  // closed earlier this batch
+      // A copy: closing erases the table's reference.
       std::shared_ptr<Connection> conn = it->second;
       if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0) {
-        if (conn->in_flight || !conn->pending.empty()) {
-          metrics_.Count(metrics_.disconnects_mid_request);
-        }
-        CloseConnection(conn);
+        std::lock_guard<std::mutex> lock(conn->mu);
+        CloseLocked(*conn);
         continue;
       }
       if ((events[i].events & EPOLLIN) != 0) HandleReadable(conn);
+      // Bytes a send left behind, or a fatal-error close waiting for
+      // the last response (WatchLocked).
       if (conn->fd >= 0 && (events[i].events & EPOLLOUT) != 0) {
-        HandleWritable(conn);
+        SendBytes(conn, {});
       }
     }
-    // Completions may have been posted while handling events (or the
-    // eventfd write raced our drain); always sweep.
-    DrainCompletions();
   }
   // Shutdown: stop the world. Cancelling the tokens unwinds any request
   // task still inside the engine; fds are closed later by Stop() once
-  // every task has finished (tasks may still hold Connection refs).
+  // every task has finished (tasks may still hold Connection refs and
+  // write their responses).
   for (auto& [id, conn] : conns_) {
     if (conn->session != nullptr) conn->session->cancel_token().Cancel();
   }
@@ -305,10 +296,8 @@ void Server::HandleReadable(const std::shared_ptr<Connection>& conn) {
     if (n < 0 && errno == EINTR) continue;
     // EOF or hard error: the peer is gone. Cancel in-flight work and
     // reap — there is nobody left to flush to.
-    if (conn->in_flight || !conn->pending.empty()) {
-      metrics_.Count(metrics_.disconnects_mid_request);
-    }
-    CloseConnection(conn);
+    std::lock_guard<std::mutex> lock(conn->mu);
+    CloseLocked(*conn);
     return;
   }
   ProcessFrames(conn);
@@ -325,8 +314,7 @@ void Server::ProcessFrames(const std::shared_ptr<Connection>& conn) {
         ErrorResponse err;
         err.id = PeekRequestId(frame->body);
         err.message = "handshake required before requests";
-        SendBytes(conn, Encode(err));
-        conn->close_after_flush = true;
+        SendBytes(conn, Encode(err), /*then_close=*/true);
         break;
       }
       HandleHandshake(conn, *frame);
@@ -341,8 +329,7 @@ void Server::ProcessFrames(const std::shared_ptr<Connection>& conn) {
         ErrorResponse err;
         err.id = PeekRequestId(frame->body);
         err.message = "duplicate handshake";
-        SendBytes(conn, Encode(err));
-        conn->close_after_flush = true;
+        SendBytes(conn, Encode(err), /*then_close=*/true);
         break;
       }
       case Opcode::kQuery:
@@ -354,29 +341,34 @@ void Server::ProcessFrames(const std::shared_ptr<Connection>& conn) {
         // Admission stamps: how deep this request queued behind the
         // in-flight one (0 = dispatched immediately) and when it
         // arrived — the eventual trace's queue_wait span.
-        const int depth = static_cast<int>(conn->pending.size()) +
-                          (conn->in_flight ? 1 : 0);
+        const auto now = std::chrono::steady_clock::now();
+        int depth = 0;
+        std::unique_lock<std::mutex> lock(conn->mu, std::defer_lock);
+        if (conn->in_flight.exchange(true)) {
+          // Busy: park it, unless the task let go meanwhile.
+          lock.lock();
+          depth = static_cast<int>(conn->pending.size()) +
+                  (conn->in_flight ? 1 : 0);
+        }
         if (metrics_.pipeline_depth != nullptr) {
           metrics_.pipeline_depth->Record(static_cast<uint64_t>(depth));
         }
-        const auto now = std::chrono::steady_clock::now();
-        if (conn->in_flight) {
-          if (conn->pending.size() >=
-              static_cast<size_t>(options_.max_pipeline)) {
-            metrics_.Count(metrics_.rejected_pipeline);
-            metrics_.Count(metrics_.responses_error);
-            SendBytes(conn, ErrorResponseFor(
-                                frame->opcode, PeekRequestId(frame->body),
-                                WireCode::kRejectedBusy,
-                                "connection pipeline full (max_pipeline)"));
-            break;
-          }
-          conn->pending.push_back(
-              PendingRequest{std::move(*frame), now, depth});
-          break;
+        if (depth == 0) {
+          conn->in_flight = true;
+          Dispatch(WorkItem{conn, std::move(*frame), now, depth});
+        } else if (conn->pending.size() <
+                   static_cast<size_t>(options_.max_pipeline)) {
+          conn->pending.push_back(WorkItem{nullptr, std::move(*frame), now,
+                                           depth});
+        } else {
+          lock.unlock();
+          metrics_.Count(metrics_.rejected_pipeline);
+          metrics_.Count(metrics_.responses_error);
+          SendBytes(conn, ErrorResponseFor(
+                              frame->opcode, PeekRequestId(frame->body),
+                              WireCode::kRejectedBusy,
+                              "connection pipeline full (max_pipeline)"));
         }
-        conn->in_flight = true;
-        Dispatch(WorkItem{conn, std::move(*frame), now, depth});
         break;
       }
       default: {
@@ -398,12 +390,7 @@ void Server::ProcessFrames(const std::shared_ptr<Connection>& conn) {
     metrics_.Count(metrics_.protocol_errors);
     ErrorResponse err;
     err.message = "frame exceeds size limit";
-    SendBytes(conn, Encode(err));
-    conn->close_after_flush = true;
-  }
-  if (conn->fd >= 0 && conn->close_after_flush && !conn->in_flight &&
-      conn->wbuf_off >= conn->wbuf.size()) {
-    CloseConnection(conn);
+    SendBytes(conn, Encode(err), /*then_close=*/true);
   }
 }
 
@@ -416,8 +403,7 @@ void Server::HandleHandshake(const std::shared_ptr<Connection>& conn,
     metrics_.Count(metrics_.handshake_failures);
     ErrorResponse err;
     err.message = "malformed HELLO";
-    SendBytes(conn, Encode(err));
-    conn->close_after_flush = true;
+    SendBytes(conn, Encode(err), /*then_close=*/true);
     return;
   }
   resp.id = hello->id;
@@ -453,125 +439,79 @@ void Server::HandleHandshake(const std::shared_ptr<Connection>& conn,
                      ", role '" + hello->role + "'";
     }
   }
-  if (resp.code == WireCode::kOk) {
-    metrics_.Count(metrics_.handshakes);
-  } else {
-    metrics_.Count(metrics_.handshake_failures);
-    conn->close_after_flush = true;
-  }
-  SendBytes(conn, Encode(resp));
+  const bool ok = resp.code == WireCode::kOk;
+  metrics_.Count(ok ? metrics_.handshakes : metrics_.handshake_failures);
+  SendBytes(conn, Encode(resp), /*then_close=*/!ok);
 }
 
 void Server::SendBytes(const std::shared_ptr<Connection>& conn,
-                       std::string bytes) {
+                       std::string bytes, bool then_close) {
+  std::lock_guard<std::mutex> lock(conn->mu);
   if (conn->fd < 0) return;
-  if (conn->wbuf_off >= conn->wbuf.size()) {
-    conn->wbuf = std::move(bytes);
-    conn->wbuf_off = 0;
-  } else {
-    conn->wbuf.append(bytes);
+  if (then_close) {
+    // Nothing after a fatal error runs: drop what was parked.
+    conn->close_after_flush = true;
+    conn->pending.clear();
   }
-  FlushWrites(conn);
+  const bool ok = WriteLocked(*conn, std::move(bytes));
+  if (!ok || (conn->close_after_flush && !conn->in_flight &&
+              conn->wbuf_off >= conn->wbuf.size())) {
+    CloseLocked(*conn);
+    return;
+  }
+  WatchLocked(*conn);
 }
 
-void Server::FlushWrites(const std::shared_ptr<Connection>& conn) {
-  if (conn->fd < 0) return;
-  while (conn->wbuf_off < conn->wbuf.size()) {
+bool Server::WriteLocked(Connection& conn, std::string bytes) {
+  if (conn.wbuf_off >= conn.wbuf.size()) {
+    conn.wbuf = std::move(bytes);
+    conn.wbuf_off = 0;
+  } else {
+    conn.wbuf.append(bytes);
+  }
+  while (conn.wbuf_off < conn.wbuf.size()) {
     // MSG_NOSIGNAL: a peer that hung up yields EPIPE here, not a
     // process-killing SIGPIPE.
     const ssize_t n =
-        ::send(conn->fd, conn->wbuf.data() + conn->wbuf_off,
-               conn->wbuf.size() - conn->wbuf_off, MSG_NOSIGNAL);
+        ::send(conn.fd, conn.wbuf.data() + conn.wbuf_off,
+               conn.wbuf.size() - conn.wbuf_off, MSG_NOSIGNAL);
     if (n > 0) {
       metrics_.Count(metrics_.bytes_written, static_cast<uint64_t>(n));
-      conn->wbuf_off += static_cast<size_t>(n);
+      conn.wbuf_off += static_cast<size_t>(n);
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
     if (n < 0 && errno == EINTR) continue;
-    CloseConnection(conn);  // EPIPE etc.: peer is gone
-    return;
+    return false;  // EPIPE etc.: the peer is gone
   }
-  if (conn->wbuf_off >= conn->wbuf.size()) {
-    conn->wbuf.clear();
-    conn->wbuf_off = 0;
-  }
-  UpdateEpollInterest(conn.get());
+  conn.wbuf.clear();
+  conn.wbuf_off = 0;
+  return true;
 }
 
-void Server::HandleWritable(const std::shared_ptr<Connection>& conn) {
-  FlushWrites(conn);
-  if (conn->fd >= 0 && conn->close_after_flush && !conn->in_flight &&
-      conn->wbuf_off >= conn->wbuf.size()) {
-    CloseConnection(conn);
-  }
-}
-
-void Server::UpdateEpollInterest(Connection* conn) {
-  if (conn->fd < 0) return;
+void Server::WatchLocked(Connection& conn) {
+  const bool want = conn.wbuf_off < conn.wbuf.size() ||
+                    (conn.close_after_flush && !conn.in_flight);
+  if (want == conn.want_write) return;
   epoll_event ev;
   std::memset(&ev, 0, sizeof ev);
-  ev.events = EPOLLIN;
-  if (conn->wbuf_off < conn->wbuf.size()) ev.events |= EPOLLOUT;
-  ev.data.u64 = conn->conn_id;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
+  ev.events = want ? EPOLLIN | EPOLLOUT : EPOLLIN;
+  ev.data.u64 = conn.conn_id;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
+  conn.want_write = want;
 }
 
-void Server::DrainCompletions() {
-  std::vector<std::shared_ptr<Connection>> done;
-  {
-    std::lock_guard<std::mutex> lock(done_mu_);
-    done.swap(done_);
+void Server::CloseLocked(Connection& conn) {
+  if (conn.fd < 0) return;
+  if (conn.in_flight || !conn.pending.empty()) {
+    metrics_.Count(metrics_.disconnects_mid_request);
   }
-  for (const std::shared_ptr<Connection>& conn : done) {
-    std::vector<Outgoing> out;
-    {
-      std::lock_guard<std::mutex> lock(conn->out_mu);
-      out.swap(conn->outbox);
-    }
-    conn->in_flight = false;
-    if (conn->fd < 0) {
-      // Disconnected while executing: nobody to flush to, but the
-      // traces still land in the recorder ring (no write_flush span).
-      for (Outgoing& o : out) FinishTrace(o.trace);
-      continue;
-    }
-    for (Outgoing& o : out) {
-      if (conn->fd < 0) {  // an earlier write in this batch failed
-        FinishTrace(o.trace);
-        continue;
-      }
-      const auto w0 = std::chrono::steady_clock::now();
-      SendBytes(conn, std::move(o.bytes));
-      if (o.trace != nullptr) {
-        o.trace->AddCompletedSpan("write_flush", NsSince(w0));
-        FinishTrace(o.trace);
-      }
-    }
-    if (conn->fd < 0) continue;  // write failure closed it
-    if (conn->close_after_flush) {
-      if (conn->wbuf_off >= conn->wbuf.size()) CloseConnection(conn);
-      continue;
-    }
-    if (!conn->pending.empty()) {
-      PendingRequest next = std::move(conn->pending.front());
-      conn->pending.pop_front();
-      conn->in_flight = true;
-      Dispatch(WorkItem{conn, std::move(next.frame), next.enqueue,
-                        next.pending_depth});
-    }
-  }
-}
-
-void Server::CloseConnection(const std::shared_ptr<Connection>& conn) {
-  if (conn->fd < 0) return;
-  if (conn->session != nullptr) conn->session->cancel_token().Cancel();
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
-  ::close(conn->fd);
-  conn->fd = -1;
-  conn->dead = true;
-  conn->pending.clear();
-  conns_.erase(conn->conn_id);
+  if (conn.session != nullptr) conn.session->cancel_token().Cancel();
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn.fd, nullptr);
+  ::close(conn.fd);
+  conn.fd = -1;
+  conn.pending.clear();
+  conns_.erase(conn.conn_id);
   metrics_.Count(metrics_.connections_closed);
 }
 
@@ -592,23 +532,50 @@ void Server::Dispatch(WorkItem item) {
       queued_.pop_front();
       lock.unlock();
       const auto t0 = std::chrono::steady_clock::now();
-      Outgoing response = ExecuteRequest(run);
+      std::shared_ptr<telemetry::Trace> trace;
+      std::string response = ExecuteRequest(run, &trace);
       if (metrics_.request_ns != nullptr) {
         metrics_.request_ns->Record(NsSince(t0));
       }
-      {
-        std::lock_guard<std::mutex> lock(run.conn->out_mu);
-        run.conn->outbox.push_back(std::move(response));
+      const auto w0 = std::chrono::steady_clock::now();
+      // A response that goes nowhere (the peer left) still lands its
+      // trace in the recorder ring, without a write_flush span.
+      if (Respond(run.conn, std::move(response)) && trace != nullptr) {
+        trace->AddCompletedSpan("write_flush", NsSince(w0));
       }
-      {
-        std::lock_guard<std::mutex> lock(done_mu_);
-        done_.push_back(run.conn);
-      }
-      WakeLoop();
+      FinishTrace(trace);
     }
     std::lock_guard<std::mutex> lock(tasks_mu_);
     if (--tasks_ == 0) tasks_cv_.notify_all();
   });
+}
+
+bool Server::Respond(const std::shared_ptr<Connection>& conn,
+                     std::string bytes) {
+  std::lock_guard<std::mutex> lock(conn->mu);
+  if (conn->fd < 0) {  // closed while the request ran
+    conn->in_flight = false;
+    return false;
+  }
+  // Settle the successor before the send: the send wakes the client,
+  // and on a busy CPU this task may not run again until the client's
+  // next request is read — which then finds the connection idle and
+  // needs no `mu`. A successor goes through the FIFO, not inline here,
+  // so requests of other connections that waited longer start first;
+  // it cannot write before this response, which holds `mu`.
+  if (!conn->close_after_flush && !conn->pending.empty()) {
+    WorkItem next = std::move(conn->pending.front());
+    conn->pending.pop_front();
+    next.conn = conn;
+    Dispatch(std::move(next));
+  } else {
+    conn->in_flight = false;
+  }
+  // On a socket error the bytes stay buffered, EPOLLOUT is armed below,
+  // and the loop's retry fails and closes: only the loop closes fds.
+  WriteLocked(*conn, std::move(bytes));
+  WatchLocked(*conn);
+  return true;
 }
 
 // ---------------------------------------------------------------------
@@ -679,13 +646,13 @@ void Server::FinishTrace(const std::shared_ptr<telemetry::Trace>& trace) {
   if (tel != nullptr) tel->traces().Finish(trace);
 }
 
-Server::Outgoing Server::ExecuteRequest(const WorkItem& item) {
+std::string Server::ExecuteRequest(const WorkItem& item,
+                                   std::shared_ptr<telemetry::Trace>* trace) {
   // A request can only reach a task after the handshake bound the
   // session, so `conn.session` is set; the loop never rebinds it.
   Connection& conn = *item.conn;
   core::Session& session = *conn.session;
   const RawFrame& frame = item.frame;
-  Outgoing out;
   switch (static_cast<Opcode>(frame.opcode)) {
     case Opcode::kQuery: {
       auto req = DecodeQueryRequest(frame.body);
@@ -693,31 +660,27 @@ Server::Outgoing Server::ExecuteRequest(const WorkItem& item) {
       // A v1 peer cannot have sent a trace context intentionally; any
       // well-formed-looking trailing block on its frames is noise.
       if (conn.version < 2) req->trace = TraceContext{};
-      out.trace = BeginWireTrace("query", req->trace, conn, item);
-      out.bytes = ExecuteQuery(session, *req, item, out.trace);
-      return out;
+      *trace = BeginWireTrace("query", req->trace, conn, item);
+      return ExecuteQuery(session, *req, item, *trace);
     }
     case Opcode::kQueryBatch: {
       auto req = DecodeQueryBatchRequest(frame.body);
       if (!req.ok()) break;
       if (conn.version < 2) req->trace = TraceContext{};
-      out.trace = BeginWireTrace("query_batch", req->trace, conn, item);
-      out.bytes = ExecuteQueryBatch(session, *req, item, out.trace);
-      return out;
+      *trace = BeginWireTrace("query_batch", req->trace, conn, item);
+      return ExecuteQueryBatch(session, *req, item, *trace);
     }
     case Opcode::kUpdate: {
       auto req = DecodeUpdateRequest(frame.body);
       if (!req.ok()) break;
       if (conn.version < 2) req->trace = TraceContext{};
-      out.trace = BeginWireTrace("update", req->trace, conn, item);
-      out.bytes = ExecuteUpdate(session, *req, item, out.trace);
-      return out;
+      *trace = BeginWireTrace("update", req->trace, conn, item);
+      return ExecuteUpdate(session, *req, item, *trace);
     }
     case Opcode::kStat: {
       auto req = DecodeStatRequest(frame.body);
       if (!req.ok()) break;
-      out.bytes = ExecuteStat(*req);
-      return out;
+      return ExecuteStat(*req);
     }
     default:
       break;  // unreachable: the loop routes only known opcodes here
@@ -726,10 +689,8 @@ Server::Outgoing Server::ExecuteRequest(const WorkItem& item) {
   // connection survives; the request itself is unanswerable.
   metrics_.Count(metrics_.protocol_errors);
   metrics_.Count(metrics_.responses_error);
-  out.bytes =
-      ErrorResponseFor(frame.opcode, PeekRequestId(frame.body),
-                       WireCode::kProtocolError, "malformed request body");
-  return out;
+  return ErrorResponseFor(frame.opcode, PeekRequestId(frame.body),
+                          WireCode::kProtocolError, "malformed request body");
 }
 
 template <typename Resp>

@@ -4,13 +4,15 @@
 /// speak the length-prefixed binary protocol of protocol.h.
 ///
 /// Shape (modeled on LogCabin's OpaqueServer non-blocking accept/read/
-/// write monitor): ONE event-loop thread owns every socket — accepts,
-/// reads bytes into a per-connection FrameExtractor, writes buffered
-/// responses — and submits each decoded request to the engine's own
-/// ThreadPool (`core::Smoqe::pool()`, which also runs batch fan-out),
-/// where it executes through the connection's role-bound core::Session.
-/// A connection's requests execute strictly in arrival order (one in
-/// flight at a time), so pipelined clients get responses in request
+/// write monitor): ONE event-loop thread accepts, reads bytes into a
+/// per-connection FrameExtractor and closes fds, and submits each decoded
+/// request to the engine's own ThreadPool (`core::Smoqe::pool()`, which
+/// also runs batch fan-out), where it executes through the connection's
+/// role-bound core::Session. The pool task that ran a request also writes
+/// its response: under the connection's mutex it sends what the socket
+/// accepts and leaves the rest to the loop's EPOLLOUT handling (DESIGN
+/// §10.3). A connection's requests execute strictly in arrival order (one
+/// in flight at a time), so pipelined clients get responses in request
 /// order; concurrency comes from many connections, which is the workload
 /// the engine's snapshot/pool layers were built for.
 ///
@@ -34,7 +36,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "src/common/status.h"
 #include "src/core/session.h"
@@ -103,28 +104,28 @@ class Server {
   core::Smoqe* engine() const { return engine_; }
 
  private:
-  /// One encoded response plus the server-side trace riding with it
-  /// (null unless the request carried a v2 trace context and telemetry
-  /// is on). The loop thread stamps `write_flush` into the trace after
-  /// the socket write, then finishes it into the recorder ring.
-  struct Outgoing {
-    std::string bytes;
-    std::shared_ptr<telemetry::Trace> trace;
-  };
+  struct Connection;
 
-  /// A request parked behind the connection's in-flight one, stamped
-  /// with its arrival time and queue depth so the eventual trace can
-  /// say how long it waited and behind how much.
-  struct PendingRequest {
+  /// One request and its admission stamps (arrival time, queue depth at
+  /// arrival). `conn` is set when the request is handed to the pool; a
+  /// request parked in its connection's `pending` leaves it null, so a
+  /// connection never holds a reference to itself.
+  struct WorkItem {
+    std::shared_ptr<Connection> conn;
     RawFrame frame;
     std::chrono::steady_clock::time_point enqueue;
     int pending_depth = 0;
   };
 
-  /// Per-connection state. The event loop owns the fd and every field
-  /// except `outbox`, which request tasks fill under `out_mu`; the
-  /// Session's CancelToken is the one cross-thread control signal.
+  /// Per-connection state. `mu` guards everything a request task shares
+  /// with the loop: `fd` (the loop changes it only to close, under `mu`),
+  /// the write buffer and EPOLLOUT interest, the pending queue and the
+  /// close flag. The loop alone reads the socket and owns `frames`,
+  /// `session` (bound before any request reaches a task), `version` and
+  /// `role_requests`. Only the loop writes `fd` and `close_after_flush`,
+  /// so it reads them without `mu`.
   struct Connection {
+    std::mutex mu;
     int fd = -1;
     uint64_t conn_id = 0;
     FrameExtractor frames;
@@ -137,28 +138,20 @@ class Server {
     /// `server.requests_by_role.<role>` counter, resolved once at
     /// handshake ("" → "direct"); null when telemetry is off.
     telemetry::Counter* role_requests = nullptr;
-    /// Loop-confined: requests waiting behind the in-flight one.
-    std::deque<PendingRequest> pending;
-    bool in_flight = false;
-    bool dead = false;       ///< loop saw EOF/error; fd closed
+    /// Requests waiting behind the in-flight one, oldest first.
+    std::deque<WorkItem> pending;
+    /// Whether a request of this connection is on the pool. Set by
+    /// whoever dispatches; cleared only by the request's task, under
+    /// `mu`, when `pending` is empty. So an idle connection's next
+    /// request is claimed with one exchange, without `mu`.
+    std::atomic<bool> in_flight{false};
     bool close_after_flush = false;  ///< fatal protocol error sent
-    std::string wbuf;        ///< bytes the socket hasn't accepted yet
+    bool want_write = false;  ///< EPOLLOUT armed
+    std::string wbuf;         ///< bytes the socket hasn't accepted yet
     size_t wbuf_off = 0;
-    /// Request task → loop handoff of encoded response frames.
-    std::mutex out_mu;
-    std::vector<Outgoing> outbox;
 
     explicit Connection(size_t max_frame) : frames(max_frame) {}
     ~Connection();
-  };
-
-  /// One request task: a connection, the request to run, and its
-  /// admission stamps (arrival time, queue depth at arrival).
-  struct WorkItem {
-    std::shared_ptr<Connection> conn;
-    RawFrame frame;
-    std::chrono::steady_clock::time_point enqueue;
-    int pending_depth = 0;
   };
 
   /// server.* metrics, resolved once (null structs when telemetry off).
@@ -187,29 +180,44 @@ class Server {
   void LoopMain();
   void HandleAccept();
   void HandleReadable(const std::shared_ptr<Connection>& conn);
-  void HandleWritable(const std::shared_ptr<Connection>& conn);
-  void DrainCompletions();
   /// Lifts complete frames off `conn` and routes them (handshake inline,
   /// requests to the engine pool / pending queue).
   void ProcessFrames(const std::shared_ptr<Connection>& conn);
   void HandleHandshake(const std::shared_ptr<Connection>& conn,
                        const RawFrame& frame);
-  /// Queues `bytes` for writing and flushes what the socket accepts.
-  void SendBytes(const std::shared_ptr<Connection>& conn, std::string bytes);
-  void FlushWrites(const std::shared_ptr<Connection>& conn);
-  void CloseConnection(const std::shared_ptr<Connection>& conn);
-  void UpdateEpollInterest(Connection* conn);
-  void WakeLoop();
+  /// Queues `bytes` (possibly none) for writing and flushes what the
+  /// socket accepts. `then_close` marks a fatal protocol error: the
+  /// connection closes once its last response is out. Closes at once on
+  /// a socket error.
+  void SendBytes(const std::shared_ptr<Connection>& conn, std::string bytes,
+                 bool then_close = false);
+  /// Closes the fd and forgets the connection. Caller holds `conn.mu`
+  /// and a reference to `conn` beyond the one in `conns_`.
+  void CloseLocked(Connection& conn);
+
+  // --- shared by the loop and request tasks (caller holds conn.mu) ---
+  /// Appends `bytes` to the write buffer and sends what the socket takes
+  /// without blocking. False on a hard socket error (the bytes stay).
+  bool WriteLocked(Connection& conn, std::string bytes);
+  /// Arms EPOLLOUT iff the loop has work on `conn`: unsent bytes, or a
+  /// fatal-error close waiting for the last response.
+  void WatchLocked(Connection& conn);
 
   /// Queues `item` behind every earlier request and submits one request
-  /// task to the engine pool, which executes the oldest queued request,
-  /// posts the response and wakes the loop.
+  /// task to the engine pool, which executes the oldest queued request
+  /// and writes its response.
   void Dispatch(WorkItem item);
 
   // --- request tasks (run on the engine pool) ---
-  /// Decodes + executes one request, returns the encoded response frame
-  /// plus the server-side trace (if the request carried a context).
-  Outgoing ExecuteRequest(const WorkItem& item);
+  /// Decodes + executes one request and returns the encoded response
+  /// frame; `*trace` is the server-side trace (null unless the request
+  /// carried a context).
+  std::string ExecuteRequest(const WorkItem& item,
+                             std::shared_ptr<telemetry::Trace>* trace);
+  /// Writes a finished request's response and hands the connection's
+  /// next pending request to Dispatch. False if the connection closed
+  /// while the request ran (the response goes nowhere).
+  bool Respond(const std::shared_ptr<Connection>& conn, std::string bytes);
   /// Adopts the wire trace context as a server-side trace: queue_wait
   /// span back-dated to the frame's arrival, pipeline depth and role as
   /// attributes. Null when the context is absent or telemetry is off.
@@ -248,7 +256,7 @@ class Server {
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
-  int event_fd_ = -1;
+  int event_fd_ = -1;  ///< Stop()'s wake-up for the loop
   uint16_t port_ = 0;
   std::atomic<bool> running_{false};
   bool started_ = false;
@@ -260,16 +268,13 @@ class Server {
   uint64_t next_conn_id_ = 1;
 
   /// Requests waiting for a pool task, oldest first, across connections.
+  /// Lock order: a connection's `mu`, then `tasks_mu_`.
   std::mutex tasks_mu_;
   std::deque<WorkItem> queued_;
   /// Request tasks submitted to the engine pool and not yet finished.
   /// The tasks hold `this`, so Stop() waits for zero.
   std::condition_variable tasks_cv_;
   size_t tasks_ = 0;
-
-  /// Completion queue (request tasks → loop, drained on eventfd wakeups).
-  std::mutex done_mu_;
-  std::vector<std::shared_ptr<Connection>> done_;
 };
 
 }  // namespace smoqe::server

@@ -168,6 +168,33 @@ TEST_F(SmoqeTest, TaxIndexLifecycle) {
   EXPECT_FALSE(engine_.Query("ward", "//medication", bad).ok());
 }
 
+// An index file saved from a smaller document has no slot for the
+// larger document's higher ids, so a TAX query would read past its
+// reference array. LoadIndex rejects it and publishes nothing.
+TEST_F(SmoqeTest, LoadIndexRejectsAnIndexOfASmallerDocument) {
+  ASSERT_TRUE(engine_
+                  .LoadDocument("tiny",
+                                "<hospital><patient><pname>Zed</pname>"
+                                "</patient></hospital>")
+                  .ok());
+  ASSERT_TRUE(engine_.BuildIndex("tiny").ok());
+  std::string path = ::testing::TempDir() + "/smoqe_core_tiny_tax.idx";
+  ASSERT_TRUE(engine_.SaveIndex("tiny", path).ok());
+  Status s = engine_.LoadIndex("ward", path);
+  std::remove(path.c_str());
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+
+  auto r = engine_.Query("ward", "hospital/patient/pname");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->answers_xml.size(), 2u);
+  QueryOptions tax;
+  tax.use_tax = true;
+  auto t = engine_.Query("ward", "//medication", tax);
+  ASSERT_FALSE(t.ok());
+  EXPECT_EQ(t.status().code(), StatusCode::kFailedPrecondition);
+}
+
 TEST_F(SmoqeTest, ExplainProducesMfaAndTrace) {
   QueryOptions opts;
   opts.explain = true;

@@ -18,7 +18,7 @@ using testutil::MustDoc;
 using testutil::MustQuery;
 
 TaxIndex RoundTrip(const TaxIndex& idx) {
-  auto decoded = TaxIo::Decode(TaxIo::Encode(idx));
+  auto decoded = TaxIo::Decode(TaxIo::Encode(idx), idx.type_width());
   EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
   return decoded.MoveValue();
 }
@@ -103,9 +103,27 @@ TEST(TaxIoEdge, SetCountBeyondInputIsRejected) {
   PutVarint64(&bytes, 1ull << 39);  // set count
   PutVarint64(&bytes, 1);           // elements
   bytes += std::string(8, '\2');     // eight text placeholders
-  auto r = TaxIo::Decode(bytes);
+  auto r = TaxIo::Decode(bytes, /*max_width=*/9);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+}
+
+// The width sizes the decode buffer, so a header claiming a width beyond
+// the name table is rejected before anything is allocated for it (one
+// claiming 2^62 used to throw std::bad_alloc out of Decode).
+TEST(TaxIoEdge, WidthBeyondTheNameTableIsRejected) {
+  for (uint64_t width : {65ull, 1ull << 62}) {
+    std::string bytes = "TAX1";
+    PutVarint64(&bytes, width);
+    PutVarint64(&bytes, 1);  // set count
+    PutVarint64(&bytes, 1);  // elements
+    bytes += '\0';          // one literal set follows
+    PutVarint64(&bytes, 0);  // zero run
+    PutVarint64(&bytes, 0);  // literal run
+    auto r = TaxIo::Decode(bytes, /*max_width=*/64);
+    ASSERT_FALSE(r.ok()) << width;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError) << width;
+  }
 }
 
 }  // namespace

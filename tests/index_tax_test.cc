@@ -111,7 +111,7 @@ TEST(TaxIoTest, EncodeDecodeRoundTrip) {
     xml::Document doc = testutil::GenHospital(seed, 500);
     TaxIndex idx = TaxIndex::Build(doc);
     std::string bytes = TaxIo::Encode(idx);
-    auto back = TaxIo::Decode(bytes);
+    auto back = TaxIo::Decode(bytes, doc.names()->size());
     ASSERT_TRUE(back.ok()) << back.status().ToString();
     EXPECT_EQ(back->type_width(), idx.type_width());
     EXPECT_EQ(back->num_elements(), idx.num_elements());
@@ -161,7 +161,7 @@ TEST(TaxTest, InterningSharesSets) {
   }
   ASSERT_NE(first_leaf, nullptr);
   // Decoding interns the same way.
-  auto back = TaxIo::Decode(TaxIo::Encode(idx));
+  auto back = TaxIo::Decode(TaxIo::Encode(idx), idx.type_width());
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->distinct_sets(), idx.distinct_sets());
   EXPECT_TRUE(back->EquivalentTo(idx));
@@ -221,25 +221,27 @@ TEST(TaxIoTest, SaveLoadFile) {
   TaxIndex idx = TaxIndex::Build(doc);
   std::string path = ::testing::TempDir() + "/tax_test.idx";
   ASSERT_TRUE(TaxIo::Save(idx, path).ok());
-  auto back = TaxIo::Load(path);
+  auto back = TaxIo::Load(path, doc.names()->size());
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back->num_elements(), idx.num_elements());
   std::remove(path.c_str());
 }
 
 TEST(TaxIoTest, DecodeRejectsCorruptInput) {
-  EXPECT_FALSE(TaxIo::Decode("").ok());
-  EXPECT_FALSE(TaxIo::Decode("BAD!xxxx").ok());
+  EXPECT_FALSE(TaxIo::Decode("", 64).ok());
+  EXPECT_FALSE(TaxIo::Decode("BAD!xxxx", 64).ok());
   xml::Document doc = MustDoc(kHospitalDoc);
   TaxIndex idx = TaxIndex::Build(doc);
   std::string bytes = TaxIo::Encode(idx);
-  EXPECT_FALSE(TaxIo::Decode(bytes.substr(0, bytes.size() / 2)).ok());
+  const size_t width = doc.names()->size();
+  EXPECT_FALSE(
+      TaxIo::Decode(bytes.substr(0, bytes.size() / 2), width).ok());
   std::string garbled = bytes + "trailing";
-  EXPECT_FALSE(TaxIo::Decode(garbled).ok());
+  EXPECT_FALSE(TaxIo::Decode(garbled, width).ok());
 }
 
 TEST(TaxIoTest, LoadMissingFileFails) {
-  auto r = TaxIo::Load("/nonexistent/path/tax.idx");
+  auto r = TaxIo::Load("/nonexistent/path/tax.idx", 64);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIOError);
 }

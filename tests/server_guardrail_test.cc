@@ -11,11 +11,13 @@
 
 #include <chrono>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/guardrail.h"
+#include "src/core/session.h"
 #include "src/core/smoqe.h"
 #include "src/server/client.h"
 #include "src/server/protocol.h"
@@ -482,6 +484,232 @@ TEST(ServerSchedulingTest, WaitingRequestsRunOldestFirstAcrossConnections) {
     order.push_back(rec.statement);
   }
   EXPECT_EQ(order, queries);
+}
+
+// The names in /proc/self/fd: which fd numbers this process holds.
+std::set<std::string> OpenFds() {
+  std::set<std::string> out;
+  DIR* dir = ::opendir("/proc/self/fd");
+  if (dir == nullptr) return out;
+  while (const dirent* e = ::readdir(dir)) {
+    if (e->d_name[0] != '.') out.insert(e->d_name);
+  }
+  ::closedir(dir);
+  return out;
+}
+
+// An engine whose pool has one worker, serving the hand-written ward and
+// the 100k-target `big` document.
+std::unique_ptr<core::Smoqe> OneWorkerEngine(core::EngineOptions eo = {}) {
+  eo.max_threads = 2;
+  auto engine = std::make_unique<core::Smoqe>(eo);
+  SetupHospitalEngine(*engine, /*gen_nodes=*/0);
+  EXPECT_TRUE(engine->GenerateDocument("big", "hospital", 7, 100'000).ok());
+  return engine;
+}
+
+// Polls `counter` until it exceeds `before` (the loop has taken a frame
+// or closed a connection).
+void WaitAbove(const telemetry::Counter& counter, uint64_t before) {
+  for (int i = 0; i < 10'000 && counter.Value() <= before; ++i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ASSERT_GT(counter.Value(), before);
+}
+
+// Request tasks write their own responses, so a task whose connection
+// closed must not write to that fd number once the loop has handed it to
+// a new connection. Connection A's StAX request waits behind a slow batch
+// on the one worker; A disconnects, and B is accepted on the same fd
+// numbers. A's request then runs (cancelled) and its response must go
+// nowhere: B reads exactly its own answers, equal to the library's for
+// its role, and nothing else.
+TEST(ServerWritePathTest, ClosedConnectionsResponseNeverReachesAReusedFd) {
+  auto engine = OneWorkerEngine();
+  TestServer server(engine.get());
+  ASSERT_TRUE(server.ok()) << server.start_status().ToString();
+  auto& registry = engine->telemetry()->registry();
+  const auto& requests = registry.GetCounter("server.requests");
+  const auto& closed = registry.GetCounter("server.connections_closed");
+
+  ClientOptions co;
+  co.port = server.port();
+  co.recv_timeout_ms = 60'000;
+  auto blocker = Client::Connect(co);
+  ASSERT_TRUE(blocker.ok()) << blocker.status().ToString();
+  QueryBatchRequest slow;
+  slow.id = blocker->NextId();
+  slow.doc = "big";
+  for (int i = 0; i < 8; ++i) {
+    slow.items.push_back({kHotQuery, WireEvalMode::kStax, 0});
+  }
+  uint64_t before = requests.Value();
+  ASSERT_TRUE(blocker->SendBytes(Encode(slow)).ok());
+  WaitAbove(requests, before);
+
+  RawConn a;
+  ASSERT_TRUE(a.Dial(server.port()));
+  ASSERT_TRUE(RawHandshake(a, ""));
+  const std::set<std::string> fds_with_a = OpenFds();
+  QueryRequest q;
+  q.id = 42;
+  q.doc = "big";
+  q.query = kHotQuery;
+  q.mode = WireEvalMode::kStax;
+  before = requests.Value();
+  ASSERT_TRUE(a.Send(Encode(q)));
+  WaitAbove(requests, before);
+  before = closed.Value();
+  a.Close();
+  WaitAbove(closed, before);
+
+  RawConn b;
+  ASSERT_TRUE(b.Dial(server.port()));
+  ASSERT_TRUE(RawHandshake(b, "autism-group"));
+  // Lowest-free-fd allocation gives B's two sockets A's two numbers.
+  ASSERT_EQ(OpenFds(), fds_with_a);
+
+  const std::vector<std::string> queries = {"//patient/pname", "//medication",
+                                            "hospital/patient//treatment"};
+  std::string burst;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    QueryRequest r;
+    r.id = i + 1;
+    r.doc = "ward";
+    r.query = queries[i];
+    burst += Encode(r);
+  }
+  ASSERT_TRUE(b.Send(burst));
+  auto session = core::Session::Open(engine.get(), "autism-group");
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    RawFrame frame;
+    ASSERT_EQ(b.Recv(&frame, 60'000), RawConn::RecvResult::kFrame);
+    ASSERT_EQ(frame.opcode, static_cast<uint8_t>(Opcode::kQueryResult));
+    auto resp = DecodeQueryResponse(frame.body);
+    ASSERT_TRUE(resp.ok());
+    EXPECT_EQ(resp->id, i + 1);
+    ASSERT_EQ(resp->code, WireCode::kOk) << resp->error;
+    auto lib = session->Query("ward", queries[i]);
+    ASSERT_TRUE(lib.ok()) << lib.status().ToString();
+    EXPECT_EQ(resp->answers_xml, lib->answers_xml) << queries[i];
+  }
+  RawFrame stray;
+  EXPECT_EQ(b.Recv(&stray, 200), RawConn::RecvResult::kTimeout);
+  ASSERT_TRUE(blocker->ReceiveFrame().ok());
+}
+
+// A client pipelines three requests whose answers outgrow the loopback
+// socket buffers, then reads nothing for 200 ms. The one worker's sends
+// hit EAGAIN and leave the rest to the loop's EPOLLOUT handling; the
+// worker never blocks on the socket, so another connection is answered
+// during the stall. Then all three responses arrive in request order,
+// byte-equal to the library.
+TEST(ServerWritePathTest, PartialWritesHandOffToTheLoopInRequestOrder) {
+  auto engine = OneWorkerEngine();
+  TestServer server(engine.get());
+  ASSERT_TRUE(server.ok()) << server.start_status().ToString();
+  auto lib = engine->Query("big", "//*");
+  ASSERT_TRUE(lib.ok()) << lib.status().ToString();
+  size_t answer_bytes = 0;
+  for (const std::string& a : lib->answers_xml) answer_bytes += a.size();
+
+  RawConn stalled;
+  ASSERT_TRUE(stalled.Dial(server.port()));
+  ASSERT_TRUE(RawHandshake(stalled, ""));
+  // Far more than both ends' loopback socket buffers can hold.
+  ASSERT_GT(3 * answer_bytes, size_t{16} << 20);
+  std::string burst;
+  for (uint64_t id = 1; id <= 3; ++id) {
+    QueryRequest r;
+    r.id = id;
+    r.doc = "big";
+    r.query = "//*";
+    burst += Encode(r);
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(stalled.Send(burst));
+
+  ClientOptions co;
+  co.port = server.port();
+  co.recv_timeout_ms = 10'000;
+  auto other = Client::Connect(co);
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  QueryRequest probe;
+  probe.doc = "ward";
+  probe.query = "//pname";
+  auto pr = other->Query(probe);
+  ASSERT_TRUE(pr.ok()) << pr.status().ToString();
+  EXPECT_EQ(pr->code, WireCode::kOk) << pr->error;
+
+  std::this_thread::sleep_until(t0 + std::chrono::milliseconds(200));
+  for (uint64_t id = 1; id <= 3; ++id) {
+    RawFrame frame;
+    ASSERT_EQ(stalled.Recv(&frame, 60'000), RawConn::RecvResult::kFrame);
+    auto resp = DecodeQueryResponse(frame.body);
+    ASSERT_TRUE(resp.ok());
+    EXPECT_EQ(resp->id, id);
+    ASSERT_EQ(resp->code, WireCode::kOk) << resp->error;
+    EXPECT_TRUE(resp->answers_xml == lib->answers_xml) << "response " << id;
+  }
+}
+
+// The engine call runs outside the connection's lock: while a slow
+// batch executes, the loop still admits the connection's next frames, so
+// a pipeline overflow is answered (REJECTED_BUSY, PROTOCOL.md) while the
+// batch is still inside the engine. A task that held the lock across the
+// call would stall the loop until the batch ended.
+TEST(ServerWritePathTest, TheLoopAdmitsFramesWhileARequestRuns) {
+  core::EngineOptions eo;
+  eo.max_pending_requests = 64;  // makes admission.inflight count
+  auto engine = OneWorkerEngine(eo);
+  ServerOptions opts = TestServer::DefaultOptions();
+  opts.max_pipeline = 1;
+  TestServer server(engine.get(), opts);
+  ASSERT_TRUE(server.ok()) << server.start_status().ToString();
+
+  RawConn conn;
+  ASSERT_TRUE(conn.Dial(server.port()));
+  ASSERT_TRUE(RawHandshake(conn, ""));
+  QueryBatchRequest slow;
+  slow.id = 1;
+  slow.doc = "big";
+  for (int i = 0; i < 32; ++i) {
+    slow.items.push_back({kHotQuery, WireEvalMode::kStax, 0});
+  }
+  ASSERT_TRUE(conn.Send(Encode(slow)));
+  auto inflight = [&] {
+    engine->DumpMetrics();
+    return engine->telemetry()->registry().GetGauge("admission.inflight")
+        .Value();
+  };
+  for (int i = 0; i < 10'000 && inflight() != 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(inflight(), 1);  // the batch is inside the engine
+
+  std::string burst;
+  for (uint64_t id = 2; id <= 3; ++id) {
+    QueryRequest q;
+    q.id = id;
+    q.doc = "ward";
+    q.query = "//pname";
+    burst += Encode(q);
+  }
+  ASSERT_TRUE(conn.Send(burst));
+  const std::vector<uint64_t> want_ids = {3, 1, 2};
+  for (uint64_t want : want_ids) {
+    RawFrame frame;
+    ASSERT_EQ(conn.Recv(&frame, 60'000), RawConn::RecvResult::kFrame);
+    const uint64_t id = PeekRequestId(frame.body);
+    EXPECT_EQ(id, want);
+    if (id == 3) {
+      EXPECT_EQ(inflight(), 1) << "rejected only after the batch ended";
+      auto resp = DecodeQueryResponse(frame.body);
+      ASSERT_TRUE(resp.ok());
+      EXPECT_EQ(resp->code, WireCode::kRejectedBusy) << resp->error;
+    }
+  }
 }
 
 #ifdef SMOQE_FAULT_INJECTION
