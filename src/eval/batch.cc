@@ -63,7 +63,7 @@ class AttrRange : public AttrProvider {
 /// capture opens a block, and every event inside it is appended to that
 /// block once; a nested capture is a [begin, end) span of its outermost
 /// block, so bytes stay O(captured subtree), not O(Σ nested subtrees).
-/// Answers are copied out of the blocks at AssembleResults.
+/// Answers are copied out of the blocks at AssembleOne.
 ///
 /// Start tags are held open ("<name a=\"v\"" without the '>') and closed
 /// lazily, so empty elements serialize as "<name/>" exactly like the DOM
@@ -187,7 +187,7 @@ class CaptureStream {
 /// frames) plus the skip window and the engine-id → document-node map
 /// used to demultiplex shared captures back into per-plan answers.
 /// Confinement (DESIGN.md §7): under RunParallel each PlanState is
-/// advanced by exactly one worker per chunk; the driver thread reads
+/// advanced by exactly one thread per chunk; the driver thread reads
 /// `staged_events` only after the chunk's join.
 struct PlanState {
   explicit PlanState(const automata::Mfa& mfa) : engine(mfa) {}
@@ -271,7 +271,7 @@ struct TokEvent {
 };
 
 /// A chunk of decoded, interned events — the unit of fork/join work the
-/// parallel driver hands to plan groups. Buffers are reused across
+/// parallel driver hands to the plans. Buffers are reused across
 /// refills.
 struct TokChunk {
   std::vector<TokEvent> events;
@@ -281,12 +281,16 @@ struct TokChunk {
   /// buffers stop growing: every plan reads these, so a plan skipping a
   /// subtree touches only an event's kind and depth.
   std::vector<ScanEvent> scan;
+  /// Per event: some plan staged it (start elements). Filled after the
+  /// plans' join, read by the capture replay one chunk later.
+  std::vector<uint8_t> staged;
 
   void Clear() {
     events.clear();
     attrs.clear();
     strings.clear();
     scan.clear();
+    staged.clear();
   }
 
   void Resolve() {
@@ -358,53 +362,50 @@ Status ChargeAndCheck(const Guardrail& guard, CaptureStream& cap,
   return guard.Check();
 }
 
-/// Demultiplexes each plan's answer ids into serialized answers via its
+/// Demultiplexes plan `k`'s answer ids into serialized answers via its
 /// candidate map and the shared finished-capture table: only candidates
 /// that became answers are copied out of their capture block. The copies
 /// are charged to `guard` (nullptr = ungoverned) before they are made.
-Result<std::vector<StaxEvalResult>> AssembleResults(
-    std::vector<std::unique_ptr<PlanState>>& states,
-    const CaptureStream& cap, const Guardrail* guard) {
-  std::vector<StaxEvalResult> results(states.size());
-  for (size_t k = 0; k < states.size(); ++k) {
-    PlanState& ps = *states[k];
-    const std::vector<int32_t>& ids = ps.engine.FinishDocument();
-    StaxEvalResult& out = results[k];
-    std::vector<CaptureStream::Span> spans;
-    spans.reserve(ids.size());
-    uint64_t copied = 0;
-    for (int32_t id : ids) {
-      // Answers are candidates, so the binary search always lands.
-      auto cand = std::lower_bound(ps.candidate_nodes.begin(),
-                                   ps.candidate_nodes.end(),
-                                   std::make_pair(id, INT32_MIN));
-      auto it = cand == ps.candidate_nodes.end() || cand->first != id
-                    ? cap.finished().end()
-                    : cap.finished().find(cand->second);
-      if (it == cap.finished().end()) {
-        return Status::Internal("plan " + std::to_string(k) + " answer " +
-                                std::to_string(id) + " was never captured");
-      }
-      spans.push_back(it->second);
-      copied += it->second.len;
+/// Plans are independent here, so the parallel driver runs one call per
+/// plan on the pool.
+Status AssembleOne(PlanState& ps, size_t k, size_t plan_count,
+                   const CaptureStream& cap, const Guardrail* guard,
+                   StaxEvalResult* out) {
+  const std::vector<int32_t>& ids = ps.engine.FinishDocument();
+  std::vector<CaptureStream::Span> spans;
+  spans.reserve(ids.size());
+  uint64_t copied = 0;
+  for (int32_t id : ids) {
+    // Answers are candidates, so the binary search always lands.
+    auto cand = std::lower_bound(ps.candidate_nodes.begin(),
+                                 ps.candidate_nodes.end(),
+                                 std::make_pair(id, INT32_MIN));
+    auto it = cand == ps.candidate_nodes.end() || cand->first != id
+                  ? cap.finished().end()
+                  : cap.finished().find(cand->second);
+    if (it == cap.finished().end()) {
+      return Status::Internal("plan " + std::to_string(k) + " answer " +
+                              std::to_string(id) + " was never captured");
     }
-    if (guard != nullptr) {
-      guard->ChargeBytes(copied);
-      SMOQE_RETURN_IF_ERROR(guard->Check());
-    }
-    out.answers.reserve(ids.size());
-    for (size_t i = 0; i < ids.size(); ++i) {
-      const CaptureStream::Span& sp = spans[i];
-      out.answers.push_back(StaxAnswer{
-          ids[i], cap.blocks()[sp.block].substr(sp.begin, sp.len)});
-    }
-    out.stats = ps.engine.stats();
-    // The capture footprint is shared by the whole batch; every plan
-    // reports the pass-wide peak.
-    out.stats.buffered_bytes = cap.peak_buffered();
-    out.stats.batch_plans = states.size();
+    spans.push_back(it->second);
+    copied += it->second.len;
   }
-  return results;
+  if (guard != nullptr) {
+    guard->ChargeBytes(copied);
+    SMOQE_RETURN_IF_ERROR(guard->Check());
+  }
+  out->answers.reserve(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const CaptureStream::Span& sp = spans[i];
+    out->answers.push_back(
+        StaxAnswer{ids[i], cap.blocks()[sp.block].substr(sp.begin, sp.len)});
+  }
+  out->stats = ps.engine.stats();
+  // The capture footprint is shared by the whole batch; every plan
+  // reports the pass-wide peak.
+  out->stats.buffered_bytes = cap.peak_buffered();
+  out->stats.batch_plans = plan_count;
+  return Status::OK();
 }
 
 /// One fresh engine per plan, once every plan is checked to share the
@@ -456,13 +457,19 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::Run(
     switch (kind) {
       case xml::StaxEvent::kStartDocument:
         continue;
-      case xml::StaxEvent::kEndDocument:
+      case xml::StaxEvent::kEndDocument: {
         // The tail since the last tick (all of a document under one tick
         // period) is charged before the answers are copied out.
         if (guard_ != nullptr) {
           SMOQE_RETURN_IF_ERROR(ChargeAndCheck(*guard_, cap, states));
         }
-        return AssembleResults(states, cap, guard_);
+        std::vector<StaxEvalResult> results(states.size());
+        for (size_t k = 0; k < states.size(); ++k) {
+          SMOQE_RETURN_IF_ERROR(AssembleOne(*states[k], k, states.size(),
+                                            cap, guard_, &results[k]));
+        }
+        return results;
+      }
       case xml::StaxEvent::kStartElement:
         ev.str = &reader.name();
         if (live_plans > 0) ev.label = names->Intern(reader.name());
@@ -491,98 +498,93 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::Run(
 Result<std::vector<StaxEvalResult>> BatchEvaluator::RunParallel(
     std::string_view xml, const BatchParallelOptions& par) const {
   // Workers advance plans while the caller tokenizes, so parallelism
-  // needs a pool with at least one worker and two plans to group.
+  // needs a pool with at least one worker and two plans to share out.
   if (par.pool == nullptr || par.pool->thread_count() < 2 ||
       plans_.size() < 2) {
     return Run(xml);
   }
   ThreadPool& pool = *par.pool;
-  const size_t workers = static_cast<size_t>(pool.thread_count()) - 1;
   SMOQE_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<PlanState>> states,
                          MakePlanStates(plans_));
   xml::NameTable* names = plans_[0]->names().get();
 
-  // Contiguous plan stripes, one per worker task.
-  const size_t groups = std::min(workers, states.size());
-  auto group_range = [&](size_t g) {
-    const size_t per = states.size() / groups;
-    const size_t extra = states.size() % groups;
-    const size_t begin = g * per + std::min(g, extra);
-    return std::make_pair(begin, begin + per + (g < extra ? 1 : 0));
-  };
-
   xml::StaxReader reader(xml);
   const size_t chunk_events = par.chunk_events == 0 ? 4096 : par.chunk_events;
-  TokChunk cur, next;
+  // Three rotating chunks: the plans advance `cur` while the driver fills
+  // `next` and replays the captures of `prev`, whose staged flags the
+  // previous join settled.
+  TokChunk chunks[3];
+  TokChunk* prev = &chunks[0];
+  TokChunk* cur = &chunks[1];
+  TokChunk* next = &chunks[2];
   int32_t next_node_id = 0;
   // The driver polls while tokenizing too: a chunk's decode can outlast
   // the plans' advance through the previous one.
   GuardTicker tok_ticker(guard_);
   SMOQE_ASSIGN_OR_RETURN(
       bool eof, FillChunk(reader, names, &next_node_id, chunk_events,
-                          tok_ticker, &cur));
+                          tok_ticker, cur));
 
   CaptureStream cap;
-  std::vector<uint8_t> staged;
-  std::vector<Status> group_status(groups, Status::OK());
+  auto replay = [&cap](TokChunk& chunk) {
+    for (size_t i = 0; i < chunk.scan.size(); ++i) {
+      cap.Append(chunk.scan[i], chunk.staged[i] != 0);
+    }
+  };
+  std::vector<Status> plan_status(states.size(), Status::OK());
   // A tripped guard returns at once: the plan states of a wide batch are
-  // thousands of small allocations per plan, so they are freed on the
-  // pool rather than on the caller's deadline.
+  // many allocations per plan, so they are freed on the pool rather than
+  // on the caller's deadline.
   auto trip = [&](Status st) {
     auto doomed = std::make_shared<decltype(states)>(std::move(states));
     pool.Submit([doomed] { doomed->clear(); });
     return st;
   };
-  // One group's share of a chunk: advance its plans through `cur`.
-  const std::function<void(size_t)> advance_group = [&](size_t g) {
-    auto [begin, end] = group_range(g);
-    // Poll inside the chunk: its wall time grows with the batch width, so
+  // One plan's share of a chunk. Pool tasks claim plans one at a time, so
+  // a costly plan holds up only the thread that runs it.
+  const std::function<void(size_t)> advance_plan = [&](size_t k) {
+    // Poll inside the chunk: its wall time grows with the plan's cost, so
     // the per-chunk check below alone would let deadline detection lag by
-    // a whole chunk of a wide batch. A tripped group stops; the caller
-    // fails the call after the join.
+    // a whole chunk. A tripped plan stops; the caller fails the call
+    // after the join.
     GuardTicker ticker(guard_);
-    for (size_t k = begin; k < end && group_status[g].ok(); ++k) {
-      group_status[g] = AdvancePlanOverChunk(*states[k], cur, *names, ticker);
-    }
+    plan_status[k] = AdvancePlanOverChunk(*states[k], *cur, *names, ticker);
   };
-  while (!cur.events.empty()) {
+  while (!cur->events.empty()) {
     const auto chunk_t0 = par.chunk_ns != nullptr
                               ? std::chrono::steady_clock::now()
                               : std::chrono::steady_clock::time_point();
-    // Fork: the groups advance their plans through `cur`…
-    ThreadPool::Forked chunk = pool.Fork(groups, advance_group);
-    // …while the caller tokenizes the next chunk behind the same reader.
+    // Fork: the pool advances the plans through `cur`…
+    ThreadPool::Forked chunk = pool.Fork(states.size(), advance_plan);
+    // …while the caller tokenizes the next chunk behind the same reader
+    // and replays the previous chunk's captures.
     Status tok_status = Status::OK();
     if (!eof) {
       auto r = FillChunk(reader, names, &next_node_id, chunk_events,
-                         tok_ticker, &next);
+                         tok_ticker, next);
       if (r.ok()) {
         eof = *r;
       } else {
         tok_status = r.status();
       }
     } else {
-      next.Clear();
+      next->Clear();
     }
-    // On a saturated pool (nested batches via QueryBatchMulti, or
-    // smoqed's requests) this thread advances the groups no worker has
-    // claimed yet itself, so it never waits on a queued task — and it
-    // never runs a task that is not this chunk's.
+    replay(*prev);
+    // Then this thread advances the plans no worker has claimed yet, so
+    // on a saturated pool (nested batches via QueryBatchMulti, or
+    // smoqed's requests) it never waits on a queued task — and it never
+    // runs a task that is not this chunk's.
     chunk.Join();
     if (!tok_status.ok()) return trip(std::move(tok_status));
-    // A group that stopped early left its plans mid-chunk: fail closed.
-    for (Status& st : group_status) {
+    // A plan that stopped early is left mid-chunk: fail closed.
+    for (Status& st : plan_status) {
       if (!st.ok()) return trip(std::move(st));
     }
-
-    // Join: merge the groups' staging reports, then replay the shared
-    // capture stream for this chunk on the driver thread.
-    staged.assign(cur.events.size(), 0);
+    // Settle `cur`'s staged flags for its replay one round later.
+    cur->staged.assign(cur->events.size(), 0);
     for (auto& ps : states) {
-      for (uint32_t i : ps->staged_events) staged[i] = 1;
-    }
-    for (uint32_t i = 0; i < cur.events.size(); ++i) {
-      cap.Append(cur.scan[i], staged[i] != 0);
+      for (uint32_t i : ps->staged_events) cur->staged[i] = 1;
     }
     if (par.chunk_ns != nullptr) {
       par.chunk_ns->Record(static_cast<uint64_t>(
@@ -590,19 +592,36 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::RunParallel(
               std::chrono::steady_clock::now() - chunk_t0)
               .count()));
     }
-    // Per-chunk budget charge on the driver thread — the workers have
+    // Per-chunk budget charge on the driver thread — the plans have
     // joined, so the engines' allocation counters are safe to drain.
     if (guard_ != nullptr) {
       Status st = ChargeAndCheck(*guard_, cap, states);
       if (!st.ok()) return trip(std::move(st));
     }
-    std::swap(cur, next);
+    TokChunk* done = prev;
+    prev = cur;
+    cur = next;
+    next = done;
+  }
+  // The last chunk's captures, charged before any answer is copied.
+  replay(*prev);
+  if (guard_ != nullptr) {
+    Status st = ChargeAndCheck(*guard_, cap, states);
+    if (!st.ok()) return trip(std::move(st));
   }
 
-  // Final Cans selection per plan is independent — fan it out too.
-  pool.ParallelFor(states.size(),
-                   [&](size_t k) { states[k]->engine.FinishDocument(); });
-  return AssembleResults(states, cap, guard_);
+  // Per plan: the Cans selection pass, the answer copies and the plan
+  // state's teardown — independent across plans, so on the pool too.
+  std::vector<StaxEvalResult> results(states.size());
+  pool.ParallelFor(states.size(), [&](size_t k) {
+    plan_status[k] =
+        AssembleOne(*states[k], k, states.size(), cap, guard_, &results[k]);
+    states[k].reset();
+  });
+  for (Status& st : plan_status) {
+    if (!st.ok()) return std::move(st);
+  }
+  return results;
 }
 
 EvalStats BatchEvaluator::AggregateStats(

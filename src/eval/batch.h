@@ -11,10 +11,11 @@
 /// once per query (experiment E11, bench/bench_batch.cc).
 ///
 /// RunParallel adds the second axis (experiment E13): one thread keeps
-/// the shared tokenizer, while per-plan engine advancement — the part
-/// that grows linearly in N — fans out across a thread pool in event
-/// chunks. Answers are byte-identical to Run (and to N sequential
-/// passes); only wall-clock changes.
+/// the shared tokenizer and the capture replay, while per-plan engine
+/// advancement — the part that grows linearly in N — fans out across a
+/// thread pool in event chunks, and so does each plan's answer assembly.
+/// Answers are byte-identical to Run (and to N sequential passes); only
+/// wall-clock changes.
 
 #ifndef SMOQE_EVAL_BATCH_H_
 #define SMOQE_EVAL_BATCH_H_
@@ -42,8 +43,9 @@ struct BatchParallelOptions {
   /// hundred KB.
   size_t chunk_events = 4096;
   /// Optional telemetry sink: wall-clock nanoseconds of each fork/join
-  /// round (submit → capture replay done) is Record()ed here, one sample
-  /// per chunk. Null = no timing taken.
+  /// round (fork → join and staging merge; the round also tokenizes the
+  /// next chunk and replays the previous one) is Record()ed here, one
+  /// sample per chunk. Null = no timing taken.
   telemetry::Histogram* chunk_ns = nullptr;
 };
 
@@ -72,7 +74,7 @@ class BatchEvaluator {
  public:
   /// `guard` is the per-request guardrail (deadline/cancel/budget);
   /// nullptr = ungoverned. It is polled per event by the serial scan, by
-  /// each plan group of the parallel driver and by that driver's
+  /// each plan's chunk step in the parallel driver and by that driver's
   /// tokenizer; a tripped guard unwinds the whole batch — never partial
   /// answers.
   explicit BatchEvaluator(const Guardrail* guard = nullptr);
@@ -87,14 +89,15 @@ class BatchEvaluator {
   Result<std::vector<StaxEvalResult>> Run(std::string_view xml) const;
 
   /// Like Run, but plan advancement is parallel (docs/DESIGN.md §7.3):
-  /// the calling thread decodes events into chunks (and tokenizes chunk
-  /// k+1 while workers run chunk k), worker threads advance disjoint plan
-  /// groups through each chunk, and the caller replays the shared capture
-  /// stream after each join. Both drivers feed each plan through one
-  /// per-plan event step, so every engine sees exactly the event sequence
-  /// Run would deliver and answers and per-plan stats are identical.
-  /// Falls back to Run when there is no pool, the pool has no workers or
-  /// there are fewer than two plans.
+  /// pool threads claim plans one at a time and advance each through
+  /// chunk k, while the calling thread tokenizes chunk k+1, replays the
+  /// shared capture stream of chunk k-1, and then advances the plans no
+  /// worker has claimed. After the last chunk, each plan's Cans pass,
+  /// answer copies and teardown run on the pool. Both drivers feed each
+  /// plan through one per-plan event step, so every engine sees exactly
+  /// the event sequence Run would deliver and answers and per-plan stats
+  /// are identical. Falls back to Run when there is no pool, the pool has
+  /// no workers or there are fewer than two plans.
   Result<std::vector<StaxEvalResult>> RunParallel(
       std::string_view xml, const BatchParallelOptions& par = {}) const;
 

@@ -6,6 +6,7 @@
 #ifndef SMOQE_EVAL_CANS_H_
 #define SMOQE_EVAL_CANS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -15,9 +16,6 @@ namespace smoqe::eval {
 
 /// Index of a predicate instance in an engine run.
 using InstId = int32_t;
-
-/// Sorted conjunction of predicate-instance ids; empty = unconditional.
-using GuardSet = std::vector<InstId>;
 
 /// Handle of a guard set interned in the engine's GuardPool (32-bit;
 /// 0 = the empty, unconditional guard). Valid for one document traversal.
@@ -29,10 +27,10 @@ struct PredInstance {
   int32_t anchor = -1;  ///< engine (element pre-order) id of the anchor
   bool resolved = false;
   bool value = false;
-  /// Conditional witnesses per leaf position of the predicate: the leaf is
-  /// true iff some witness guard is fully true at resolution time. Guards
-  /// are GuardPool handles owned by the engine that built the instance.
-  std::vector<std::vector<GuardRef>> leaf_witnesses;
+  /// First of this instance's witness-list heads in the engine's head
+  /// arena, one per leaf position of the predicate: the leaf is true iff
+  /// some witness guard on its list is fully true at resolution time.
+  int32_t witness_base = -1;
 };
 
 /// \brief Cans — the candidate-answer store of HyPE (paper §3, Evaluator).
@@ -43,12 +41,17 @@ struct PredInstance {
 /// — when every instance has resolved — one pass over Cans selects the
 /// nodes with a fully-true guard alternative. Entries are appended at node
 /// entry, so they are already in document order.
+///
+/// Storage is three flat arrays — nodes, their alternatives, and the
+/// instance ids of every alternative back to back — so staging a
+/// candidate costs no allocation of its own (docs/DESIGN.md §3.4).
 class Cans {
  public:
-  /// Stages node `id` under `guard`. Consecutive calls for the same node
-  /// maintain a dominance-pruned alternative list (an empty guard makes
-  /// the node unconditional and drops the other alternatives).
-  void Add(int32_t id, GuardSet guard);
+  /// Stages node `id` under the guard `guard[0..len)` (sorted instance
+  /// ids), copying it. Consecutive calls for the same node maintain a
+  /// dominance-pruned alternative list (an empty guard makes the node
+  /// unconditional and drops the other alternatives).
+  void Add(int32_t id, const InstId* guard, size_t len);
 
   /// Number of staged candidate entries (Σ alternatives).
   size_t entry_count() const { return entries_; }
@@ -61,12 +64,34 @@ class Cans {
   /// guard alternatives contain one with every instance resolved true.
   std::vector<int32_t> Select(const std::vector<PredInstance>& instances) const;
 
+  /// Bytes reserved by the flat arrays (never shrinks; the engine charges
+  /// its growth to the request's budget).
+  size_t capacity_bytes() const {
+    return nodes_.capacity() * sizeof(Node) + alts_.capacity() * sizeof(Alt) +
+           ids_.capacity() * sizeof(InstId);
+  }
+
  private:
+  /// A candidate node; its alternatives are alts_[alt_begin, next node's
+  /// alt_begin).
   struct Node {
     int32_t id;
-    std::vector<GuardSet> alternatives;
+    uint32_t alt_begin;
   };
+  /// One guard alternative: ids_[begin, begin + len).
+  struct Alt {
+    uint32_t begin;
+    uint32_t len;
+  };
+
+  uint32_t AltEnd(size_t node) const {
+    return node + 1 < nodes_.size() ? nodes_[node + 1].alt_begin
+                                    : static_cast<uint32_t>(alts_.size());
+  }
+
   std::vector<Node> nodes_;
+  std::vector<Alt> alts_;
+  std::vector<InstId> ids_;
   size_t entries_ = 0;
 };
 

@@ -226,8 +226,9 @@ InstId HypeEngine::Instantiate(PredId pred, const AttrProvider& attrs) {
   PredInstance inst;
   inst.pred = pred;
   inst.anchor = cur.id;
-  inst.leaf_witnesses.resize(p.leaf_obligations.size());
-  instances_.push_back(std::move(inst));
+  inst.witness_base = static_cast<int32_t>(witness_heads_.size());
+  witness_heads_.resize(witness_heads_.size() + p.leaf_obligations.size(), -1);
+  instances_.push_back(inst);
   alloc_bytes_ += sizeof(PredInstance);
   cur.inst_map.emplace_back(pred, id);
   cur.anchored.push_back(id);
@@ -302,7 +303,7 @@ void HypeEngine::HandleAccepts(const Run& run, const AttrProvider& attrs) {
     }
     if (run.is_selection) {
       if (cur.id >= 0) {
-        cans_.Add(cur.id, pool_.Materialize(g));
+        cans_.Add(cur.id, pool_.data(g), pool_.size(g));
         ++stats_.cans_entries;
       }
     } else {
@@ -331,15 +332,21 @@ void HypeEngine::HandleAccepts(const Run& run, const AttrProvider& attrs) {
 }
 
 void HypeEngine::Witness(InstId owner, int leaf, GuardRef guard) {
-  std::vector<GuardRef>& alts = instances_[owner].leaf_witnesses[leaf];
-  for (GuardRef g : alts) {
-    if (pool_.IsSubset(g, guard)) return;
+  const size_t list =
+      static_cast<size_t>(instances_[owner].witness_base + leaf);
+  for (int32_t w = witness_heads_[list]; w >= 0; w = witness_nodes_[w].next) {
+    if (pool_.IsSubset(witness_nodes_[w].guard, guard)) return;
   }
-  alts.erase(std::remove_if(
-                 alts.begin(), alts.end(),
-                 [&](GuardRef g) { return pool_.IsSubset(guard, g); }),
-             alts.end());
-  alts.push_back(guard);
+  for (int32_t* link = &witness_heads_[list]; *link >= 0;) {
+    WitnessNode& n = witness_nodes_[*link];
+    if (pool_.IsSubset(guard, n.guard)) {
+      *link = n.next;
+    } else {
+      link = &n.next;
+    }
+  }
+  witness_nodes_.push_back(WitnessNode{guard, witness_heads_[list]});
+  witness_heads_[list] = static_cast<int32_t>(witness_nodes_.size() - 1);
 }
 
 void HypeEngine::WitnessAll(OwnerList owners, int leaf, GuardRef guard) {
@@ -440,9 +447,11 @@ void HypeEngine::ResolveFrame(Frame* frame) {
        ++it) {
     PredInstance& inst = instances_[*it];
     const Pred& p = mfa_.pred(inst.pred);
-    std::vector<bool> leaf_values(p.leaf_obligations.size(), false);
-    for (size_t leaf = 0; leaf < leaf_values.size(); ++leaf) {
-      for (GuardRef g : inst.leaf_witnesses[leaf]) {
+    leaf_values_.assign(p.leaf_obligations.size(), false);
+    for (size_t leaf = 0; leaf < leaf_values_.size(); ++leaf) {
+      int32_t& head = witness_heads_[inst.witness_base + leaf];
+      for (int32_t w = head; w >= 0; w = witness_nodes_[w].next) {
+        const GuardRef g = witness_nodes_[w].guard;
         const InstId* deps = pool_.data(g);
         const size_t n = pool_.size(g);
         bool all = true;
@@ -454,15 +463,31 @@ void HypeEngine::ResolveFrame(Frame* frame) {
           }
         }
         if (all) {
-          leaf_values[leaf] = true;
+          leaf_values_[leaf] = true;
           break;
         }
       }
-      inst.leaf_witnesses[leaf].clear();  // release memory early
+      head = -1;  // the list is spent
     }
-    inst.value = p.Evaluate(leaf_values);
+    inst.value = p.Evaluate(leaf_values_);
     inst.resolved = true;
   }
+}
+
+uint64_t HypeEngine::ArenaBytes() const {
+  return (witness_heads_.capacity() * sizeof(int32_t)) +
+         (witness_nodes_.capacity() * sizeof(WitnessNode)) +
+         cans_.capacity_bytes() + pool_.capacity_bytes();
+}
+
+uint64_t HypeEngine::TakeAllocBytes() {
+  // The arenas only grow, so their growth since the last drain is a
+  // difference of two totals — nothing is counted per append.
+  const uint64_t arenas = ArenaBytes();
+  const uint64_t bytes = alloc_bytes_ + (arenas - arena_bytes_charged_);
+  arena_bytes_charged_ = arenas;
+  alloc_bytes_ = 0;
+  return bytes;
 }
 
 void HypeEngine::Leave() {

@@ -102,14 +102,12 @@ class HypeEngine {
   int32_t next_id() const { return next_id_; }
 
   /// Approximate bytes of run/instance/frame state allocated since the
-  /// last call; drivers drain this into the request's MemoryBudget at
-  /// their guard ticks (the engine itself stays guard-free — plain
-  /// counter, no atomics, so the hot path pays one add).
-  uint64_t TakeAllocBytes() {
-    uint64_t b = alloc_bytes_;
-    alloc_bytes_ = 0;
-    return b;
-  }
+  /// last call, plus the growth of the engine's arenas (witness lists,
+  /// Cans, guard sets) since then; drivers drain this into the request's
+  /// MemoryBudget at their guard ticks (the engine itself stays
+  /// guard-free — plain counters, no atomics, so the hot path pays at
+  /// most one add and the arenas nothing).
+  uint64_t TakeAllocBytes();
 
  private:
   /// The instances an obligation run reports to: an InstId (>= 0) for the
@@ -229,11 +227,16 @@ class HypeEngine {
   /// (transition src_preds and accept guards).
   void EagerInstantiate(const Run& run, const AttrProvider& attrs);
 
+  /// Adds `guard` to the witness list of `leaf` of instance `owner`,
+  /// keeping the list dominance-pruned: a guard some listed witness is a
+  /// subset of is dropped, and listed supersets of it are unlinked.
   void Witness(InstId owner, int leaf, GuardRef guard);
   /// Witnesses `leaf` of every instance on `owners`.
   void WitnessAll(OwnerList owners, int leaf, GuardRef guard);
   OwnerList Cons(InstId inst, OwnerList tail);
   void ResolveFrame(Frame* frame);
+  /// Bytes reserved by the witness, Cans and guard-set arenas.
+  uint64_t ArenaBytes() const;
 
   /// Pooled frame stack: entries [0, depth_) are active; popped frames
   /// keep their buffers for reuse.
@@ -256,11 +259,26 @@ class HypeEngine {
   uint64_t frame_epoch_ = 0;
   std::vector<PredInstance> instances_;
   std::vector<OwnerNode> owner_nodes_;  // per-traversal owner-list arena
+  /// One conditional witness of a predicate leaf: a node of a singly
+  /// linked list threaded through `witness_nodes_`.
+  struct WitnessNode {
+    GuardRef guard;
+    int32_t next;  ///< next node of the same list, or -1
+  };
+  /// Witness-list heads, PredInstance::witness_base + leaf; -1 = empty.
+  /// A resolved instance's lists are emptied; their nodes stay in the
+  /// arena until the traversal ends.
+  std::vector<int32_t> witness_heads_;
+  std::vector<WitnessNode> witness_nodes_;
+  /// ResolveFrame's per-instance leaf outcomes, reused across instances.
+  std::vector<bool> leaf_values_;
   Cans cans_;
   EvalStats stats_;
   std::vector<int32_t> answers_;
   int32_t next_id_ = 0;
   uint64_t alloc_bytes_ = 0;  // drained by TakeAllocBytes()
+  /// Arena bytes (ArenaBytes()) already reported by TakeAllocBytes.
+  uint64_t arena_bytes_charged_ = 0;
   bool finished_ = false;
   /// Runs at the front of the current frame whose accepts the worklist
   /// has handled (ShareRun's delta rule).

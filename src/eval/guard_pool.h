@@ -73,11 +73,10 @@ class GuardPool {
                          ea.data + ea.len);
   }
 
-  /// Copies a guard out into an owning GuardSet (for structures that
-  /// outlive the pool's relevance, e.g. Cans alternatives).
-  GuardSet Materialize(GuardRef g) const {
-    const Entry& e = entries_[static_cast<size_t>(g)];
-    return GuardSet(e.data, e.data + e.len);
+  /// Bytes reserved by the set storage and the handle table (never
+  /// shrinks; the engine charges its growth to the request's budget).
+  size_t capacity_bytes() const {
+    return arena_.bytes_reserved() + entries_.capacity() * sizeof(Entry);
   }
 
   /// Number of non-empty sets stored (the empty sentinel is not counted).

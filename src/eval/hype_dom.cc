@@ -116,6 +116,12 @@ Result<DomEvalResult> EvalHypeDom(const automata::Mfa& mfa,
     }
     std::reverse(stack.begin() + static_cast<ptrdiff_t>(mark), stack.end());
   }
+  // The walk's tail since the last tick (all of a small document) is
+  // charged before the selection pass.
+  if (options.guard != nullptr) {
+    options.guard->ChargeBytes(engine.TakeAllocBytes());
+    SMOQE_RETURN_IF_ERROR(ticker.Now());
+  }
 
   const std::vector<int32_t>& ids = engine.FinishDocument();
   result.answers.reserve(ids.size());

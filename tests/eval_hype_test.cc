@@ -17,6 +17,9 @@ using testutil::MustDoc;
 using testutil::MustQuery;
 using testutil::NaiveIds;
 
+/// Sorted conjunction of predicate-instance ids.
+using GuardSet = std::vector<InstId>;
+
 std::vector<int32_t> HypeIds(const xml::Document& doc, std::string_view q,
                              const index::TaxIndex* tax = nullptr) {
   auto query = MustQuery(q);
@@ -176,12 +179,13 @@ TEST(CansTest, DominanceAndSelection) {
   insts[1] = {1, 0, true, false, {}};
   insts[2] = {2, 0, true, true, {}};
 
-  cans.Add(5, {0, 1});   // false (inst 1 false)
-  cans.Add(5, {0});      // true — dominates the previous alternative
-  cans.Add(9, {1});      // false
-  cans.Add(12, {});      // unconditional
-  cans.Add(20, {2});     // true
-  cans.Add(20, {1, 2});  // dominated, ignored
+  cans.Add(5, GuardSet{0, 1}.data(), 2);  // false (inst 1 false)
+  // true — dominates the previous alternative
+  cans.Add(5, GuardSet{0}.data(), 1);
+  cans.Add(9, GuardSet{1}.data(), 1);     // false
+  cans.Add(12, nullptr, 0);               // unconditional
+  cans.Add(20, GuardSet{2}.data(), 1);    // true
+  cans.Add(20, GuardSet{1, 2}.data(), 2);  // dominated, ignored
 
   auto sel = cans.Select(insts);
   EXPECT_EQ(sel, (std::vector<int32_t>{5, 12, 20}));
@@ -192,11 +196,15 @@ TEST(CansTest, UnsatisfiedGuardsDropNode) {
   Cans cans;
   std::vector<PredInstance> insts(1);
   insts[0] = {0, 0, true, false, {}};
-  cans.Add(3, {0});
+  cans.Add(3, GuardSet{0}.data(), 1);
   EXPECT_TRUE(cans.Select(insts).empty());
 }
 
 // GuardPool: the append-only arena of immutable guard sets.
+
+GuardSet Read(const GuardPool& pool, GuardRef g) {
+  return GuardSet(pool.data(g), pool.data(g) + pool.size(g));
+}
 
 TEST(GuardPoolTest, MergeOfMemberReturnsBaseAndCountsHit) {
   GuardPool pool;
@@ -213,14 +221,14 @@ TEST(GuardPoolTest, MergesStaySortedAndDuplicateFree) {
   GuardPool pool;
   GuardRef g = GuardPool::kEmpty;
   for (InstId x : {7, 3, 11, 3, 0, 7, 5}) g = pool.Merge(g, x);
-  EXPECT_EQ(pool.Materialize(g), (GuardSet{0, 3, 5, 7, 11}));
+  EXPECT_EQ(Read(pool, g), (GuardSet{0, 3, 5, 7, 11}));
   EXPECT_EQ(pool.size(g), 5u);
   EXPECT_EQ(pool.size(GuardPool::kEmpty), 0u);
   // Extending a shared set leaves the original untouched.
   GuardRef base = pool.Merge(GuardPool::kEmpty, 2);
   GuardRef ext = pool.Merge(base, 1);
-  EXPECT_EQ(pool.Materialize(base), (GuardSet{2}));
-  EXPECT_EQ(pool.Materialize(ext), (GuardSet{1, 2}));
+  EXPECT_EQ(Read(pool, base), (GuardSet{2}));
+  EXPECT_EQ(Read(pool, ext), (GuardSet{1, 2}));
 }
 
 TEST(GuardPoolTest, IsSubsetOnDisjointEqualAndNestedSets) {
@@ -257,7 +265,7 @@ TEST(GuardPoolTest, EarlyHandlesSurviveArenaGrowth) {
   for (InstId x = 0; x < 32; ++x) {
     g = pool.Merge(g, x * 2);
     early.push_back(g);
-    want.push_back(pool.Materialize(g));
+    want.push_back(Read(pool, g));
   }
   // ≥10k appends of growing sets: the arena moves on to new blocks many
   // times, and the early sets must still read back unchanged.
@@ -267,7 +275,7 @@ TEST(GuardPoolTest, EarlyHandlesSurviveArenaGrowth) {
   }
   EXPECT_GE(pool.entry_count(), 12000u);
   for (size_t i = 0; i < early.size(); ++i) {
-    EXPECT_EQ(pool.Materialize(early[i]), want[i]) << "handle " << i;
+    EXPECT_EQ(Read(pool, early[i]), want[i]) << "handle " << i;
     EXPECT_EQ(pool.data(early[i])[0], 0);
   }
 }

@@ -150,7 +150,7 @@ TEST(StaxEvalTest, NestedCapturesBufferOnce) {
   EXPECT_GT(answer_bytes, 10 * text.size()) << "the answers must nest deeply";
 
   // The parallel batch replays the same capture stream on the driver
-  // thread after each join: identical answers and peak.
+  // thread one chunk behind the plans: identical answers and peak.
   auto v5 = MustQuery("//patient[parent/patient[treatment]]");
   auto mfa_v5 = Mfa::Compile(*v5, names);
   ASSERT_TRUE(mfa_v5.ok());

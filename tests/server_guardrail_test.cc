@@ -712,6 +712,69 @@ TEST(ServerWritePathTest, TheLoopAdmitsFramesWhileARequestRuns) {
   }
 }
 
+// An unknown opcode is answered on the loop thread as soon as its frame
+// is read, so its ERROR may arrive before the response of an earlier
+// request that is still executing (docs/PROTOCOL.md "Request ids and
+// pipelining" lists it among the exceptions to FIFO). Either way both
+// responses arrive, each under its own request id, and the connection
+// keeps answering.
+TEST_F(ServerGuardrailTest, UnknownOpcodeAnswersUnderItsOwnIdBesideASlowQuery) {
+  RawConn conn;
+  ASSERT_TRUE(conn.Dial(server_->port()));
+  ASSERT_TRUE(RawHandshake(conn, ""));
+  QueryRequest slow;
+  slow.id = 21;
+  slow.doc = "big";
+  slow.query = kHotQuery;
+  slow.mode = WireEvalMode::kStax;
+  Writer odd;
+  odd.PutU64(22);
+  odd.PutStr("garbage-body");
+  ASSERT_TRUE(conn.Send(Encode(slow) +
+                        Frame(static_cast<Opcode>(0x55), odd.bytes())));
+
+  bool answered = false;
+  bool errored = false;
+  for (int i = 0; i < 2; ++i) {
+    RawFrame frame;
+    ASSERT_EQ(conn.Recv(&frame, 60'000), RawConn::RecvResult::kFrame);
+    if (frame.opcode == static_cast<uint8_t>(Opcode::kError)) {
+      auto err = DecodeErrorResponse(frame.body);
+      ASSERT_TRUE(err.ok());
+      EXPECT_EQ(err->id, 22u);
+      EXPECT_EQ(err->code, WireCode::kProtocolError);
+      errored = true;
+    } else {
+      ASSERT_EQ(frame.opcode, static_cast<uint8_t>(Opcode::kQueryResult));
+      auto resp = DecodeQueryResponse(frame.body);
+      ASSERT_TRUE(resp.ok());
+      EXPECT_EQ(resp->id, 21u);
+      EXPECT_EQ(resp->code, WireCode::kOk) << resp->error;
+      core::QueryOptions lib_opts;
+      lib_opts.mode = core::EvalMode::kStax;
+      auto lib = engine_->Query("big", kHotQuery, lib_opts);
+      ASSERT_TRUE(lib.ok());
+      EXPECT_EQ(resp->answers_xml, lib->answers_xml);
+      answered = true;
+    }
+  }
+  EXPECT_TRUE(answered);
+  EXPECT_TRUE(errored);
+
+  QueryRequest next;
+  next.id = 23;
+  next.doc = "ward";
+  next.query = "//pname";
+  ASSERT_TRUE(conn.Send(Encode(next)));
+  RawFrame frame;
+  ASSERT_EQ(conn.Recv(&frame, 60'000), RawConn::RecvResult::kFrame)
+      << "the connection must survive the unknown opcode";
+  auto resp = DecodeQueryResponse(frame.body);
+  ASSERT_TRUE(resp.ok());
+  EXPECT_EQ(resp->id, 23u);
+  EXPECT_EQ(resp->code, WireCode::kOk) << resp->error;
+}
+
 #ifdef SMOQE_FAULT_INJECTION
 
 // A fault armed at the StAX tokenizer fires through a server request as
