@@ -15,21 +15,12 @@
 
 #include "src/common/status.h"
 #include "src/index/tax.h"
-#include "src/view/access.h"
 #include "src/view/annotation.h"
 #include "src/view/view_def.h"
 #include "src/xml/dom.h"
 #include "src/xml/dtd.h"
 
 namespace smoqe::core {
-
-/// A view's node-level access map over one document epoch, recomputed
-/// when the document epoch or the view's fingerprint moves on.
-struct AccessMapEntry {
-  uint64_t fingerprint = 0;  ///< ViewEntry::fingerprint `map` was built for
-  uint64_t epoch = 0;        ///< document epoch `map` is valid at
-  std::unique_ptr<view::AccessMap> map;  ///< null until first needed
-};
 
 /// \brief One epoch's immutable view of a document: the tree, its TAX
 /// index, and (lazily) its serialized text — the shared-ownership handle
@@ -121,9 +112,6 @@ struct DocumentEntry {
   /// Serializes writers (Update, BuildIndex, LoadIndex): clone → mutate →
   /// publish must not interleave.
   std::mutex writer_mu;
-  /// Per-view access maps, keyed by view name — the authorization input
-  /// of view updates. Guarded by writer_mu (only Update reads them).
-  std::map<std::string, AccessMapEntry> access_maps;
 
  private:
   mutable std::shared_mutex snap_mu_;

@@ -923,20 +923,6 @@ Result<std::vector<QueryAnswer>> Smoqe::QueryBatchMulti(
   return RunBatch("query_batch_multi", nullptr, items, req);
 }
 
-const view::AccessMap* Smoqe::GetAccessMapLocked(
-    DocumentEntry* doc, const DocumentSnapshot& snap,
-    const std::string& view_name, const ViewEntry* view) {
-  AccessMapEntry& entry = doc->access_maps[view_name];
-  if (entry.map == nullptr || entry.fingerprint != view->fingerprint ||
-      entry.epoch != snap.epoch) {
-    entry.map = std::make_unique<view::AccessMap>(
-        view::AccessMap::Compute(*view->policy, *snap.dom));
-    entry.fingerprint = view->fingerprint;
-    entry.epoch = snap.epoch;
-  }
-  return entry.map.get();
-}
-
 Result<MaterializedViewAnswer> Smoqe::MaterializeView(
     const std::string& doc_name, const std::string& view_name) const {
   std::shared_lock<std::shared_mutex> lock(catalog_mu_);
@@ -1060,53 +1046,56 @@ Result<UpdateResult> Smoqe::UpdateImpl(const std::string& doc_name,
   if (target_ids.empty()) return out;  // nothing selected: a successful no-op
 
   // Target resolution walked the whole document; re-check before the
-  // expensive clone.
+  // edits are checked.
   if (guard != nullptr) SMOQE_RETURN_IF_ERROR(guard->Check());
 
-  // Copy-on-write: every check and mutation below runs against a private
-  // clone; the published snapshot is untouched until the final Publish.
-  // Ids, orders and the epoch survive the clone, so the access map
-  // computed at the base epoch applies verbatim.
-  xml::Document clone = base->dom->Clone();
-  // Post-clone growth (fragment grafts) charges the request budget; the
-  // clone itself is the document's standing footprint, not request-owned.
-  if (guard != nullptr) clone.set_memory_budget(guard->budget());
+  // Authorize (view updates only), then plan and validate — all on the
+  // pinned base snapshot, which they only read, and all before anything
+  // is copied: a rejected, invalid or dry-run update costs no clone.
   const xml::Document* fragment =
       stmt.fragment.has_value() ? &*stmt.fragment : nullptr;
   std::vector<update::ResolvedEdit> script;
   for (int32_t id : target_ids) {
     script.push_back(
-        update::ResolvedEdit{stmt.kind, clone.mutable_node(id), fragment});
+        update::ResolvedEdit{stmt.kind, base->dom->node(id), fragment});
   }
-
-  // Authorize (view updates only), then validate — both before any
-  // mutation, so a rejected or invalid update leaves everything intact.
   if (view != nullptr) {
     tel::SpanScope span(tr, "authorize");
-    const view::AccessMap* access =
-        GetAccessMapLocked(doc, *base, options.view, view);
     SMOQE_RETURN_IF_ERROR(
-        update::AuthorizeScript(*view->policy, *access, clone, script));
+        update::AuthorizeScript(*view->policy, *base->dom, script));
   }
-
-  std::optional<index::TaxIndex> tax_copy;
-  if (base->tax != nullptr) tax_copy.emplace(*base->tax);
   update::ApplierOptions apply_opts;
   apply_opts.dtd = dtd;
-  apply_opts.tax = tax_copy.has_value() ? &*tax_copy : nullptr;
   apply_opts.guard = guard;
-  update::UpdateApplier applier(&clone, apply_opts);
-  if (options.dry_run) {
+  update::EditPlan plan;
+  {
     tel::SpanScope span(tr, "validate");
-    SMOQE_RETURN_IF_ERROR(applier.Validate(script));
-    return out;  // the clone is discarded; nothing was published
+    SMOQE_ASSIGN_OR_RETURN(plan,
+                           update::PlanScript(*base->dom, script, apply_opts));
   }
+  if (options.dry_run) return out;  // nothing was copied or published
+
+  // Copy-on-write: the accepted plan commits onto a private clone; the
+  // published snapshot is untouched until the final Publish. Ids and
+  // orders survive the clone, so the plan applies verbatim.
+  std::optional<xml::Document> clone;
+  std::optional<index::TaxIndex> tax_copy;
+  {
+    tel::SpanScope span(tr, "clone");
+    clone.emplace(base->dom->Clone());
+    if (base->tax != nullptr) tax_copy.emplace(*base->tax);
+  }
+  // Post-clone growth (fragment grafts) charges the request budget; the
+  // clone itself is the document's standing footprint, not request-owned.
+  if (guard != nullptr) clone->set_memory_budget(guard->budget());
+  apply_opts.tax = tax_copy.has_value() ? &*tax_copy : nullptr;
 
   update::ApplyStats applied;
   {
     tel::SpanScope span(tr, "apply");
     const auto apply_t0 = std::chrono::steady_clock::now();
-    SMOQE_ASSIGN_OR_RETURN(applied, applier.Run(script));
+    SMOQE_ASSIGN_OR_RETURN(
+        applied, update::UpdateApplier(&*clone, apply_opts).Commit(plan));
     if (tm_ != nullptr) tm_->update_tax_repair_ns->Record(ElapsedNs(apply_t0));
   }
   out.stats.edits_applied = applied.edits_applied;
@@ -1114,14 +1103,14 @@ Result<UpdateResult> Smoqe::UpdateImpl(const std::string& doc_name,
   out.stats.nodes_inserted = applied.nodes_inserted;
   out.stats.nodes_deleted = applied.nodes_deleted;
   out.stats.tax_sets_recomputed = applied.tax_sets_recomputed;
-  out.stats.doc_epoch = clone.epoch();
+  out.stats.doc_epoch = clone->epoch();
 
   // Last guard check *before Publish* — the fail-closed point. A trip
   // here (deadline landing mid-apply, budget blown by a graft) discards
   // the mutated clone and the shadow TAX copy; the published snapshot
   // chain and epoch are untouched.
   if (guard != nullptr) SMOQE_RETURN_IF_ERROR(guard->Check());
-  clone.set_memory_budget(nullptr);  // the budget dies with this request
+  clone->set_memory_budget(nullptr);  // the budget dies with this request
 
   // Publish the successor snapshot. Readers that acquired the base keep
   // it alive until they finish; the base tree is then freed by refcount.
@@ -1131,7 +1120,7 @@ Result<UpdateResult> Smoqe::UpdateImpl(const std::string& doc_name,
     new_tax = std::make_shared<const index::TaxIndex>(std::move(*tax_copy));
   }
   doc->Publish(std::make_shared<const DocumentSnapshot>(
-      std::make_shared<const xml::Document>(std::move(clone)),
+      std::make_shared<const xml::Document>(std::move(*clone)),
       std::move(new_tax), nullptr));
   return out;
 }

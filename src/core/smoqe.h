@@ -567,13 +567,6 @@ class Smoqe {
                              const Guardrail* guard,
                              std::vector<QueryAnswer>* out, tel::Trace* tr);
 
-  /// The view's node-level access map at the snapshot's epoch, recomputed
-  /// if stale (fingerprint or epoch mismatch). `view` must have a policy;
-  /// caller holds doc->writer_mu.
-  const view::AccessMap* GetAccessMapLocked(
-      DocumentEntry* doc, const DocumentSnapshot& snap,
-      const std::string& view_name, const ViewEntry* view);
-
   std::shared_ptr<xml::NameTable> names_;
   EngineOptions options_;
   /// Declared before plan_cache_ and pool_ (whose metrics point into the

@@ -52,19 +52,19 @@ bool UnderRemoval(const xml::Node* n,
 /// Projected element-child sequence of one parent after the script's
 /// removals/replacements, plus the inserts planned into it so far.
 struct ParentProjection {
+  const xml::Node* parent = nullptr;
   std::vector<std::string> labels;
   bool has_text = false;
 };
 
 }  // namespace
 
-Status UpdateApplier::Plan(const std::vector<ResolvedEdit>& script,
-                           std::vector<PlannedEdit>* plan, uint64_t* dropped) {
-  if (options_.guard != nullptr) {
-    SMOQE_RETURN_IF_ERROR(options_.guard->Check());
-  }
-  const xml::NameTable& names = *doc_->names();
-  *dropped = 0;
+Result<EditPlan> PlanScript(const xml::Document& doc,
+                            const std::vector<ResolvedEdit>& script,
+                            const ApplierOptions& options) {
+  if (options.guard != nullptr) SMOQE_RETURN_IF_ERROR(options.guard->Check());
+  const xml::NameTable& names = *doc.names();
+  EditPlan plan;
 
   // Same-node conflicts and the removal set (nesting normalization).
   // Two edits of one node conflict unless they are exact duplicates
@@ -99,36 +99,36 @@ Status UpdateApplier::Plan(const std::vector<ResolvedEdit>& script,
   std::unordered_set<const xml::Node*> seen;
   for (const ResolvedEdit& e : script) {
     if (!seen.insert(e.target).second) {  // duplicate (same kind): dedupe
-      ++*dropped;
+      ++plan.dropped;
       continue;
     }
     if (UnderRemoval(e.target, removed) ||
         (e.kind == OpKind::kInsert && removed.count(e.target) > 0)) {
-      ++*dropped;
+      ++plan.dropped;
       continue;
     }
     if (e.kind == OpKind::kDelete && e.target->parent == nullptr) {
       return Status::InvalidArgument(
           "cannot delete the document root element");
     }
-    plan->push_back(PlannedEdit{e, std::numeric_limits<size_t>::max()});
+    plan.steps.push_back(EditPlan::Step{e.kind, e.target->node_id, e.fragment,
+                                        std::numeric_limits<size_t>::max()});
   }
 
-  if (options_.dtd == nullptr) return Status::OK();
-  const xml::Dtd& dtd = *options_.dtd;
+  if (options.dtd == nullptr) return plan;
+  const xml::Dtd& dtd = *options.dtd;
   // One compiled content model per element type for the whole plan (the
   // insert-position scan probes the same parent many times).
   xml::ContentModelCache models;
 
   // Fragment internal validity + replace-root type check.
-  for (const PlannedEdit& pe : *plan) {
-    const ResolvedEdit& e = pe.edit;
+  for (const EditPlan::Step& e : plan.steps) {
     if (e.fragment == nullptr) continue;
     SMOQE_RETURN_IF_ERROR(
         xml::ValidateSubtree(e.fragment->root(), *e.fragment->names(), dtd,
                              {}, &models)
             .WithContext(std::string(ToString(e.kind)) + " fragment"));
-    if (e.kind == OpKind::kReplace && e.target->parent == nullptr &&
+    if (e.kind == OpKind::kReplace && doc.node(e.target)->parent == nullptr &&
         !dtd.root_name().empty() &&
         e.fragment->names()->NameOf(e.fragment->root()->label) !=
             dtd.root_name()) {
@@ -140,11 +140,12 @@ Status UpdateApplier::Plan(const std::vector<ResolvedEdit>& script,
 
   // Per-parent child-sequence simulation. First project removals and
   // replacements, then place the inserts (rightmost valid position).
-  std::map<xml::Node*, ParentProjection> parents;
-  auto project = [&](xml::Node* parent) -> ParentProjection& {
-    auto it = parents.find(parent);
+  std::map<int32_t, ParentProjection> parents;  // by node id
+  auto project = [&](const xml::Node* parent) -> ParentProjection& {
+    auto it = parents.find(parent->node_id);
     if (it != parents.end()) return it->second;
     ParentProjection proj;
+    proj.parent = parent;
     for (const xml::Node* c = parent->first_child; c != nullptr;
          c = c->next_sibling) {
       if (c->is_text()) {
@@ -161,23 +162,23 @@ Status UpdateApplier::Plan(const std::vector<ResolvedEdit>& script,
       }
       proj.labels.push_back(names.NameOf(c->label));
     }
-    return parents.emplace(parent, std::move(proj)).first->second;
+    return parents.emplace(parent->node_id, std::move(proj)).first->second;
   };
 
-  for (PlannedEdit& pe : *plan) {
+  for (EditPlan::Step& e : plan.steps) {
     // The insert-position scan is the plan phase's expensive loop
     // (quadratic in children per insert) — check the guard per edit.
-    if (options_.guard != nullptr) {
-      SMOQE_RETURN_IF_ERROR(options_.guard->Check());
+    if (options.guard != nullptr) {
+      SMOQE_RETURN_IF_ERROR(options.guard->Check());
     }
-    xml::Node* affected = pe.edit.kind == OpKind::kInsert
-                              ? pe.edit.target
-                              : pe.edit.target->parent;
+    const xml::Node* target = doc.node(e.target);
+    const xml::Node* affected =
+        e.kind == OpKind::kInsert ? target : target->parent;
     if (affected == nullptr) continue;  // replace-root: checked above
     ParentProjection& proj = project(affected);
-    if (pe.edit.kind != OpKind::kInsert) continue;
+    if (e.kind != OpKind::kInsert) continue;
     const std::string& frag_label =
-        pe.edit.fragment->names()->NameOf(pe.edit.fragment->root()->label);
+        e.fragment->names()->NameOf(e.fragment->root()->label);
     // Rightmost valid element position (append-preferring).
     Status last_error = Status::OK();
     bool placed = false;
@@ -190,7 +191,7 @@ Status UpdateApplier::Plan(const std::vector<ResolvedEdit>& script,
           &models);
       if (st.ok()) {
         proj.labels = std::move(candidate);
-        pe.elem_pos = pos;
+        e.elem_pos = pos;
         placed = true;
         break;
       }
@@ -206,26 +207,27 @@ Status UpdateApplier::Plan(const std::vector<ResolvedEdit>& script,
   // Parents affected only by removals still need their final sequence
   // checked (inserts validated theirs along the way, but revalidating the
   // final projection is cheap and uniform).
-  for (const auto& [parent, proj] : parents) {
+  for (const auto& [id, proj] : parents) {
+    const std::string& label = names.NameOf(proj.parent->label);
     SMOQE_RETURN_IF_ERROR(
-        xml::ValidateChildSequence(dtd, names.NameOf(parent->label),
-                                   proj.labels, proj.has_text, {}, &models)
-            .WithContext("post-update content of element '" +
-                         names.NameOf(parent->label) + "'"));
+        xml::ValidateChildSequence(dtd, label, proj.labels, proj.has_text, {},
+                                   &models)
+            .WithContext("post-update content of element '" + label + "'"));
   }
-  return Status::OK();
+  return plan;
 }
 
-Status UpdateApplier::Validate(const std::vector<ResolvedEdit>& script) {
-  std::vector<PlannedEdit> plan;
-  uint64_t dropped = 0;
-  return Plan(script, &plan, &dropped);
-}
-
-Result<ApplyStats> UpdateApplier::Commit(const std::vector<PlannedEdit>& plan,
-                                         uint64_t dropped) {
+Result<ApplyStats> UpdateApplier::Commit(const EditPlan& plan) {
+  // The last point before mutation: a guard trip or the armed
+  // "update.apply" fault aborts with the document untouched.
+  if (options_.guard != nullptr) {
+    SMOQE_RETURN_IF_ERROR(options_.guard->Check());
+  }
+  if (fault::At("update.apply")) {
+    return Status::Internal("injected update-apply fault (update.apply)");
+  }
   ApplyStats stats;
-  stats.edits_dropped = dropped;
+  stats.edits_dropped = plan.dropped;
 
   // Dirty parents for TAX repair, with the subtrees grafted under each.
   std::vector<std::pair<const xml::Node*, std::vector<const xml::Node*>>>
@@ -240,35 +242,31 @@ Result<ApplyStats> UpdateApplier::Commit(const std::vector<PlannedEdit>& plan,
 
   // Removals and replacements first, inserts second: insert positions
   // were planned against the post-removal child sequences.
-  for (const PlannedEdit& pe : plan) {
-    const ResolvedEdit& e = pe.edit;
+  for (const EditPlan::Step& e : plan.steps) {
+    if (e.kind == OpKind::kInsert) continue;
+    xml::Node* target = doc_->mutable_node(e.target);
+    const size_t mark = retired.size();
+    CollectSubtreeIds(target, &retired);
+    stats.nodes_deleted += retired.size() - mark;
+    const xml::Node* parent = target->parent;
     if (e.kind == OpKind::kDelete) {
-      const size_t mark = retired.size();
-      CollectSubtreeIds(e.target, &retired);
-      stats.nodes_deleted += retired.size() - mark;
-      const xml::Node* parent = e.target->parent;
-      doc_->RemoveSubtree(e.target);
+      doc_->RemoveSubtree(target);
       mark_dirty(parent, nullptr);
-      ++stats.edits_applied;
-    } else if (e.kind == OpKind::kReplace) {
-      const size_t mark = retired.size();
-      CollectSubtreeIds(e.target, &retired);
-      stats.nodes_deleted += retired.size() - mark;
+    } else {
       xml::Node* copy = doc_->ImportSubtree(e.fragment->root(), *e.fragment);
       stats.nodes_inserted += SubtreeSize(copy);
-      const xml::Node* parent = e.target->parent;
-      doc_->ReplaceSubtree(e.target, copy);
+      doc_->ReplaceSubtree(target, copy);
       mark_dirty(parent != nullptr ? parent : copy, copy);
-      ++stats.edits_applied;
     }
+    ++stats.edits_applied;
   }
-  for (const PlannedEdit& pe : plan) {
-    const ResolvedEdit& e = pe.edit;
+  for (const EditPlan::Step& e : plan.steps) {
     if (e.kind != OpKind::kInsert) continue;
+    xml::Node* target = doc_->mutable_node(e.target);
     xml::Node* copy = doc_->ImportSubtree(e.fragment->root(), *e.fragment);
     stats.nodes_inserted += SubtreeSize(copy);
-    doc_->AttachChild(e.target, copy, pe.elem_pos);
-    mark_dirty(e.target, copy);
+    doc_->AttachChild(target, copy, e.elem_pos);
+    mark_dirty(target, copy);
     ++stats.edits_applied;
   }
 
@@ -290,18 +288,8 @@ Result<ApplyStats> UpdateApplier::Commit(const std::vector<PlannedEdit>& plan,
 }
 
 Result<ApplyStats> UpdateApplier::Run(const std::vector<ResolvedEdit>& script) {
-  std::vector<PlannedEdit> plan;
-  uint64_t dropped = 0;
-  SMOQE_RETURN_IF_ERROR(Plan(script, &plan, &dropped));
-  // The last point before mutation: a guard trip or the armed
-  // "update.apply" fault aborts with the document untouched.
-  if (options_.guard != nullptr) {
-    SMOQE_RETURN_IF_ERROR(options_.guard->Check());
-  }
-  if (fault::At("update.apply")) {
-    return Status::Internal("injected update-apply fault (update.apply)");
-  }
-  return Commit(plan, dropped);
+  SMOQE_ASSIGN_OR_RETURN(EditPlan plan, PlanScript(*doc_, script, options_));
+  return Commit(plan);
 }
 
 }  // namespace smoqe::update

@@ -3,12 +3,13 @@
 /// document, with DTD revalidation *before* any mutation and incremental
 /// TAX maintenance after (docs/DESIGN.md §6.3–6.4).
 ///
-/// All-or-nothing contract: Run() first plans and validates the whole
+/// All-or-nothing contract: PlanScript() plans and validates the whole
 /// script against the DTD — nesting normalization, fragment validity,
-/// simulated post-edit child sequences of every affected parent — and
-/// only then mutates. The commit phase is pure pointer surgery plus arena
-/// allocation and cannot fail, so a script either applies completely or
-/// leaves the document (and its TAX index) untouched.
+/// simulated post-edit child sequences of every affected parent —
+/// without mutating anything, and only Commit() mutates. The commit
+/// phase is pure pointer surgery plus arena allocation and cannot fail,
+/// so a script either applies completely or leaves the document (and its
+/// TAX index) untouched.
 
 #ifndef SMOQE_UPDATE_APPLIER_H_
 #define SMOQE_UPDATE_APPLIER_H_
@@ -29,13 +30,30 @@ namespace smoqe::update {
 ///
 /// For kInsert, `target` is the *parent* the fragment is grafted under;
 /// for kDelete/kReplace it is the subtree being removed/swapped. Targets
-/// are always element nodes (Regular XPath selects elements).
+/// are always element nodes (Regular XPath selects elements). The engine
+/// resolves them on the published snapshot, which it only reads: the
+/// edit is committed onto a clone of it by node id (see EditPlan).
 struct ResolvedEdit {
   OpKind kind = OpKind::kDelete;
-  xml::Node* target = nullptr;
+  const xml::Node* target = nullptr;
   /// Fragment grafted by kInsert/kReplace (a copy per edit); null for
   /// kDelete. Owned by the caller (typically the UpdateStatement).
   const xml::Document* fragment = nullptr;
+};
+
+/// A validated script, ready to commit: the surviving edits keyed by
+/// target node id, with their chosen insert positions. Node ids (and
+/// order ranks) survive Document::Clone, so a plan made on a published
+/// snapshot commits verbatim onto the snapshot's clone.
+struct EditPlan {
+  struct Step {
+    OpKind kind = OpKind::kDelete;
+    int32_t target = -1;  ///< node id
+    const xml::Document* fragment = nullptr;
+    size_t elem_pos = 0;  ///< kInsert: element position under the target
+  };
+  std::vector<Step> steps;
+  uint64_t dropped = 0;  ///< duplicates and edits nested in a removal
 };
 
 /// Work counters of one applied script.
@@ -62,7 +80,9 @@ struct ApplierOptions {
   const Guardrail* guard = nullptr;
 };
 
-/// \brief Plans, validates and applies one edit script.
+/// Plans and validates `script` against `doc` (whose nodes the targets
+/// are) without mutating it — the dry-run entry. `options.tax` is not
+/// read.
 ///
 /// Insert position: a fragment is grafted at the *rightmost* element
 /// position of its parent at which the projected child sequence still
@@ -73,29 +93,27 @@ struct ApplierOptions {
 /// Nesting: an edit whose target lies inside another edit's removed
 /// subtree is dropped (outermost wins — XQuery-Update-style snapshot
 /// semantics); two different edits of the *same* node are an error.
+Result<EditPlan> PlanScript(const xml::Document& doc,
+                            const std::vector<ResolvedEdit>& script,
+                            const ApplierOptions& options);
+
+/// \brief Applies validated edit plans to one document.
 class UpdateApplier {
  public:
   UpdateApplier(xml::Document* doc, const ApplierOptions& options)
       : doc_(doc), options_(options) {}
 
-  /// Validates without mutating (the dry-run entry).
-  Status Validate(const std::vector<ResolvedEdit>& script);
+  /// Applies `plan`, made by PlanScript on this document or on the
+  /// document this one was cloned from. A guard trip or the armed
+  /// "update.apply" fault before the first mutation leaves the document
+  /// untouched.
+  Result<ApplyStats> Commit(const EditPlan& plan);
 
-  /// Validates, then applies. On error the document is untouched.
+  /// PlanScript on this document, then Commit. On a planning error the
+  /// document is untouched.
   Result<ApplyStats> Run(const std::vector<ResolvedEdit>& script);
 
  private:
-  /// A committed plan: surviving edits plus chosen insert positions.
-  struct PlannedEdit {
-    ResolvedEdit edit;
-    size_t elem_pos = 0;  ///< kInsert: element position under the parent
-  };
-
-  Status Plan(const std::vector<ResolvedEdit>& script,
-              std::vector<PlannedEdit>* plan, uint64_t* dropped);
-  Result<ApplyStats> Commit(const std::vector<PlannedEdit>& plan,
-                            uint64_t dropped);
-
   xml::Document* doc_;
   ApplierOptions options_;
 };

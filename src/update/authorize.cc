@@ -2,7 +2,75 @@
 
 #include <string>
 
+#include "src/rxpath/printer.h"
+
 namespace smoqe::update {
+
+NodeAccess PathAccess::Step(const NodeAccess& parent, const xml::Node* child) {
+  if (child->is_text()) return parent;  // text inherits its element's status
+  const view::Annotation* ann = policy_.Find(
+      names_.NameOf(child->parent->label), names_.NameOf(child->label));
+  if (ann == nullptr) return parent;
+  switch (ann->kind) {
+    case view::AnnKind::kAllow:
+      return NodeAccess{true, child, parent.protected_by};
+    case view::AnnKind::kDeny:
+      return NodeAccess{false, child, parent.protected_by};
+    case view::AnnKind::kCondition:
+      return NodeAccess{eval_.QualifierHolds(*ann->condition, child), child,
+                        child};
+  }
+  return parent;
+}
+
+NodeAccess PathAccess::Of(const xml::Node* n) {
+  // Climb to the root or to the nearest ancestor already folded, then
+  // fold back down, memoizing every node on the way.
+  std::vector<const xml::Node*> path;
+  NodeAccess state;  // the root: visible, decided by no annotation
+  for (const xml::Node* a = n; a->parent != nullptr; a = a->parent) {
+    auto it = memo_.find(a);
+    if (it != memo_.end()) {
+      state = it->second;
+      break;
+    }
+    path.push_back(a);
+  }
+  for (auto it = path.rbegin(); it != path.rend(); ++it) {
+    state = Step(state, *it);
+    memo_.emplace(*it, state);
+  }
+  return state;
+}
+
+std::string PathAccess::RenderEdge(const xml::Node* child) const {
+  const std::string& parent_name = names_.NameOf(child->parent->label);
+  const std::string& child_name = names_.NameOf(child->label);
+  const view::Annotation& ann = *policy_.Find(parent_name, child_name);
+  std::string out = parent_name + "/" + child_name + " : ";
+  switch (ann.kind) {
+    case view::AnnKind::kAllow:
+      out += "Y";
+      break;
+    case view::AnnKind::kDeny:
+      out += "N";
+      break;
+    case view::AnnKind::kCondition:
+      out += "[" + rxpath::ToString(*ann.condition) + "]";
+      break;
+  }
+  return out;
+}
+
+std::string PathAccess::DecidingAnnotation(const NodeAccess& a) const {
+  return a.decided_by == nullptr ? "(visible by default)"
+                                 : RenderEdge(a.decided_by);
+}
+
+std::string PathAccess::ProtectingCondition(const NodeAccess& a) const {
+  return a.protected_by == nullptr ? "(unconditional)"
+                                   : RenderEdge(a.protected_by);
+}
 
 namespace {
 
@@ -11,32 +79,34 @@ std::string Describe(const xml::NameTable& names, const xml::Node* n) {
          std::to_string(n->node_id) + ")";
 }
 
-/// Rejects if any node of the subtree rooted at `t` is hidden or
-/// condition-protected (the delete/replace effect region).
-Status CheckRemovedSubtree(const view::AccessMap& access,
-                           const xml::NameTable& names, const xml::Node* t,
+/// Rejects if any node of the subtree rooted at `t` (whose status is
+/// `t_access`) is hidden or condition-protected — the delete/replace
+/// effect region. The status is carried down the walk edge by edge.
+Status CheckRemovedSubtree(PathAccess& access, const xml::NameTable& names,
+                           const xml::Node* t, const NodeAccess& t_access,
                            const char* op) {
-  std::vector<const xml::Node*> stack = {t};
+  std::vector<std::pair<const xml::Node*, NodeAccess>> stack = {
+      {t, t_access}};
   while (!stack.empty()) {
-    const xml::Node* n = stack.back();
+    const auto [n, a] = stack.back();
     stack.pop_back();
     if (n->is_element()) {
-      if (!access.visible(n->node_id)) {
+      if (!a.visible) {
         return Status::PermissionDenied(
             std::string("update rejected: ") + op + " would remove hidden " +
             Describe(names, n) + ", hidden by annotation '" +
-            access.DecidingAnnotation(n->node_id) + "'");
+            access.DecidingAnnotation(a) + "'");
       }
-      if (access.condition_protected(n->node_id)) {
+      if (a.condition_protected()) {
         return Status::PermissionDenied(
             std::string("update rejected: ") + op + " would remove " +
             Describe(names, n) + ", which is condition-protected by "
-            "annotation '" + access.ProtectingCondition(n->node_id) + "'");
+            "annotation '" + access.ProtectingCondition(a) + "'");
       }
     }
     for (const xml::Node* c = n->first_child; c != nullptr;
          c = c->next_sibling) {
-      stack.push_back(c);
+      stack.push_back({c, access.Step(a, c)});
     }
   }
   return Status::OK();
@@ -88,11 +158,10 @@ Status CheckGraftedFragment(const view::Policy& policy,
 
 }  // namespace
 
-Status AuthorizeScript(const view::Policy& policy,
-                       const view::AccessMap& access,
-                       const xml::Document& doc,
+Status AuthorizeScript(const view::Policy& policy, const xml::Document& doc,
                        const std::vector<ResolvedEdit>& script) {
   const xml::NameTable& names = *doc.names();
+  PathAccess access(policy, doc);
   for (const ResolvedEdit& e : script) {
     const xml::Node* t = e.target;
     if (t == nullptr || !t->is_element()) {
@@ -102,26 +171,26 @@ Status AuthorizeScript(const view::Policy& policy,
     // inserts that is the parent written under, for removals the subtree
     // root (also covered by the subtree walk; checked here for the
     // sharper "target" wording).
-    if (!access.visible(t->node_id)) {
+    const NodeAccess a = access.Of(t);
+    if (!a.visible) {
       return Status::PermissionDenied(
           "update rejected: target " + Describe(names, t) +
-          " is hidden by annotation '" + access.DecidingAnnotation(t->node_id) +
-          "'");
+          " is hidden by annotation '" + access.DecidingAnnotation(a) + "'");
     }
-    if (access.condition_protected(t->node_id)) {
+    if (a.condition_protected()) {
       return Status::PermissionDenied(
           "update rejected: target " + Describe(names, t) +
           " is condition-protected by annotation '" +
-          access.ProtectingCondition(t->node_id) + "'");
+          access.ProtectingCondition(a) + "'");
     }
     switch (e.kind) {
       case OpKind::kDelete:
         SMOQE_RETURN_IF_ERROR(
-            CheckRemovedSubtree(access, names, t, "delete"));
+            CheckRemovedSubtree(access, names, t, a, "delete"));
         break;
       case OpKind::kReplace:
         SMOQE_RETURN_IF_ERROR(
-            CheckRemovedSubtree(access, names, t, "replace"));
+            CheckRemovedSubtree(access, names, t, a, "replace"));
         // Root replacement has no graft edge, but the fragment's internal
         // edges must still be free of hidden/conditional annotations.
         SMOQE_RETURN_IF_ERROR(CheckGraftedFragment(

@@ -87,7 +87,7 @@ Document Document::Clone() const {
   }
   // Pass 2: copy fields, rewrite links via ids, copy text/attrs into the
   // new arena. Ids, orders and the epoch carry over verbatim — id-keyed
-  // side structures (TAX sets, provenance, access maps) built against the
+  // side structures (TAX sets, provenance, edit plans) built against the
   // original remain valid against the clone.
   for (size_t id = 0; id < nodes_.size(); ++id) {
     const Node* s = nodes_[id];

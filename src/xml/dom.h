@@ -78,10 +78,9 @@ struct Node {
 /// Documents are mutable through the structural-update API below (the
 /// secure-update subsystem, docs/DESIGN.md §6). Every successful update
 /// bumps `epoch()`; consumers that cache anything derived from the tree
-/// (serialized text, TAX indexes, view access maps) compare epochs to
-/// detect staleness. Node ids are stable across updates — removed ids are
-/// retired, never reused — while `order`/`subtree_end` are recomputed by
-/// RefreshOrder.
+/// (serialized text, TAX indexes) compare epochs to detect staleness.
+/// Node ids are stable across updates — removed ids are retired, never
+/// reused — while `order`/`subtree_end` are recomputed by RefreshOrder.
 class Document {
  public:
   Document(Document&&) = default;

@@ -348,6 +348,82 @@ TEST_F(ConcurrencyTest, ReadersDuringUpdateSeeOneConsistentEpoch) {
   EXPECT_EQ(last->answers_xml, expected[final_epoch]);
 }
 
+TEST_F(ConcurrencyTest, ViewUpdateChecksReadTheSnapshotReadersPin) {
+  // Authorization and validation of a view update read the published
+  // snapshot in place, beside readers pinned to it: rejections and dry
+  // runs leave it at epoch 0, and only the accepted commit copies it and
+  // publishes epoch 1.
+  const std::string probe = "//treatment/test";
+  const std::string replace =
+      "replace //treatment[medication] "
+      "with <treatment><test>conc</test></treatment>";
+  UpdateOptions research;
+  research.view = "research-group";
+  UpdateOptions dry = research;
+  dry.dry_run = true;
+  QueryOptions view_query;
+  view_query.view = "research-group";
+  auto before = engine_->Query("gen", probe, view_query);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  const size_t tests_before = before->answers_xml.size();
+
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::atomic<int> reads{0};
+  std::atomic<size_t> tests_after{0};  // answers seen at epoch 1
+  auto reader = [&](EvalMode mode) {
+    QueryOptions opts = view_query;
+    opts.mode = mode;
+    while (!done.load(std::memory_order_acquire)) {
+      auto r = engine_->Query("gen", probe, opts);
+      if (!r.ok() || r->doc_epoch > 1 ||
+          (r->doc_epoch == 0 && r->answers_xml.size() != tests_before)) {
+        failures.fetch_add(1);
+        continue;
+      }
+      if (r->doc_epoch == 1) tests_after.store(r->answers_xml.size());
+      reads.fetch_add(1);
+    }
+  };
+  std::vector<std::thread> readers;
+  readers.emplace_back(reader, EvalMode::kDom);
+  readers.emplace_back(reader, EvalMode::kStax);
+
+  // The writer records what it saw; assertions wait for the join.
+  size_t targets = 0;
+  int rejections = 0;
+  Status commit_status;
+  for (int round = 0; round < 4; ++round) {
+    auto rejected = engine_->Update("gen", "delete //patient", research);
+    if (rejected.status().code() == StatusCode::kPermissionDenied) {
+      ++rejections;
+    }
+    auto checked = engine_->Update("gen", replace, dry);
+    if (checked.ok()) targets = checked->stats.targets;
+  }
+  const uint64_t epoch_after_checks = *engine_->DocumentEpoch("gen");
+  if (targets > 0) {
+    auto committed = engine_->Update("gen", replace, research);
+    commit_status = committed.status();
+    // Let the readers see the new epoch before stopping them.
+    while (committed.ok() && tests_after.load() == 0 &&
+           failures.load() == 0) {
+      std::this_thread::yield();
+    }
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(rejections, 4);
+  EXPECT_EQ(epoch_after_checks, 0u);
+  ASSERT_GT(targets, 0u);
+  ASSERT_TRUE(commit_status.ok()) << commit_status.ToString();
+  EXPECT_EQ(*engine_->DocumentEpoch("gen"), 1u);
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(reads.load(), 0);
+  EXPECT_EQ(tests_after.load(), tests_before + targets);
+}
+
 TEST_F(ConcurrencyTest, ConcurrentCompilesConvergeOnOneCachedPlan) {
   engine_->plan_cache().Clear();
   const std::vector<std::string> queries = {

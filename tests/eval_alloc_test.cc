@@ -1,9 +1,9 @@
 // Heap allocations and budget charges of HyPE evaluation.
 //
-// This binary replaces the global operator new/delete with a counting
-// pair (test-only): every thread tallies its own allocations, and a
-// process-wide live/peak byte count follows the heap. Two properties are
-// checked on a predicate-heavy workload:
+// This binary replaces the global operator new/delete (and the array
+// forms) with a counting pair (test-only): every thread tallies its own
+// allocations, and a process-wide live/peak byte count follows the heap.
+// Two properties are checked on a predicate-heavy workload:
 //
 //  * HyPE keeps its per-node bookkeeping in engine arenas, so heap
 //    allocations per entered node per plan stay far below one — on DOM,
@@ -11,6 +11,10 @@
 //  * the request budget sees what the engine holds: a MemoryBudget just
 //    below a query's charged peak trips, with no partial answers, on
 //    every driver, and the charge covers the engine's measured heap.
+//
+// A third property covers updates: checking a view update (authorizing
+// and validating it) reads the published snapshot, so a rejected update
+// and a dry run allocate far less than one copy of the document.
 
 #include <malloc.h>
 
@@ -23,6 +27,7 @@
 
 #include "src/automata/mfa.h"
 #include "src/common/thread_pool.h"
+#include "src/core/smoqe.h"
 #include "src/eval/batch.h"
 #include "src/eval/hype_dom.h"
 #include "src/eval/hype_stax.h"
@@ -43,9 +48,11 @@ constexpr int kMaxTallies = 256;
 Tally g_tallies[kMaxTallies];
 std::atomic<int> g_next_tally{0};
 thread_local Tally* t_tally = nullptr;
-/// Bytes live on the heap (usable sizes) and their high-water mark.
+/// Bytes live on the heap (usable sizes), their high-water mark, and
+/// every byte ever allocated.
 std::atomic<int64_t> g_live{0};
 std::atomic<int64_t> g_peak{0};
+std::atomic<int64_t> g_allocated{0};
 
 Tally& MyTally() {
   if (t_tally == nullptr) {
@@ -64,6 +71,7 @@ void* operator new(std::size_t n) {
   if (p == nullptr) throw std::bad_alloc();
   const int64_t usable = static_cast<int64_t>(malloc_usable_size(p));
   MyTally().news.fetch_add(1, std::memory_order_relaxed);
+  g_allocated.fetch_add(usable, std::memory_order_relaxed);
   const int64_t live =
       g_live.fetch_add(usable, std::memory_order_relaxed) + usable;
   int64_t peak = g_peak.load(std::memory_order_relaxed);
@@ -81,6 +89,12 @@ void operator delete(void* p) noexcept {
 }
 
 void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
+
+// The array forms route through the counting pair too: sanitizer
+// runtimes intercept them separately, and arena blocks are arrays.
+void* operator new[](std::size_t n) { return operator new(n); }
+void operator delete[](void* p) noexcept { operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { operator delete(p); }
 
 namespace smoqe::eval {
 namespace {
@@ -101,6 +115,14 @@ uint64_t AllocationsDuring(Fn&& fn) {
   const uint64_t before = TotalAllocations();
   fn();
   return TotalAllocations() - before;
+}
+
+/// Heap bytes allocated (on any thread) while `fn` runs, freed or not.
+template <typename Fn>
+int64_t BytesAllocatedDuring(Fn&& fn) {
+  const int64_t before = g_allocated.load(std::memory_order_relaxed);
+  fn();
+  return g_allocated.load(std::memory_order_relaxed) - before;
 }
 
 /// The most heap bytes live at once while `fn` runs, above the level at
@@ -298,6 +320,57 @@ TEST_F(EvalAllocTest, DomChargeCoversTheEngineHeap) {
         << q << ": charged " << accounting.used() << " bytes, heap peak "
         << peak << " (driver share " << driver << ")";
   }
+}
+
+// --- Update checks -----------------------------------------------------
+
+TEST_F(EvalAllocTest, UpdateChecksAllocateLessThanHalfAClone) {
+  core::Smoqe engine;
+  ASSERT_TRUE(
+      engine.RegisterDtd("hospital", workload::kHospitalDtd, "hospital").ok());
+  ASSERT_TRUE(engine.LoadDocument("ward", *text_).ok());
+  ASSERT_TRUE(engine
+                  .DefineView("research", "hospital",
+                              workload::kHospitalPolicyResearch)
+                  .ok());
+  const int64_t clone_bytes =
+      BytesAllocatedDuring([&] { xml::Document copy = doc_->Clone(); });
+  ASSERT_GT(clone_bytes, 0);
+
+  core::UpdateOptions research;
+  research.view = "research";
+  core::UpdateOptions dry = research;
+  dry.dry_run = true;
+  // Every patient holds a pname the research view hides: rejected whole.
+  constexpr char kRejected[] = "delete //patient";
+  constexpr char kDryRun[] =
+      "replace //treatment[medication = 'autism'] "
+      "with <treatment><test>x</test></treatment>";
+  // Warm the plan cache so the measured calls compile nothing.
+  ASSERT_FALSE(engine.Update("ward", kRejected, research).ok());
+  ASSERT_TRUE(engine.Update("ward", kDryRun, dry).ok());
+
+  Result<core::UpdateResult> rejected = Status::Internal("not run");
+  const int64_t rejected_bytes = BytesAllocatedDuring(
+      [&] { rejected = engine.Update("ward", kRejected, research); });
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kPermissionDenied);
+  EXPECT_NE(rejected.status().message().find("'patient/pname : N'"),
+            std::string::npos)
+      << rejected.status().ToString();
+  EXPECT_LT(rejected_bytes, clone_bytes / 2)
+      << "rejected update allocated " << rejected_bytes
+      << " bytes; Document::Clone allocates " << clone_bytes;
+
+  Result<core::UpdateResult> dry_run = Status::Internal("not run");
+  const int64_t dry_bytes = BytesAllocatedDuring(
+      [&] { dry_run = engine.Update("ward", kDryRun, dry); });
+  ASSERT_TRUE(dry_run.ok()) << dry_run.status().ToString();
+  EXPECT_GT(dry_run->stats.targets, 100u);
+  EXPECT_LT(dry_bytes, clone_bytes / 2)
+      << "dry run allocated " << dry_bytes
+      << " bytes; Document::Clone allocates " << clone_bytes;
+  EXPECT_EQ(*engine.DocumentEpoch("ward"), 0u);
 }
 
 }  // namespace

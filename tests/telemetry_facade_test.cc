@@ -161,6 +161,51 @@ TEST(TelemetryFacade, QueryTraceHasPipelineSpans) {
   }
 }
 
+/// Span names of the newest finished trace, in start order.
+std::vector<std::string> NewestTraceSpans(const Smoqe& engine) {
+  auto recent = engine.telemetry()->traces().Recent(1);
+  EXPECT_EQ(recent.size(), 1u);
+  std::vector<std::string> names;
+  if (recent.empty()) return names;
+  for (const tel::SpanRecord& s : recent.front()->spans()) {
+    names.push_back(s.name);
+  }
+  return names;
+}
+
+TEST(TelemetryFacade, UpdateTraceClonesOnlyToCommit) {
+  Smoqe engine;
+  SetupEngine(&engine);
+  UpdateOptions nurse;
+  nurse.view = "nurses";
+  nurse.dtd_name = "hospital";
+  constexpr char kReplace[] =
+      "replace //treatment[medication = 'headache'] "
+      "with <treatment><test>mri</test></treatment>";
+
+  // A dry run authorizes and validates on the published snapshot and
+  // copies nothing.
+  UpdateOptions dry = nurse;
+  dry.dry_run = true;
+  ASSERT_TRUE(engine.Update("ward", kReplace, dry).ok());
+  EXPECT_EQ(NewestTraceSpans(engine),
+            (std::vector<std::string>{"parse", "resolve", "authorize",
+                                      "validate"}));
+
+  // A rejected update stops at authorization: no clone either.
+  ASSERT_FALSE(engine.Update("ward", "delete hospital/patient", nurse).ok());
+  EXPECT_EQ(NewestTraceSpans(engine),
+            (std::vector<std::string>{"parse", "resolve", "authorize"}));
+
+  // Only an accepted commit clones, then applies and publishes.
+  auto r = engine.Update("ward", kReplace, nurse);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(NewestTraceSpans(engine),
+            (std::vector<std::string>{"parse", "resolve", "authorize",
+                                      "validate", "clone", "apply",
+                                      "publish"}));
+}
+
 TEST(TelemetryFacade, BatchTraceNestsItemsUnderEvaluate) {
   EngineOptions options;
   options.max_threads = 4;
