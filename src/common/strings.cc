@@ -124,15 +124,6 @@ uint64_t Fnv1a64(std::string_view s) {
   return h;
 }
 
-bool IsNameStartChar(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
-}
-
-bool IsNameChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '-' ||
-         c == '.' || c == ':';
-}
-
 bool IsValidXmlName(std::string_view s) {
   if (s.empty() || !IsNameStartChar(s[0])) return false;
   for (char c : s) {

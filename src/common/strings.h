@@ -40,8 +40,14 @@ uint64_t Fnv1a64(std::string_view s);
 
 /// True for ASCII name-start / name characters of our XML-name subset
 /// (letters, digits, '_', '-', '.', ':'; names start with a letter or '_').
-bool IsNameStartChar(char c);
-bool IsNameChar(char c);
+/// constexpr so the tokenizer can build its byte-class table from them.
+constexpr bool IsNameStartChar(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
+}
+constexpr bool IsNameChar(char c) {
+  return IsNameStartChar(c) || (c >= '0' && c <= '9') || c == '-' ||
+         c == '.' || c == ':';
+}
 bool IsValidXmlName(std::string_view s);
 
 }  // namespace smoqe

@@ -4,8 +4,10 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
+#include <optional>
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include "src/common/strings.h"
@@ -18,39 +20,60 @@ namespace {
 
 /// One decoded event as both drivers hand it to the plans and to the
 /// capture stream. `str` is the element name (start/end) or the raw text
-/// (characters); the other fields are set on start elements only. `str`
-/// is a pointer, not a view, so handing an event to a plan that never
-/// reads the string costs no load of it.
+/// (characters): `str_len` bytes, a view of the document text or of
+/// bytes the driver keeps alive for the event's lifetime. The other
+/// fields are set on start elements only. A pointer and a 32-bit length
+/// (documents are capped at 4 GiB, see CheckSize) keep the event at 40
+/// bytes; every plan reads every event.
 struct ScanEvent {
   xml::StaxEvent kind;
   int depth;
-  const std::string* str;
+  const char* str;
+  uint32_t str_len;
   /// Interned label; kNoName while every plan skips (a skipping plan
   /// never reads it).
   xml::NameId label = xml::kNoName;
   int32_t node_id = -1;  ///< the driver's document pre-order id
-  const xml::StaxAttr* attrs_begin = nullptr;
-  const xml::StaxAttr* attrs_end = nullptr;
+  uint32_t num_attrs = 0;
+  const xml::StaxAttr* attrs = nullptr;
+
+  std::string_view view() const { return std::string_view(str, str_len); }
 };
 
-/// Attribute view over a [begin, end) range of decoded attributes.
+/// The 32-bit string lengths of ScanEvent (and the chunks' decoded-byte
+/// offsets) cover every name, text run and attribute value of a document
+/// under 4 GiB: a decoded string is never longer than its source bytes.
+Status CheckSize(std::string_view xml) {
+  if (xml.size() > UINT32_MAX) {
+    return Status::InvalidArgument(
+        "StAX evaluation takes documents under 4 GiB");
+  }
+  return Status::OK();
+}
+
+void SetStr(ScanEvent* ev, std::string_view s) {
+  ev->str = s.data();
+  ev->str_len = static_cast<uint32_t>(s.size());
+}
+
+/// Attribute view over the `n` decoded attributes at `attrs`.
 class AttrRange : public AttrProvider {
  public:
-  AttrRange(const xml::StaxAttr* begin, const xml::StaxAttr* end,
+  AttrRange(const xml::StaxAttr* attrs, uint32_t n,
             const xml::NameTable& names)
-      : begin_(begin), end_(end), names_(names) {}
+      : attrs_(attrs), n_(n), names_(names) {}
 
-  const char* Find(xml::NameId name) const override {
+  std::optional<std::string_view> Find(xml::NameId name) const override {
     const std::string& want = names_.NameOf(name);
-    for (const xml::StaxAttr* a = begin_; a != end_; ++a) {
-      if (a->name == want) return a->value.c_str();
+    for (uint32_t i = 0; i < n_; ++i) {
+      if (attrs_[i].name == want) return attrs_[i].value;
     }
-    return nullptr;
+    return std::nullopt;
   }
 
  private:
-  const xml::StaxAttr* begin_;
-  const xml::StaxAttr* end_;
+  const xml::StaxAttr* attrs_;
+  uint32_t n_;
   const xml::NameTable& names_;
 };
 
@@ -59,20 +82,23 @@ class AttrRange : public AttrProvider {
 /// byte-identical captures by construction.
 ///
 /// One capture per staged element regardless of how many plans staged
-/// it, keyed by the driver's document pre-order node id. Each outermost
-/// capture opens a block, and every event inside it is appended to that
-/// block once; a nested capture is a [begin, end) span of its outermost
-/// block, so bytes stay O(captured subtree), not O(Σ nested subtrees).
-/// Answers are copied out of the blocks at AssembleOne.
+/// it, keyed by the driver's document pre-order node id. All captures
+/// share one growing byte buffer: every event inside an outermost capture
+/// is appended once, and each capture (nested or outermost) is a
+/// [begin, begin + len) span of it, so bytes stay O(captured subtrees),
+/// not O(Σ nested subtrees), and a capture costs no allocation of its
+/// own. Finished spans are collected in close order and sorted by node
+/// id once the scan is over (Seal); answers are copied out at
+/// AssembleOne.
 ///
 /// Start tags are held open ("<name a=\"v\"" without the '>') and closed
 /// lazily, so empty elements serialize as "<name/>" exactly like the DOM
 /// serializer (captures and SerializeNode must agree byte-for-byte).
 class CaptureStream {
  public:
-  /// A finished capture: `len` bytes at `begin` of blocks()[block].
+  /// A finished capture: `len` bytes at `begin` of bytes().
   struct Span {
-    uint32_t block;
+    int32_t node_id;
     size_t begin;
     size_t len;
   };
@@ -85,10 +111,10 @@ class CaptureStream {
         StartElement(ev, staged);
         break;
       case xml::StaxEvent::kCharacters:
-        Text(*ev.str);
+        Text(ev.view());
         break;
       case xml::StaxEvent::kEndElement:
-        EndElement(*ev.str, ev.depth);
+        EndElement(ev.view(), ev.depth);
         break;
       case xml::StaxEvent::kStartDocument:
       case xml::StaxEvent::kEndDocument:
@@ -96,9 +122,23 @@ class CaptureStream {
     }
   }
 
-  const std::map<int32_t, Span>& finished() const { return finished_; }
-  const std::vector<std::string>& blocks() const { return blocks_; }
-  /// Largest outermost capture block: the most capture bytes open at once.
+  /// Sorts the finished captures by node id; call once, after the last
+  /// Append and before Find.
+  void Seal() {
+    std::sort(finished_.begin(), finished_.end(),
+              [](const Span& a, const Span& b) {
+                return a.node_id < b.node_id;
+              });
+  }
+  /// The finished capture of `node_id`, or nullptr (after Seal).
+  const Span* Find(int32_t node_id) const {
+    auto it = std::lower_bound(
+        finished_.begin(), finished_.end(), node_id,
+        [](const Span& s, int32_t id) { return s.node_id < id; });
+    return it == finished_.end() || it->node_id != node_id ? nullptr : &*it;
+  }
+  std::string_view bytes() const { return buf_; }
+  /// Largest outermost capture: the most capture bytes open at once.
   size_t peak_buffered() const { return peak_buffered_; }
   /// Capture bytes written since the last call (charged into the request
   /// MemoryBudget by ChargeAndCheck).
@@ -106,7 +146,7 @@ class CaptureStream {
 
  private:
   /// An in-flight capture: its node, where its bytes begin in the
-  /// current block, and the reader depth at which it started.
+  /// buffer, and the reader depth at which it started.
   struct Open {
     int32_t node_id;
     size_t begin;
@@ -116,71 +156,67 @@ class CaptureStream {
   void StartElement(const ScanEvent& ev, bool staged) {
     if (open_.empty()) {
       if (!staged) return;
-      blocks_.emplace_back();
+      outer_begin_ = buf_.size();
     }
-    std::string& buf = blocks_.back();
-    const size_t before = buf.size();
-    CloseStartTag(buf);
-    if (staged) open_.push_back(Open{ev.node_id, buf.size(), ev.depth});
-    buf += '<';
-    buf += *ev.str;
-    for (const xml::StaxAttr* a = ev.attrs_begin; a != ev.attrs_end; ++a) {
-      buf += ' ';
-      buf += a->name;
-      buf += "=\"";
-      AppendXmlEscaped(a->value, &buf);
-      buf += '"';
+    const size_t before = buf_.size();
+    CloseStartTag();
+    if (staged) open_.push_back(Open{ev.node_id, buf_.size(), ev.depth});
+    buf_ += '<';
+    buf_ += ev.view();
+    for (uint32_t i = 0; i < ev.num_attrs; ++i) {
+      buf_ += ' ';
+      buf_ += ev.attrs[i].name;
+      buf_ += "=\"";
+      AppendXmlEscaped(ev.attrs[i].value, &buf_);
+      buf_ += '"';
     }
     tag_open_ = true;
-    appended_ += buf.size() - before;
+    appended_ += buf_.size() - before;
   }
 
   void Text(std::string_view raw) {
     if (open_.empty()) return;
-    std::string& buf = blocks_.back();
-    const size_t before = buf.size();
-    CloseStartTag(buf);
-    AppendXmlEscaped(raw, &buf);
-    appended_ += buf.size() - before;
+    const size_t before = buf_.size();
+    CloseStartTag();
+    AppendXmlEscaped(raw, &buf_);
+    appended_ += buf_.size() - before;
   }
 
   void EndElement(std::string_view name, int depth) {
     if (open_.empty()) return;
-    std::string& buf = blocks_.back();
-    const size_t before = buf.size();
+    const size_t before = buf_.size();
     if (tag_open_) {
       // The closing element is empty: finish it as a self-closing tag.
-      buf += "/>";
+      buf_ += "/>";
       tag_open_ = false;
     } else {
-      buf += "</";
-      buf += name;
-      buf += '>';
+      buf_ += "</";
+      buf_ += name;
+      buf_ += '>';
     }
-    appended_ += buf.size() - before;
-    peak_buffered_ = std::max(peak_buffered_, buf.size());
+    appended_ += buf_.size() - before;
+    peak_buffered_ = std::max(peak_buffered_, buf_.size() - outer_begin_);
     if (open_.back().open_depth == depth + 1) {
       const Open& c = open_.back();
-      finished_.emplace(c.node_id,
-                        Span{static_cast<uint32_t>(blocks_.size() - 1),
-                             c.begin, buf.size() - c.begin});
+      finished_.push_back(Span{c.node_id, c.begin, buf_.size() - c.begin});
       open_.pop_back();
     }
   }
 
-  void CloseStartTag(std::string& buf) {
+  void CloseStartTag() {
     if (tag_open_) {
-      buf += '>';
+      buf_ += '>';
       tag_open_ = false;
     }
   }
 
-  std::vector<Open> open_;          // innermost last
-  std::vector<std::string> blocks_;  // one per outermost capture
-  std::map<int32_t, Span> finished_;
+  std::vector<Open> open_;  // innermost last
+  std::string buf_;         // every capture's bytes
+  size_t outer_begin_ = 0;  // where the current outermost capture begins
+  std::vector<Span> finished_;  // close order until Seal, then by node id
   size_t peak_buffered_ = 0;
   uint64_t appended_ = 0;  // since the last TakeAppended
-  bool tag_open_ = false;  // the current block has an unclosed start tag
+  bool tag_open_ = false;  // buf_ ends in an unclosed start tag
 };
 
 /// Per-plan evaluation state: the plan's own engine (runs, guards,
@@ -226,7 +262,7 @@ bool StepPlan(PlanState& ps, const ScanEvent& ev,
         ps.engine.mutable_stats()->nodes_pruned += 1;
         return false;
       }
-      AttrRange attrs(ev.attrs_begin, ev.attrs_end, names);
+      AttrRange attrs(ev.attrs, ev.num_attrs, names);
       const size_t candidates_before = ps.engine.cans().node_count();
       const int32_t engine_id = ps.engine.next_id();
       HypeEngine::EnterResult r = ps.engine.Enter(ev.label, attrs);
@@ -241,7 +277,7 @@ bool StepPlan(PlanState& ps, const ScanEvent& ev,
     case xml::StaxEvent::kCharacters:
       if (!ps.skipping() ||
           (ps.skip_needs_text && ev.depth == ps.skip_depth)) {
-        ps.engine.Text(*ev.str);
+        ps.engine.Text(ev.view());
       }
       return false;
     case xml::StaxEvent::kEndElement:
@@ -259,6 +295,15 @@ bool StepPlan(PlanState& ps, const ScanEvent& ev,
   return false;
 }
 
+/// A string of a chunk event: a view of the document text, or (when
+/// `data` is null) `len` bytes at `off` of the chunk's `decoded` buffer,
+/// which may still grow until the chunk is resolved.
+struct TokStr {
+  const char* data;
+  uint32_t len;
+  uint32_t off;
+};
+
 /// One decoded event of a tokenizer chunk.
 struct TokEvent {
   xml::StaxEvent kind;
@@ -267,20 +312,29 @@ struct TokEvent {
   int32_t node_id = -1;              ///< start elements
   uint32_t attr_begin = 0;           ///< start elements: [begin, end) into
   uint32_t attr_end = 0;             ///<   TokChunk::attrs
-  uint32_t str = 0;  ///< start/end: element name; text: raw text
+  TokStr str;  ///< start/end: element name; text: raw text
+};
+
+/// An attribute of a chunk event; names are always views of the text.
+struct TokAttr {
+  std::string_view name;
+  TokStr value;
 };
 
 /// A chunk of decoded, interned events — the unit of fork/join work the
-/// parallel driver hands to the plans. Buffers are reused across
-/// refills.
+/// parallel driver hands to the plans. Names, text and attribute values
+/// are views of the document text; only the bytes the reader decoded
+/// (which it keeps only until its next event) are copied, into the
+/// chunk's one `decoded` buffer. Buffers are reused across refills.
 struct TokChunk {
   std::vector<TokEvent> events;
-  std::vector<xml::StaxAttr> attrs;
-  std::vector<std::string> strings;
-  /// `events` with their strings and attributes resolved, built once the
+  std::vector<TokAttr> attrs;
+  std::string decoded;
+  /// `events` and `attrs` with their strings resolved, built once the
   /// buffers stop growing: every plan reads these, so a plan skipping a
   /// subtree touches only an event's kind and depth.
   std::vector<ScanEvent> scan;
+  std::vector<xml::StaxAttr> scan_attrs;
   /// Per event: some plan staged it (start elements). Filled after the
   /// plans' join, read by the capture replay one chunk later.
   std::vector<uint8_t> staged;
@@ -288,16 +342,34 @@ struct TokChunk {
   void Clear() {
     events.clear();
     attrs.clear();
-    strings.clear();
+    decoded.clear();
     scan.clear();
+    scan_attrs.clear();
     staged.clear();
   }
 
+  /// Keeps `s`, an event string of `reader`'s current event.
+  TokStr Keep(const xml::StaxReader& reader, std::string_view s) {
+    const auto len = static_cast<uint32_t>(s.size());
+    if (reader.IsInputView(s)) return TokStr{s.data(), len, 0};
+    const TokStr kept{nullptr, len, static_cast<uint32_t>(decoded.size())};
+    decoded.append(s);
+    return kept;
+  }
+
+  const char* Data(const TokStr& s) const {
+    return s.data != nullptr ? s.data : decoded.data() + s.off;
+  }
+
   void Resolve() {
+    for (const TokAttr& a : attrs) {
+      scan_attrs.push_back(
+          xml::StaxAttr{a.name, std::string_view(Data(a.value), a.value.len)});
+    }
     for (const TokEvent& e : events) {
-      scan.push_back(ScanEvent{e.kind, e.depth, &strings[e.str], e.label,
-                               e.node_id, attrs.data() + e.attr_begin,
-                               attrs.data() + e.attr_end});
+      scan.push_back(ScanEvent{e.kind, e.depth, Data(e.str), e.str.len,
+                               e.label, e.node_id, e.attr_end - e.attr_begin,
+                               scan_attrs.data() + e.attr_begin});
     }
   }
 };
@@ -319,16 +391,18 @@ Result<bool> FillChunk(xml::StaxReader& reader, xml::NameTable* names,
     TokEvent e;
     e.kind = ev;
     e.depth = reader.depth();
-    e.str = static_cast<uint32_t>(out->strings.size());
+    e.str = out->Keep(reader, ev == xml::StaxEvent::kCharacters
+                                  ? reader.text()
+                                  : reader.name());
     if (ev == xml::StaxEvent::kStartElement) {
       e.label = names->Intern(reader.name());
       e.node_id = (*next_node_id)++;
       e.attr_begin = static_cast<uint32_t>(out->attrs.size());
-      for (const xml::StaxAttr& a : reader.attrs()) out->attrs.push_back(a);
+      for (const xml::StaxAttr& a : reader.attrs()) {
+        out->attrs.push_back(TokAttr{a.name, out->Keep(reader, a.value)});
+      }
       e.attr_end = static_cast<uint32_t>(out->attrs.size());
     }
-    out->strings.push_back(ev == xml::StaxEvent::kCharacters ? reader.text()
-                                                             : reader.name());
     out->events.push_back(e);
   }
   out->Resolve();
@@ -363,9 +437,10 @@ Status ChargeAndCheck(const Guardrail& guard, CaptureStream& cap,
 }
 
 /// Demultiplexes plan `k`'s answer ids into serialized answers via its
-/// candidate map and the shared finished-capture table: only candidates
-/// that became answers are copied out of their capture block. The copies
-/// are charged to `guard` (nullptr = ungoverned) before they are made.
+/// candidate map and the shared (sealed) finished-capture table: only
+/// candidates that became answers are copied out of the capture buffer.
+/// The copies are charged to `guard` (nullptr = ungoverned) before they
+/// are made.
 /// Plans are independent here, so the parallel driver runs one call per
 /// plan on the pool.
 Status AssembleOne(PlanState& ps, size_t k, size_t plan_count,
@@ -380,15 +455,16 @@ Status AssembleOne(PlanState& ps, size_t k, size_t plan_count,
     auto cand = std::lower_bound(ps.candidate_nodes.begin(),
                                  ps.candidate_nodes.end(),
                                  std::make_pair(id, INT32_MIN));
-    auto it = cand == ps.candidate_nodes.end() || cand->first != id
-                  ? cap.finished().end()
-                  : cap.finished().find(cand->second);
-    if (it == cap.finished().end()) {
+    const CaptureStream::Span* span =
+        cand == ps.candidate_nodes.end() || cand->first != id
+            ? nullptr
+            : cap.Find(cand->second);
+    if (span == nullptr) {
       return Status::Internal("plan " + std::to_string(k) + " answer " +
                               std::to_string(id) + " was never captured");
     }
-    spans.push_back(it->second);
-    copied += it->second.len;
+    spans.push_back(*span);
+    copied += span->len;
   }
   if (guard != nullptr) {
     guard->ChargeBytes(copied);
@@ -398,7 +474,7 @@ Status AssembleOne(PlanState& ps, size_t k, size_t plan_count,
   for (size_t i = 0; i < ids.size(); ++i) {
     const CaptureStream::Span& sp = spans[i];
     out->answers.push_back(
-        StaxAnswer{ids[i], cap.blocks()[sp.block].substr(sp.begin, sp.len)});
+        StaxAnswer{ids[i], std::string(cap.bytes().substr(sp.begin, sp.len))});
   }
   out->stats = ps.engine.stats();
   // The capture footprint is shared by the whole batch; every plan
@@ -437,6 +513,7 @@ int BatchEvaluator::AddPlan(const automata::Mfa* mfa) {
 Result<std::vector<StaxEvalResult>> BatchEvaluator::Run(
     std::string_view xml) const {
   if (plans_.empty()) return std::vector<StaxEvalResult>{};
+  SMOQE_RETURN_IF_ERROR(CheckSize(xml));
   SMOQE_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<PlanState>> states,
                          MakePlanStates(plans_));
   xml::NameTable* names = plans_[0]->names().get();
@@ -453,7 +530,7 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::Run(
       SMOQE_RETURN_IF_ERROR(ChargeAndCheck(*guard_, cap, states));
     }
     SMOQE_ASSIGN_OR_RETURN(xml::StaxEvent kind, reader.Next());
-    ScanEvent ev{kind, reader.depth(), nullptr};
+    ScanEvent ev{kind, reader.depth(), nullptr, 0};
     switch (kind) {
       case xml::StaxEvent::kStartDocument:
         continue;
@@ -463,6 +540,7 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::Run(
         if (guard_ != nullptr) {
           SMOQE_RETURN_IF_ERROR(ChargeAndCheck(*guard_, cap, states));
         }
+        cap.Seal();
         std::vector<StaxEvalResult> results(states.size());
         for (size_t k = 0; k < states.size(); ++k) {
           SMOQE_RETURN_IF_ERROR(AssembleOne(*states[k], k, states.size(),
@@ -471,17 +549,17 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::Run(
         return results;
       }
       case xml::StaxEvent::kStartElement:
-        ev.str = &reader.name();
+        SetStr(&ev, reader.name());
         if (live_plans > 0) ev.label = names->Intern(reader.name());
         ev.node_id = next_node_id++;
-        ev.attrs_begin = reader.attrs().data();
-        ev.attrs_end = ev.attrs_begin + reader.attrs().size();
+        ev.num_attrs = static_cast<uint32_t>(reader.attrs().size());
+        ev.attrs = reader.attrs().data();
         break;
       case xml::StaxEvent::kEndElement:
-        ev.str = &reader.name();
+        SetStr(&ev, reader.name());
         break;
       case xml::StaxEvent::kCharacters:
-        ev.str = &reader.text();
+        SetStr(&ev, reader.text());
         break;
     }
     bool staged = false;
@@ -504,6 +582,7 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::RunParallel(
     return Run(xml);
   }
   ThreadPool& pool = *par.pool;
+  SMOQE_RETURN_IF_ERROR(CheckSize(xml));
   SMOQE_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<PlanState>> states,
                          MakePlanStates(plans_));
   xml::NameTable* names = plans_[0]->names().get();
@@ -609,6 +688,7 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::RunParallel(
     Status st = ChargeAndCheck(*guard_, cap, states);
     if (!st.ok()) return trip(std::move(st));
   }
+  cap.Seal();
 
   // Per plan: the Cans selection pass, the answer copies and the plan
   // state's teardown — independent across plans, so on the pool too.

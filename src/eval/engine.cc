@@ -16,7 +16,9 @@ namespace {
 
 class NoAttrs : public AttrProvider {
  public:
-  const char* Find(xml::NameId) const override { return nullptr; }
+  std::optional<std::string_view> Find(xml::NameId) const override {
+    return std::nullopt;
+  }
 };
 
 }  // namespace
@@ -259,9 +261,9 @@ InstId HypeEngine::Instantiate(PredId pred, const AttrProvider& attrs) {
           break;
         case AcceptTest::Kind::kAttrExists:
         case AcceptTest::Kind::kAttrEq: {
-          const char* v = attrs.Find(ob.test.attr);
-          if (v != nullptr && (ob.test.kind == AcceptTest::Kind::kAttrExists ||
-                               ob.test.value == v)) {
+          const std::optional<std::string_view> v = attrs.Find(ob.test.attr);
+          if (v && (ob.test.kind == AcceptTest::Kind::kAttrExists ||
+                    ob.test.value == *v)) {
             Witness(id, static_cast<int>(leaf), g);
           }
           break;
@@ -314,9 +316,9 @@ void HypeEngine::HandleAccepts(const Run& run, const AttrProvider& attrs) {
           break;
         case AcceptTest::Kind::kAttrExists:
         case AcceptTest::Kind::kAttrEq: {
-          const char* v = attrs.Find(ob.test.attr);
-          if (v != nullptr && (ob.test.kind == AcceptTest::Kind::kAttrExists ||
-                               ob.test.value == v)) {
+          const std::optional<std::string_view> v = attrs.Find(ob.test.attr);
+          if (v && (ob.test.kind == AcceptTest::Kind::kAttrExists ||
+                    ob.test.value == *v)) {
             WitnessAll(run.owners, run.leaf, g);
           }
           break;

@@ -9,6 +9,7 @@
 #ifndef SMOQE_EVAL_ENGINE_H_
 #define SMOQE_EVAL_ENGINE_H_
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,9 +27,10 @@ namespace smoqe::eval {
 class AttrProvider {
  public:
   virtual ~AttrProvider() = default;
-  /// Value of the attribute or nullptr. `name` is an interned id of the
-  /// engine's shared name table.
-  virtual const char* Find(xml::NameId name) const = 0;
+  /// Value of the attribute, or nullopt if the element has none of that
+  /// name. `name` is an interned id of the engine's shared name table; the
+  /// view is valid while the event that supplied the provider is.
+  virtual std::optional<std::string_view> Find(xml::NameId name) const = 0;
 
   /// A provider with no attributes.
   static const AttrProvider& None();

@@ -11,8 +11,11 @@ namespace {
 class DomAttrs : public AttrProvider {
  public:
   explicit DomAttrs(const xml::Node* node) : node_(node) {}
-  const char* Find(xml::NameId name) const override {
-    return node_->FindAttr(name);
+  std::optional<std::string_view> Find(xml::NameId name) const override {
+    for (uint32_t i = 0; i < node_->num_attrs; ++i) {
+      if (node_->attrs[i].name == name) return node_->attrs[i].view();
+    }
+    return std::nullopt;
   }
 
  private:

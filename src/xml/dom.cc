@@ -42,8 +42,8 @@ Node* Document::ImportSubtree(const Node* src, const Document& src_doc) {
         arr[i].name = same_names
                           ? s->attrs[i].name
                           : names_->Intern(src_doc.names_->NameOf(s->attrs[i].name));
-        arr[i].value =
-            arena_->CopyString(s->attrs[i].value, std::strlen(s->attrs[i].value));
+        arr[i].size = s->attrs[i].size;
+        arr[i].value = arena_->CopyString(s->attrs[i].value, s->attrs[i].size);
       }
       n->attrs = arr;
       n->num_attrs = s->num_attrs;
@@ -111,8 +111,9 @@ Document Document::Clone() const {
           out.arena_->Allocate(sizeof(Attr) * s->num_attrs, alignof(Attr)));
       for (uint32_t i = 0; i < s->num_attrs; ++i) {
         arr[i].name = s->attrs[i].name;
-        arr[i].value = out.arena_->CopyString(s->attrs[i].value,
-                                              std::strlen(s->attrs[i].value));
+        arr[i].size = s->attrs[i].size;
+        arr[i].value =
+            out.arena_->CopyString(s->attrs[i].value, s->attrs[i].size);
       }
       n->attrs = arr;
       n->num_attrs = s->num_attrs;
@@ -281,6 +282,7 @@ void DocumentBuilder::AddAttribute(std::string_view name,
   if (pending_attr_owner_ == nullptr) return;  // misuse tolerated; dropped
   Attr a;
   a.name = names_->Intern(name);
+  a.size = value.size();
   a.value = arena_->CopyString(value.data(), value.size());
   pending_attrs_.push_back(a);
 }

@@ -15,10 +15,14 @@ namespace smoqe::xml {
 
 struct Node;
 
-/// Attribute of an element node; `value` points into the document arena.
+/// Attribute of an element node; `value` points into the document arena
+/// (NUL-terminated, `size` bytes before the NUL).
 struct Attr {
   NameId name = kNoName;
+  size_t size = 0;
   const char* value = nullptr;
+
+  std::string_view view() const { return std::string_view(value, size); }
 };
 
 /// \brief One node of the in-memory document tree (DOM mode).

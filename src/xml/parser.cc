@@ -30,8 +30,8 @@ Result<ParsedDocument> ParseXml(std::string_view input, ParseOptions options) {
         break;
       case StaxEvent::kEndDocument: {
         SMOQE_ASSIGN_OR_RETURN(Document doc, builder.Finish());
-        ParsedDocument out{std::move(doc), reader.doctype_name(),
-                           reader.doctype_internal_subset()};
+        ParsedDocument out{std::move(doc), std::string(reader.doctype_name()),
+                           std::string(reader.doctype_internal_subset())};
         return out;
       }
     }

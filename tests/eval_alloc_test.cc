@@ -33,6 +33,7 @@
 #include "src/eval/hype_stax.h"
 #include "src/workload/workloads.h"
 #include "src/xml/serializer.h"
+#include "src/xml/stax.h"
 #include "tests/test_util.h"
 
 namespace {
@@ -145,11 +146,18 @@ constexpr const char* kQueries[] = {"//patient[not(treatment/test)]",
 /// few hundred allocations per evaluation (frame buffers per depth, arena
 /// growth), a few hundredths per node; one allocation per predicate
 /// instance or per witness alone would pass 0.05. Streaming also pays
-/// for its captures — a block and a finished-capture record per outermost
-/// candidate, one string per answer — which for a query that stages
-/// every patient comes to about 0.3.
+/// one string per answer, which for a query that stages and answers
+/// every patient comes to about 0.3; its tokenizer and its captures
+/// (one shared byte buffer, one span record per capture) add only
+/// geometric buffer growth, so a pass with no answers stays under the
+/// DOM bound.
 constexpr double kMaxDomAllocsPerNode = 0.05;
 constexpr double kMaxStreamAllocsPerNode = 0.4;
+/// Allocations a StaxReader may make draining the whole fixture: its
+/// event strings are views of the input, so only the open-element stack,
+/// the attribute vector and the decoded-byte buffer grow, each a handful
+/// of times whatever the document size.
+constexpr uint64_t kMaxReaderAllocs = 64;
 
 class EvalAllocTest : public ::testing::Test {
  protected:
@@ -215,6 +223,39 @@ TEST_F(EvalAllocTest, StaxAllocationsPerNodeStayBounded) {
         << q << ": " << allocs << " allocations over "
         << r->stats.nodes_visited << " entered nodes";
   }
+}
+
+TEST_F(EvalAllocTest, ReaderDrainAllocatesIndependentlyOfDocumentSize) {
+  size_t events = 0;
+  const uint64_t allocs = AllocationsDuring([&] {
+    xml::StaxReader reader(*text_);
+    for (;;) {
+      Result<xml::StaxEvent> ev = reader.Next();
+      ASSERT_TRUE(ev.ok()) << ev.status().ToString();
+      if (*ev == xml::StaxEvent::kEndDocument) break;
+      ++events;
+    }
+  });
+  ASSERT_GT(events, 20000u);
+  EXPECT_LT(allocs, kMaxReaderAllocs) << "over " << events << " events";
+}
+
+TEST_F(EvalAllocTest, StaxPassWithoutAnswersAllocatesLikeDom) {
+  // Every patient is a candidate (staged and captured); none has a
+  // parent with a treated patient, so nothing is answered and only the
+  // tokenizer, the engine and the capture stream allocate.
+  const Mfa mfa = Compile("//patient[parent/patient[treatment]]");
+  Result<StaxEvalResult> r = Status::Internal("not run");
+  const uint64_t allocs =
+      AllocationsDuring([&] { r = EvalHypeStax(mfa, *text_); });
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_TRUE(r->answers.empty());
+  ASSERT_GT(r->stats.cans_entries, 1000u);
+  const double per_node = static_cast<double>(allocs) /
+                          static_cast<double>(r->stats.nodes_visited);
+  EXPECT_LT(per_node, kMaxDomAllocsPerNode)
+      << allocs << " allocations over " << r->stats.nodes_visited
+      << " entered nodes";
 }
 
 TEST_F(EvalAllocTest, ParallelBatchAllocationsPerNodeStayBounded) {

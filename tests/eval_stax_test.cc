@@ -183,6 +183,84 @@ TEST(StaxEvalTest, NestedCapturesBufferOnce) {
   }
 }
 
+// The tokenizer hands out views of the document text, except for bytes
+// it decodes (entity-bearing text and attribute values, text joined
+// across a CDATA section or a comment), which live only until its next
+// event. The parallel driver keeps whole chunks of events, so it must
+// copy exactly those bytes: at every chunk size, including chunks of one
+// event, answers and attribute tests agree with the serial scan and with
+// DOM evaluation.
+TEST(StaxEvalTest, DecodedBytesSurviveChunkBoundaries) {
+  std::string text = "<r>";
+  for (int i = 0; i < 30; ++i) {
+    const std::string n = std::to_string(i);
+    text += "<rec id=\"r&amp;" + n + "\" k='" + std::to_string(i % 3) +
+            "' tag=\"a &lt; b" + std::to_string(i % 2) + "\">";
+    text += "<note>x &amp; y" + std::to_string(i % 4) + "</note>";
+    text += "<cd><![CDATA[<raw>&" + n + "]]></cd>";
+    text += "<mix>pre<![CDATA[ & ]]>post" + std::to_string(i % 5) + "</mix>";
+    text += "<split>ab<!-- c -->cd" + std::to_string(i % 2) + "</split>";
+    text += "<ref>&#x41;&#66;" + n + "</ref>";
+    text += "<plain v='" + n + "'>v" + n + "</plain>";
+    text += "</rec>";
+  }
+  text += "</r>";
+  const char* queries[] = {
+      "//rec[@tag = 'a < b1']",
+      "//rec[@id = 'r&7']/note",
+      "//rec[note = 'x & y2']",
+      "//rec[mix = 'pre & post3']/cd",
+      "//rec[split = 'abcd1']/ref",
+      "//rec[ref = 'AB5']",
+      "//cd[text() = '<raw>&12']",
+      "//rec[@k = '1' and not(plain = 'v4')]/mix",
+      "//plain[@v = '9']",
+  };
+  auto names = xml::NameTable::Create();
+  xml::Document doc = MustDoc(text, names);
+  std::vector<Mfa> mfas;
+  for (const char* q : queries) {
+    auto mfa = Mfa::Compile(*MustQuery(q), names);
+    ASSERT_TRUE(mfa.ok()) << q << ": " << mfa.status().ToString();
+    mfas.push_back(mfa.MoveValue());
+  }
+  BatchEvaluator batch;
+  for (const Mfa& m : mfas) batch.AddPlan(&m);
+  auto serial = batch.Run(text);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_EQ(serial->size(), mfas.size());
+  for (size_t k = 0; k < mfas.size(); ++k) {
+    auto dom = EvalHypeDom(mfas[k], doc);
+    ASSERT_TRUE(dom.ok()) << dom.status().ToString();
+    const StaxEvalResult& s = (*serial)[k];
+    ASSERT_FALSE(s.answers.empty()) << queries[k];
+    ASSERT_EQ(s.answers.size(), dom->answers.size()) << queries[k];
+    for (size_t i = 0; i < s.answers.size(); ++i) {
+      EXPECT_EQ(s.answers[i].xml, xml::SerializeNode(dom->answers[i], *names))
+          << queries[k];
+    }
+  }
+  ThreadPool pool(4);
+  for (size_t chunk : {1, 3, 7}) {
+    BatchParallelOptions par;
+    par.pool = &pool;
+    par.chunk_events = chunk;
+    auto parallel = batch.RunParallel(text, par);
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    ASSERT_EQ(parallel->size(), serial->size());
+    for (size_t k = 0; k < mfas.size(); ++k) {
+      const StaxEvalResult& s = (*serial)[k];
+      const StaxEvalResult& p = (*parallel)[k];
+      ASSERT_EQ(p.answers.size(), s.answers.size())
+          << queries[k] << " at chunk_events " << chunk;
+      for (size_t i = 0; i < s.answers.size(); ++i) {
+        EXPECT_EQ(p.answers[i].xml, s.answers[i].xml)
+            << queries[k] << " at chunk_events " << chunk;
+      }
+    }
+  }
+}
+
 TEST(StaxEvalTest, MalformedInputSurfacesParseError) {
   auto names = xml::NameTable::Create();
   auto query = MustQuery("a");

@@ -169,15 +169,18 @@ TEST_F(ServerGuardrailTest, PipelineOverflowRejectsDeterministically) {
   auto client = Client::Connect(co);
   ASSERT_TRUE(client.ok());
 
-  // One burst: a slow StAX scan followed by 8 quick queries. The scan
-  // occupies the in-flight slot, one follower waits, the rest overflow.
+  // One burst: a slow, wide StAX batch followed by 8 quick queries. The
+  // batch occupies the in-flight slot (long enough for the loop to read
+  // the whole burst even on one CPU), one follower waits, the rest
+  // overflow.
   std::string burst;
   std::vector<uint64_t> ids;
-  QueryRequest slow;
+  QueryBatchRequest slow;
   slow.id = client->NextId();
   slow.doc = "big";
-  slow.query = kHotQuery;
-  slow.mode = WireEvalMode::kStax;
+  for (int i = 0; i < 64; ++i) {
+    slow.items.push_back({kHotQuery, WireEvalMode::kStax, 0});
+  }
   burst += Encode(slow);
   ids.push_back(slow.id);
   for (int i = 0; i < 8; ++i) {
@@ -194,6 +197,14 @@ TEST_F(ServerGuardrailTest, PipelineOverflowRejectsDeterministically) {
   for (size_t i = 0; i < ids.size(); ++i) {
     auto frame = client->ReceiveFrame();
     ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    if (frame->opcode == static_cast<uint8_t>(Opcode::kQueryBatchResult)) {
+      auto batch = DecodeQueryBatchResponse(frame->body);
+      ASSERT_TRUE(batch.ok());
+      EXPECT_EQ(batch->id, slow.id);
+      ASSERT_EQ(batch->code, WireCode::kOk) << batch->error;
+      ++ok;
+      continue;
+    }
     ASSERT_EQ(frame->opcode, static_cast<uint8_t>(Opcode::kQueryResult));
     auto resp = DecodeQueryResponse(frame->body);
     ASSERT_TRUE(resp.ok());
@@ -238,51 +249,48 @@ TEST_F(ServerGuardrailTest, EngineAdmissionRejectionCrossesTheWire) {
   TestServer server(&gated, TestServer::DefaultOptions());
   ASSERT_TRUE(server.ok());
 
-  // Connection A pipelines slow StAX scans to hold the engine's only
-  // admission slot; connection B polls until it gets bounced.
+  // Connection A sends one wide StAX batch over `big` to hold the
+  // engine's only admission slot; once the pull-time gauge shows the
+  // batch inside the engine, connection B's request must be bounced.
+  // Gating on the gauge (not on timing) keeps the test independent of
+  // how fast the scans run and of host load.
   ClientOptions co;
   co.port = server.port();
   co.recv_timeout_ms = 60'000;
   auto slow_client = Client::Connect(co);
   ASSERT_TRUE(slow_client.ok());
-  std::string burst;
-  int slow_n = 0;
-  for (; slow_n < 6; ++slow_n) {
-    QueryRequest s;
-    s.id = slow_client->NextId();
-    s.doc = "big";
-    s.query = kHotQuery;
-    s.mode = WireEvalMode::kStax;
-    burst += Encode(s);
+  QueryBatchRequest slow;
+  slow.id = slow_client->NextId();
+  slow.doc = "big";
+  for (int i = 0; i < 64; ++i) {
+    slow.items.push_back({kHotQuery, WireEvalMode::kStax, 0});
   }
-  ASSERT_TRUE(slow_client->SendBytes(burst).ok());
+  ASSERT_TRUE(slow_client->SendBytes(Encode(slow)).ok());
+  auto inflight = [&] {
+    gated.DumpMetrics();
+    return gated.telemetry()->registry().GetGauge("admission.inflight")
+        .Value();
+  };
+  for (int i = 0; i < 10'000 && inflight() != 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(inflight(), 1) << "the batch never held the admission slot";
 
   auto probe_client = Client::Connect(co);
   ASSERT_TRUE(probe_client.ok());
-  bool saw_busy = false;
-  std::string busy_message;
-  for (int i = 0; i < 2000 && !saw_busy; ++i) {
-    QueryRequest p;
-    p.doc = "ward";
-    p.query = "//pname";
-    auto r = probe_client->Query(p);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    if (r->code == WireCode::kRejectedBusy) {
-      saw_busy = true;
-      busy_message = r->error;
-    } else {
-      ASSERT_EQ(r->code, WireCode::kOk) << r->error;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-  EXPECT_TRUE(saw_busy) << "engine admission never tripped over the wire";
-  EXPECT_NE(busy_message.find("max_pending_requests"), std::string::npos);
+  QueryRequest p;
+  p.doc = "ward";
+  p.query = "//pname";
+  auto r = probe_client->Query(p);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->code, WireCode::kRejectedBusy)
+      << "engine admission never tripped over the wire: " << r->error;
+  EXPECT_NE(r->error.find("max_pending_requests"), std::string::npos)
+      << r->error;
 
   // Drain A so the server shuts down cleanly with nothing in flight.
-  for (int i = 0; i < slow_n; ++i) {
-    auto frame = slow_client->ReceiveFrame();
-    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-  }
+  auto frame = slow_client->ReceiveFrame();
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
 }
 
 // A client that vanishes mid-request: the server cancels the session's
@@ -291,19 +299,29 @@ TEST_F(ServerGuardrailTest, DisconnectMidRequestCancelsAndServerSurvives) {
   const uint64_t audit_before = AuditTotal();
   const uint64_t disconnects_before =
       ServerCounter("server.disconnects_mid_request");
+  const uint64_t requests_before = ServerCounter("server.requests");
 
   {
     RawConn conn;
     ASSERT_TRUE(conn.Dial(server_->port()));
     ASSERT_TRUE(RawHandshake(conn, ""));
-    QueryRequest q;
+    // A wide StAX batch over `big` runs far longer than the loop takes
+    // to notice the disconnect, however fast one scan is.
+    QueryBatchRequest q;
     q.id = 42;
     q.doc = "big";
-    q.query = kHotQuery;
-    q.mode = WireEvalMode::kStax;
+    for (int i = 0; i < 64; ++i) {
+      q.items.push_back({kHotQuery, WireEvalMode::kStax, 0});
+    }
     ASSERT_TRUE(conn.Send(Encode(q)));
-    // Give the loop thread a moment to dispatch, then vanish.
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    // Vanish once the loop has taken the frame (and dispatched it: the
+    // loop counts a request, then dispatches it before its next event).
+    for (int i = 0; i < 10'000 &&
+                    ServerCounter("server.requests") == requests_before;
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    ASSERT_GT(ServerCounter("server.requests"), requests_before);
     conn.Close();
   }
 

@@ -202,6 +202,71 @@ TEST(StaxTest, RejectsNulBytesInContent) {
   EXPECT_EQ(DrainToError(attr_nul).code(), StatusCode::kParseError);
 }
 
+// Error messages carry the exact 1-based position of the scan point
+// (columns count bytes; "\r" and "\t" are one column each, a line break
+// is "\n"). The expected strings are the reader's messages as first
+// recorded; a position computed lazily from the byte offset must
+// reproduce them byte for byte.
+TEST(StaxTest, ErrorMessagesCarryExactPositions) {
+  struct Case {
+    std::string doc;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"<a>\n  <b>\n  </c>\n</a>",
+       "mismatched end tag: expected </b>, found </c> at line 3, column 7"},
+      {"<a>\n  <b>text</b x>\n</a>", "malformed end tag at line 2, column 14"},
+      {"<a>\n</a>\n</a>", "unmatched end tag </a> at line 3, column 5"},
+      {"<a>\n  x &bogus; y\n</a>",
+       "unknown entity '&bogus;' at line 2, column 6"},
+      {"<a>\n  x &#xZZ; y\n</a>",
+       "malformed character reference at line 2, column 6"},
+      {"<a>\n  x &#; y\n</a>", "empty character reference at line 2, column 6"},
+      {"<a>\n  x &amp y z w v u t\n</a>",
+       "unterminated entity reference at line 2, column 6"},
+      {"<a>\n  x &#xD800; y\n</a>",
+       "character reference to an invalid XML character at line 2, column 6"},
+      {"<a>\n  <b v='1 &nope; 2'/>\n</a>",
+       "unknown entity '&nope;' at line 2, column 12"},
+      {std::string("<a>\n  ab\0cd\n</a>", 17),
+       "NUL byte in character data at line 2, column 5"},
+      {std::string("<a>\n  <b v='x\0y'/>\n</a>", 22),
+       "NUL byte in attribute value at line 2, column 10"},
+      {"<a>\n  <![CDATA[ abc\n  def",
+       "unterminated CDATA at line 2, column 12"},
+      {"<a>\n  <!-- abc\n  def", "unterminated comment at line 2, column 7"},
+      {"<a>\r\n\tpre &lt; <![CDATA[x]]><!--c-->\r\n"
+       "\t<b k='&amp;' k='2'/>\n</a>",
+       "duplicate attribute 'k' at line 3, column 20"},
+      {"<a>\n  <b v=\"\xc3\xa9\xc3\xa9 <\"/>\n</a>",
+       "'<' not allowed in attribute value at line 2, column 14"},
+      {"<a>\n  <b\n   v='1'\n   w>\n</a>",
+       "expected '=' in attribute at line 4, column 5"},
+      {"<a>\n  <b>\n    <c>",
+       "unexpected end of input: <c> is not closed at line 3, column 8"},
+      {"<a/>\n<b/>", "multiple root elements at line 2, column 2"},
+      {"<a/>\n  trailing",
+       "content outside the root element at line 2, column 3"},
+      {"<?xml version='1.0'?>\n<!DOCTYPE a [\n<!ELEMENT a EMPTY>\n",
+       "unterminated DOCTYPE internal subset at line 4, column 1"},
+      {"<a>\n  <1b/>\n</a>", "expected a name at line 2, column 4"},
+      {"<a>\n  <b v='unterminated\n</a>",
+       "'<' not allowed in attribute value at line 3, column 1"},
+      {"<a>\n  <b v=x/>\n</a>",
+       "expected quoted attribute value at line 2, column 8"},
+      {"<a>\n  <?pi never",
+       "unterminated processing instruction at line 2, column 5"},
+      {"\n\n   ", "document has no root element at line 3, column 4"},
+      {"<a>\n  <b/ >\n</a>", "malformed self-closing tag at line 2, column 6"},
+  };
+  for (const Case& c : cases) {
+    Status st = DrainToError(c.doc);
+    ASSERT_FALSE(st.ok()) << "accepted: " << c.doc;
+    EXPECT_EQ(st.code(), StatusCode::kParseError) << c.doc;
+    EXPECT_EQ(st.message(), c.message) << c.doc;
+  }
+}
+
 TEST(StaxTest, SurrogateAndControlRefsRejectedInAttrValues) {
   EXPECT_EQ(DrainToError("<a v='&#xDC00;'/>").code(),
             StatusCode::kParseError);
