@@ -137,9 +137,11 @@ void WriteGuardrailTrajectory(const char* path) {
                  (ab[0].best_ns / ab[1].best_ns - 1.0) * 100.0, rounds);
   }
 
-  // Deadline precision: calibrate a StAX batch to several times the 50ms
-  // deadline, then repeatedly measure how far past the deadline the
-  // DeadlineExceeded return lands.
+  // Deadline precision: calibrate a batch of StAX items (each a DOM walk
+  // of the ward) to several times the 50ms deadline, then repeatedly
+  // measure how far past the deadline the DeadlineExceeded return lands.
+  // On a 1000-node ward one item takes tens of microseconds, so the
+  // batch may need thousands of items.
   {
     const size_t size = bench::TrajectorySizes().back();
     auto engine = MakeEngine(size);
@@ -147,7 +149,7 @@ void WriteGuardrailTrajectory(const char* path) {
     stax.mode = core::EvalMode::kStax;
     std::vector<core::BatchQueryItem> items;
     for (int i = 0; i < 8; ++i) items.push_back({kHotQuery, stax});
-    while (items.size() < 1024) {
+    while (items.size() < (size_t{1} << 15)) {
       const auto t0 = Clock::now();
       Corpus::Check(engine->QueryBatch("ward", items).ok(), "calibrate");
       if (std::chrono::duration<double>(Clock::now() - t0).count() >= 0.25) {

@@ -166,6 +166,13 @@ FlatNfa FlatNfa::Flatten(const BuildNfa& build, int start,
                        [&](const Transition& t) { return !live[t.target]; }),
         s.trans.end());
   }
+  for (State& st : flat.states) {
+    st.charges = !st.accept_guards.empty() ||
+                 std::any_of(st.trans.begin(), st.trans.end(),
+                             [](const Transition& t) {
+                               return !t.src_preds.empty();
+                             });
+  }
   for (size_t s = 0; s < flat.states.size(); ++s) {
     flat.states[s].live = live[s];
   }

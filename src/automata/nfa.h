@@ -102,6 +102,10 @@ class FlatNfa {
     std::vector<xml::NameId> necessary_labels;
     /// True if acceptance is reachable at all from this state.
     bool live = true;
+    /// True if a run entering this state charges anything at the node:
+    /// an accept guard, or a (live) transition with `src_preds`. A run in
+    /// a state that charges nothing has no per-node work beyond advancing.
+    bool charges = false;
   };
 
   std::vector<State> states;

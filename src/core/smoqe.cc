@@ -10,7 +10,6 @@
 
 #include "src/automata/mfa.h"
 #include "src/common/strings.h"
-#include "src/eval/batch.h"
 #include "src/eval/hype_dom.h"
 #include "src/eval/hype_stax.h"
 #include "src/index/tax_io.h"
@@ -125,8 +124,6 @@ Smoqe::FacadeMetrics::FacadeMetrics(tel::MetricsRegistry& reg)
       batch_errors(&reg.GetCounter("batch.errors")),
       batch_items(&reg.GetCounter("batch.items")),
       batch_latency_ns(&reg.GetHistogram("batch.latency_ns")),
-      batch_plans_per_scan(&reg.GetHistogram("batch.plans_per_scan")),
-      batch_chunk_ns(&reg.GetHistogram("batch.chunk_ns")),
       eval_nodes_visited(&reg.GetCounter("eval.nodes_visited")),
       eval_subtrees_pruned(&reg.GetCounter("eval.subtrees_pruned")),
       eval_answers(&reg.GetCounter("eval.answers")),
@@ -496,18 +493,25 @@ Result<QueryAnswer> Smoqe::EvalCompiled(const DocumentSnapshot& snap,
                                         const QueryOptions& options,
                                         const Guardrail* guard,
                                         tel::Trace* tr) {
-  const automata::Mfa& mfa = pu.plan->mfa;
-  QueryAnswer out;
-  if (options.mode == EvalMode::kStax) {
-    // The streaming pass captures answer subtrees as it scans, so
-    // evaluation and materialization are one span here.
-    tel::SpanScope span(tr, "evaluate");
-    SMOQE_ASSIGN_OR_RETURN(eval::StaxEvalResult r,
-                           eval::EvalHypeStax(mfa, snap.text(), guard));
-    for (auto& a : r.answers) out.answers_xml.push_back(std::move(a.xml));
-    FillAnswer(*pu.plan, pu.cache_hit, snap, options, r.stats, &out);
-    return out;
+  if (options.mode != EvalMode::kStax) {
+    return EvalOnDom(snap, pu, options, guard, tr);
   }
+  // The streaming pass captures answer subtrees as it scans, so
+  // evaluation and materialization are one span here.
+  tel::SpanScope span(tr, "evaluate");
+  SMOQE_ASSIGN_OR_RETURN(eval::StaxEvalResult r,
+                         eval::EvalHypeStax(pu.plan->mfa, snap.text(), guard));
+  QueryAnswer out;
+  for (auto& a : r.answers) out.answers_xml.push_back(std::move(a.xml));
+  FillAnswer(*pu.plan, pu.cache_hit, snap, options, r.stats, &out);
+  return out;
+}
+
+Result<QueryAnswer> Smoqe::EvalOnDom(const DocumentSnapshot& snap,
+                                     const PlanUse& pu,
+                                     const QueryOptions& options,
+                                     const Guardrail* guard, tel::Trace* tr) {
+  QueryAnswer out;
   eval::DomEvalOptions dom_opts;
   dom_opts.guard = guard;
   if (options.use_tax) dom_opts.tax = snap.tax.get();
@@ -515,7 +519,7 @@ Result<QueryAnswer> Smoqe::EvalCompiled(const DocumentSnapshot& snap,
   {
     tel::SpanScope span(tr, "evaluate");
     SMOQE_ASSIGN_OR_RETURN(
-        r, eval::EvalHypeDom(mfa, *snap.dom, dom_opts,
+        r, eval::EvalHypeDom(pu.plan->mfa, *snap.dom, dom_opts,
                              options.explain ? &out.trace_tree : nullptr));
   }
   {
@@ -689,80 +693,46 @@ Status Smoqe::EvalBatchOnSnapshot(const DocumentSnapshot& snap,
                                   const Guardrail* guard,
                                   std::vector<QueryAnswer>* out,
                                   tel::Trace* tr) {
-  std::vector<size_t> stax_items;
-  std::vector<size_t> dom_items;
-  for (size_t i : sel) {
-    (items[i].options.mode == EvalMode::kStax ? stax_items : dom_items)
-        .push_back(i);
-  }
-
-  // All streaming items share one forward scan of the document text; with
-  // a pool, per-plan advancement fans out behind the shared tokenizer.
-  if (!stax_items.empty()) {
-    if (tm_ != nullptr) {
-      tm_->batch_plans_per_scan->Record(stax_items.size());
-    }
-    eval::BatchEvaluator batch(guard);
-    for (size_t i : stax_items) batch.AddPlan(&plans[i].plan->mfa);
-    tel::SpanScope span(tr, "evaluate.stax_scan");
-    Result<std::vector<eval::StaxEvalResult>> results_or =
-        [&]() -> Result<std::vector<eval::StaxEvalResult>> {
-      if (ParallelEnabled()) {
-        eval::BatchParallelOptions par;
-        par.pool = pool_.get();
-        par.chunk_ns = tm_ != nullptr ? tm_->batch_chunk_ns : nullptr;
-        return batch.RunParallel(snap.text(), par);
-      }
-      return batch.Run(snap.text());
-    }();
-    SMOQE_RETURN_IF_ERROR(results_or.status());
-    std::vector<eval::StaxEvalResult>& results = *results_or;
-    for (size_t j = 0; j < stax_items.size(); ++j) {
-      const size_t i = stax_items[j];
-      QueryAnswer& a = (*out)[i];
-      for (auto& ans : results[j].answers) {
-        a.answers_xml.push_back(std::move(ans.xml));
-      }
-      // batch_plans is set by the evaluator.
-      FillAnswer(*plans[i].plan, plans[i].cache_hit, snap, items[i].options,
-                 results[j].stats, &a);
-    }
-  }
-
-  // DOM-mode items evaluate per item — the tree is already amortized
-  // across them, and TAX/trace address materialized nodes. Items are
-  // independent, so they fan out across the pool.
-  if (!dom_items.empty()) {
-    tel::SpanScope dom_span(tr, "evaluate.dom_items");
-    std::vector<Status> statuses(dom_items.size(), Status::OK());
-    auto eval_one = [&](size_t j) {
-      const size_t i = dom_items[j];
-      // Per-item child spans come from EvalCompiled (evaluate /
-      // materialize), parented under the shared dom_items span; workers
-      // append concurrently, which Trace supports.
-      tel::SpanScope item_span(tr, "item", dom_span.index());
-      auto answer = EvalCompiled(snap, plans[i], items[i].options, guard, tr);
-      if (answer.ok()) {
-        (*out)[i] = std::move(*answer);
-      } else {
-        statuses[j] = answer.status();
-      }
-    };
-    if (ParallelEnabled() && dom_items.size() > 1) {
-      pool_->ParallelFor(dom_items.size(), eval_one);
+  if (sel.empty()) return Status::OK();
+  // Every item walks the snapshot's DOM, StAX-mode items included: the
+  // tree is already in memory, so re-tokenizing the text for them costs
+  // more than it shares (docs/DESIGN.md §5.2). Items are independent, so
+  // they fan out across the pool.
+  tel::SpanScope dom_span(tr, "evaluate.dom_items");
+  std::vector<Status> statuses(sel.size(), Status::OK());
+  // A tripped guard fails the whole call (below), so once an item has
+  // seen it trip, the items that start later do no work.
+  std::atomic<bool> tripped{false};
+  auto eval_one = [&](size_t j) {
+    if (tripped.load(std::memory_order_relaxed)) return;
+    const size_t i = sel[j];
+    // Per-item child spans come from EvalOnDom (evaluate / materialize),
+    // parented under the shared dom_items span; workers append
+    // concurrently, which Trace supports.
+    tel::SpanScope item_span(tr, "item", dom_span.index());
+    auto answer = EvalOnDom(snap, plans[i], items[i].options, guard, tr);
+    if (answer.ok()) {
+      (*out)[i] = std::move(*answer);
     } else {
-      for (size_t j = 0; j < dom_items.size(); ++j) eval_one(j);
-    }
-    for (size_t j = 0; j < dom_items.size(); ++j) {
-      if (!statuses[j].ok()) {
-        const size_t i = dom_items[j];
-        Status st = statuses[j].WithContext(
-            "batch item " + std::to_string(i));
-        // A tripped request guardrail fails the whole call (fail-closed,
-        // no partial answer); anything else fails just this item.
-        if (IsGuardTermination(statuses[j])) return st;
-        (*out)[i].status = std::move(st);
+      statuses[j] = answer.status();
+      if (IsGuardTermination(statuses[j])) {
+        tripped.store(true, std::memory_order_relaxed);
       }
+    }
+  };
+  if (ParallelEnabled() && sel.size() > 1) {
+    pool_->ParallelFor(sel.size(), eval_one);
+  } else {
+    for (size_t j = 0; j < sel.size(); ++j) eval_one(j);
+  }
+  for (size_t j = 0; j < sel.size(); ++j) {
+    if (!statuses[j].ok()) {
+      const size_t i = sel[j];
+      Status st = statuses[j].WithContext("batch item " + std::to_string(i));
+      // A tripped request guardrail fails the whole call (fail-closed,
+      // no partial answer); anything else fails just this item.
+      if (IsGuardTermination(statuses[j])) return st;
+      (*out)[i].status = std::move(st);
     }
   }
   return Status::OK();
@@ -943,26 +913,26 @@ Result<MaterializedViewAnswer> Smoqe::MaterializeView(
   return out;
 }
 
-Result<std::string> Smoqe::DocumentXml(const std::string& doc_name) const {
-  std::shared_ptr<const DocumentSnapshot> snap;
-  {
-    std::shared_lock<std::shared_mutex> lock(catalog_mu_);
-    const DocumentEntry* doc = catalog_.FindDocument(doc_name);
-    if (doc == nullptr) {
-      return Status::NotFound("document '" + doc_name + "' is not loaded");
-    }
-    snap = doc->Acquire();
-  }
-  return xml::SerializeDocument(*snap->dom);
-}
-
-Result<uint64_t> Smoqe::DocumentEpoch(const std::string& doc_name) const {
+Result<std::shared_ptr<const DocumentSnapshot>> Smoqe::Snapshot(
+    const std::string& doc_name) const {
   std::shared_lock<std::shared_mutex> lock(catalog_mu_);
   const DocumentEntry* doc = catalog_.FindDocument(doc_name);
   if (doc == nullptr) {
     return Status::NotFound("document '" + doc_name + "' is not loaded");
   }
-  return doc->Acquire()->epoch;
+  return doc->Acquire();
+}
+
+Result<std::string> Smoqe::DocumentXml(const std::string& doc_name) const {
+  SMOQE_ASSIGN_OR_RETURN(std::shared_ptr<const DocumentSnapshot> snap,
+                         Snapshot(doc_name));
+  return xml::SerializeDocument(*snap->dom);
+}
+
+Result<uint64_t> Smoqe::DocumentEpoch(const std::string& doc_name) const {
+  SMOQE_ASSIGN_OR_RETURN(std::shared_ptr<const DocumentSnapshot> snap,
+                         Snapshot(doc_name));
+  return snap->epoch;
 }
 
 Result<UpdateResult> Smoqe::UpdateImpl(const std::string& doc_name,

@@ -121,7 +121,8 @@ struct QueryOptions {
 struct QueryAnswer {
   /// Serialized XML of each answer subtree, document order.
   std::vector<std::string> answers_xml;
-  /// DOM node ids of the answers (DOM mode only).
+  /// DOM node ids of the answers (empty for a streamed StAX Query; batch
+  /// items of every mode carry them).
   std::vector<int32_t> answer_ids;
   EvalStats stats;
   /// Document epoch of the snapshot the query evaluated against. Every
@@ -134,7 +135,8 @@ struct QueryAnswer {
   std::vector<std::string> unknown_labels;
   /// MFA dump of the (rewritten) query, when explain was requested.
   std::string mfa_dump;
-  /// iSMOQE-style annotated document tree (DOM + explain only).
+  /// iSMOQE-style annotated document tree (explain on a DOM walk: a DOM
+  /// Query or any batch item).
   std::string trace_tree;
   /// Telemetry trace id of this call (0 when telemetry is off or the call
   /// was not sampled); look it up via `Smoqe::telemetry()->traces()`.
@@ -310,19 +312,19 @@ class Smoqe {
   /// Evaluates many queries — typically from different users, so each
   /// item carries its own view — against one document. Answers line up
   /// with `items` by index and are identical to per-item Query calls.
-  /// All StAX-mode items share a single streaming pass of the document
-  /// (DESIGN.md §5.2); DOM-mode items evaluate per item (the tree is
-  /// already amortized). Every item's compile goes through the plan
-  /// cache. With parallelism enabled (EngineOptions::max_threads ≠ 1),
-  /// DOM items fan out across the pool and the shared StAX scan fans its
-  /// per-plan engine advancement out behind one tokenizer (§7.3); the
-  /// whole batch evaluates against one pinned snapshot either way.
+  /// Every item, StAX-mode ones included, evaluates as one HyPE walk of
+  /// the pinned snapshot's DOM (DESIGN.md §5.2): the tree is already in
+  /// memory, and a StAX item's answer bytes equal its streamed Query's.
+  /// Every item's compile goes through the plan cache. With parallelism
+  /// enabled (EngineOptions::max_threads ≠ 1) the items fan out across
+  /// the pool (§7.3); the whole batch evaluates against one pinned
+  /// snapshot either way.
   /// Error semantics: an item that fails on its own terms (unregistered
   /// view, parse error, StAX+TAX conflict, missing index) fails *only
   /// that item* — its answer's `status` is non-OK and names the item
   /// index — while the other items evaluate normally. Whole-call errors
-  /// are reserved for document-level failures: unknown document, a
-  /// failed shared StAX scan, or this request's guardrail tripping
+  /// are reserved for document-level failures: unknown document, or
+  /// this request's guardrail tripping
   /// (deadline / budget / cancel / admission via `req`). It is
   /// QueryBatchMulti over one document, traced and profiled as
   /// `query_batch`.
@@ -369,6 +371,11 @@ class Smoqe {
   /// updates never go through it: they answer by rewriting.
   Result<MaterializedViewAnswer> MaterializeView(
       const std::string& doc_name, const std::string& view_name) const;
+
+  /// Pins the document's current snapshot (read-only; it stays valid
+  /// however many updates publish after it).
+  Result<std::shared_ptr<const DocumentSnapshot>> Snapshot(
+      const std::string& doc_name) const;
 
   /// Serialized (compact) XML of the document's current DOM.
   Result<std::string> DocumentXml(const std::string& doc_name) const;
@@ -434,8 +441,6 @@ class Smoqe {
     tel::Counter* batch_errors;
     tel::Counter* batch_items;
     tel::Histogram* batch_latency_ns;
-    tel::Histogram* batch_plans_per_scan;
-    tel::Histogram* batch_chunk_ns;
     tel::Counter* eval_nodes_visited;
     tel::Counter* eval_subtrees_pruned;
     tel::Counter* eval_answers;
@@ -461,13 +466,21 @@ class Smoqe {
                           const QueryOptions& options, tel::Trace* tr);
 
   /// Evaluates a resolved plan over a pinned snapshot (single query)
-  /// whose evaluation preconditions were checked. Takes no lock; safe on
-  /// any thread. `guard` (nullable) is polled by the evaluator's event
-  /// loop.
+  /// whose evaluation preconditions were checked: a StAX-mode query
+  /// streams over the snapshot's text, anything else is EvalOnDom. Takes
+  /// no lock; safe on any thread. `guard` (nullable) is polled by the
+  /// evaluator's event loop.
   Result<QueryAnswer> EvalCompiled(const DocumentSnapshot& snap,
                                    const PlanUse& plan,
                                    const QueryOptions& options,
                                    const Guardrail* guard, tel::Trace* tr);
+  /// The DOM half of EvalCompiled, whatever `options.mode` says: one
+  /// HyPE walk of the snapshot's tree (TAX-pruned under `use_tax`), then
+  /// materialization. Batch items of every mode run here.
+  Result<QueryAnswer> EvalOnDom(const DocumentSnapshot& snap,
+                                const PlanUse& plan,
+                                const QueryOptions& options,
+                                const Guardrail* guard, tel::Trace* tr);
 
   /// The one request envelope every public entry point runs in
   /// (docs/DESIGN.md §9.3), in this order: admission gate → guardrail →
@@ -558,8 +571,7 @@ class Smoqe {
   /// `sel` holds the indices (into `items`, `plans` and `out`) of the
   /// group's items that compiled; answers land in out[i], and "batch item
   /// N" error contexts name the caller's index. Item-local evaluation
-  /// failures land in out[i].status; only document-level failures (a
-  /// failed shared StAX scan, a guard trip) return non-OK.
+  /// failures land in out[i].status; only a guard trip returns non-OK.
   Status EvalBatchOnSnapshot(const DocumentSnapshot& snap,
                              const std::vector<DocBatchItem>& items,
                              const std::vector<PlanUse>& plans,

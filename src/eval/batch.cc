@@ -1,7 +1,6 @@
 #include "src/eval/batch.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -630,9 +629,6 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::RunParallel(
     plan_status[k] = AdvancePlanOverChunk(*states[k], *cur, *names, ticker);
   };
   while (!cur->events.empty()) {
-    const auto chunk_t0 = par.chunk_ns != nullptr
-                              ? std::chrono::steady_clock::now()
-                              : std::chrono::steady_clock::time_point();
     // Fork: the pool advances the plans through `cur`…
     ThreadPool::Forked chunk = pool.Fork(states.size(), advance_plan);
     // …while the caller tokenizes the next chunk behind the same reader
@@ -664,12 +660,6 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::RunParallel(
     cur->staged.assign(cur->events.size(), 0);
     for (auto& ps : states) {
       for (uint32_t i : ps->staged_events) cur->staged[i] = 1;
-    }
-    if (par.chunk_ns != nullptr) {
-      par.chunk_ns->Record(static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - chunk_t0)
-              .count()));
     }
     // Per-chunk budget charge on the driver thread — the plans have
     // joined, so the engines' allocation counters are safe to drain.

@@ -28,7 +28,6 @@
 #include "src/common/status.h"
 #include "src/common/thread_pool.h"
 #include "src/eval/hype_stax.h"
-#include "src/telemetry/metrics.h"
 
 namespace smoqe::eval {
 
@@ -42,11 +41,6 @@ struct BatchParallelOptions {
   /// decoded-event buffer stays cache-resident. 4096 events ≈ a few
   /// hundred KB.
   size_t chunk_events = 4096;
-  /// Optional telemetry sink: wall-clock nanoseconds of each fork/join
-  /// round (fork → join and staging merge; the round also tokenizes the
-  /// next chunk and replays the previous one) is Record()ed here, one
-  /// sample per chunk. Null = no timing taken.
-  telemetry::Histogram* chunk_ns = nullptr;
 };
 
 /// \brief Runs many compiled plans over one streaming scan per document.

@@ -362,11 +362,15 @@ void HypeEngine::RunWorklist(const AttrProvider& attrs) {
   // Phase 2: eager instantiation + acceptance; instantiation may append
   // further obligation runs, which are processed in turn, or share owners
   // into runs already here (ShareRun).
+  // A run whose state charges nothing has nothing to instantiate or
+  // accept here.
   Frame& cur = CurFrame();
   for (size_t i = 0; i < cur.runs.size(); ++i) {
-    EagerInstantiate(Run(cur.runs[i]), attrs);  // copy: runs may grow
-    // Re-read: instantiation may have shared owners into this run.
-    HandleAccepts(Run(cur.runs[i]), attrs);
+    if (NfaOf(cur.runs[i]).states[cur.runs[i].state].charges) {
+      EagerInstantiate(Run(cur.runs[i]), attrs);  // copy: runs may grow
+      // Re-read: instantiation may have shared owners into this run.
+      HandleAccepts(Run(cur.runs[i]), attrs);
+    }
     accepted_ = i + 1;
   }
 }

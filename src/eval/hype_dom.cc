@@ -71,60 +71,67 @@ Result<DomEvalResult> EvalHypeDom(const automata::Mfa& mfa,
     marks.assign(static_cast<size_t>(doc.num_nodes()), 0);
   }
 
-  // Iterative DFS. nullptr entries are Leave markers for the enclosing
-  // element; text nodes become Text events.
+  // The guard is polled before every event of the walk: an element's
+  // Enter, a text node, an unpruned element's Leave. At each tick the
+  // engine's allocations and the node map's growth since the last one
+  // are charged.
   GuardTicker ticker(options.guard);
-  std::vector<const xml::Node*> stack;
-  stack.push_back(doc.root());
-  while (!stack.empty()) {
-    if (ticker.Due()) {
-      options.guard->ChargeBytes(engine.TakeAllocBytes());
-      Status guard_st = ticker.Now();
-      if (!guard_st.ok()) return guard_st;
-    }
-    const xml::Node* node = stack.back();
-    stack.pop_back();
-    if (node == nullptr) {
-      engine.Leave();
-      continue;
-    }
-    if (node->is_text()) {
-      engine.Text(node->text);
-      continue;
-    }
-    DomAttrs attrs(node);
-    const DynamicBitset* types =
-        options.tax != nullptr ? options.tax->DescendantTypes(node->node_id)
-                               : nullptr;
-    HypeEngine::EnterResult r = engine.Enter(node->label, attrs, types);
-    result.nodes_by_engine_id.push_back(node);
-    if (explain_tree != nullptr) {
-      marks[node->node_id] |= kVisited | (r.can_skip_subtree ? kPruned : 0);
-    }
-    if (r.can_skip_subtree) {
-      if (r.needs_direct_text) {
-        engine.Text(xml::Document::DirectText(node));
+  std::vector<const xml::Node*>& node_map = result.nodes_by_engine_id;
+  size_t map_charged = 0;  // node-map capacity already charged, in entries
+  auto charge_and_check = [&]() -> Status {
+    const size_t cap = node_map.capacity();
+    options.guard->ChargeBytes(engine.TakeAllocBytes() +
+                               (cap - map_charged) * sizeof(const xml::Node*));
+    map_charged = cap;
+    return ticker.Now();
+  };
+
+  // Stackless pre-order walk over the first-child, next-sibling and
+  // parent links; `n` is entered once, and left once its subtree is done.
+  const xml::Node* const root = doc.root();
+  const xml::Node* n = root;
+  for (;;) {
+    if (ticker.Due()) SMOQE_RETURN_IF_ERROR(charge_and_check());
+    if (n->is_text()) {
+      engine.Text(n->text);
+    } else {
+      DomAttrs attrs(n);
+      const DynamicBitset* types =
+          options.tax != nullptr ? options.tax->DescendantTypes(n->node_id)
+                                 : nullptr;
+      HypeEngine::EnterResult r = engine.Enter(n->label, attrs, types);
+      node_map.push_back(n);
+      if (explain_tree != nullptr) {
+        marks[n->node_id] |= kVisited | (r.can_skip_subtree ? kPruned : 0);
       }
+      if (r.can_skip_subtree) {
+        if (r.needs_direct_text) {
+          engine.Text(xml::Document::DirectText(n));
+        }
+        engine.Leave();
+        engine.mutable_stats()->nodes_pruned +=
+            static_cast<uint64_t>(n->subtree_end - n->order - 1);
+      } else if (n->first_child != nullptr) {
+        n = n->first_child;
+        continue;
+      } else {
+        if (ticker.Due()) SMOQE_RETURN_IF_ERROR(charge_and_check());
+        engine.Leave();
+      }
+    }
+    // `n` is done: leave every ancestor whose last child it is, up to the
+    // next sibling or the root.
+    while (n != root && n->next_sibling == nullptr) {
+      n = n->parent;
+      if (ticker.Due()) SMOQE_RETURN_IF_ERROR(charge_and_check());
       engine.Leave();
-      engine.mutable_stats()->nodes_pruned += static_cast<uint64_t>(
-          node->subtree_end - node->order - 1);
-      continue;
     }
-    stack.push_back(nullptr);
-    // Children in reverse so the leftmost is processed first.
-    size_t mark = stack.size();
-    for (const xml::Node* c = node->first_child; c != nullptr;
-         c = c->next_sibling) {
-      stack.push_back(c);
-    }
-    std::reverse(stack.begin() + static_cast<ptrdiff_t>(mark), stack.end());
+    if (n == root) break;
+    n = n->next_sibling;
   }
   // The walk's tail since the last tick (all of a small document) is
   // charged before the selection pass.
-  if (options.guard != nullptr) {
-    options.guard->ChargeBytes(engine.TakeAllocBytes());
-    SMOQE_RETURN_IF_ERROR(ticker.Now());
-  }
+  if (options.guard != nullptr) SMOQE_RETURN_IF_ERROR(charge_and_check());
 
   const std::vector<int32_t>& ids = engine.FinishDocument();
   result.answers.reserve(ids.size());
@@ -136,7 +143,7 @@ Result<DomEvalResult> EvalHypeDom(const automata::Mfa& mfa,
     for (int32_t id : engine.cans().NodeIds()) {
       marks[result.nodes_by_engine_id[id]->node_id] |= kCandidate;
     }
-    for (const xml::Node* n : result.answers) marks[n->node_id] |= kAnswer;
+    for (const xml::Node* a : result.answers) marks[a->node_id] |= kAnswer;
     *explain_tree = RenderMarks(doc, marks);
   }
   return result;

@@ -61,12 +61,13 @@ bool StaxReader::IsInputView(std::string_view s) const {
          !before(input_.data() + input_.size(), s.data() + s.size());
 }
 
-Status StaxReader::Error(std::string msg) const {
+Status StaxReader::Error(std::string msg) {
   msg += " at line ";
   msg += std::to_string(line());
   msg += ", column ";
   msg += std::to_string(column());
-  return Status::ParseError(std::move(msg));
+  error_ = Status::ParseError(std::move(msg));
+  return error_;
 }
 
 void StaxReader::SkipWhitespace() {
@@ -367,8 +368,10 @@ Status StaxReader::ReadStartTag() {
 }
 
 Result<StaxEvent> StaxReader::Next() {
+  if (!error_.ok()) return error_;
   if (fault::At("stax.read")) {
-    return Status::IOError("injected tokenizer fault (stax.read)");
+    error_ = Status::IOError("injected tokenizer fault (stax.read)");
+    return error_;
   }
   if (!started_) {
     started_ = true;

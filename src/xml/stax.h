@@ -53,6 +53,9 @@ struct StaxOptions {
 /// `IsInputView()` tells the two apart; a consumer that keeps an event's
 /// strings past `Next()` must copy the decoded ones.
 ///
+/// Errors are sticky: once `Next()` has returned an error, every later
+/// call returns the same status and the scan point does not move.
+///
 /// Supported syntax: XML declaration, DOCTYPE (captured, see
 /// `doctype_internal_subset()`), elements, attributes, text, CDATA,
 /// comments, processing instructions, and the five built-in entities plus
@@ -64,7 +67,8 @@ class StaxReader {
   explicit StaxReader(std::string_view input, StaxOptions options = {});
 
   /// Advances to the next event. After kEndDocument further calls keep
-  /// returning kEndDocument.
+  /// returning kEndDocument; after an error (a malformed input or an
+  /// injected `stax.read` fault) they keep returning that same error.
   Result<StaxEvent> Next();
 
   /// Element name; valid for kStartElement / kEndElement. Always a view
@@ -105,7 +109,9 @@ class StaxReader {
     size_t len;
   };
 
-  Status Error(std::string msg) const;
+  /// Builds the parse error for the scan point and keeps it in `error_`:
+  /// every error `Next()` returns is made here or by the fault site.
+  Status Error(std::string msg);
   void SkipWhitespace();
   bool Consume(std::string_view lit);
   /// The name at the scan point, or an empty view (scan point unmoved)
@@ -133,6 +139,7 @@ class StaxReader {
   bool saw_root_ = false;
   bool pending_end_ = false;  // self-closing tag: emit EndElement next
   bool text_owned_ = false;   // text_ is (being built) in decoded_
+  Status error_;              // the error Next() returned; sticky
   std::vector<std::string_view> open_;
   std::string_view name_;
   std::string_view text_;

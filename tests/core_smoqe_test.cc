@@ -293,6 +293,124 @@ TEST_F(SmoqeTest, QueryAndBatchAgreeOnItemFailures) {
   }
 }
 
+// QueryBatch evaluates StAX-mode items on the pinned snapshot's DOM.
+// Their answer bytes equal a streamed single Query's and a DOM Query's,
+// serially and on the pool, before and after an accepted update; like
+// DOM items they carry answer ids and report no shared scan.
+TEST(SmoqeBatchTest, StaxItemsMatchStreamedAndDomQueries) {
+  for (int threads : {1, 4}) {
+    EngineOptions o;
+    o.max_threads = threads;
+    Smoqe engine(o);
+    ASSERT_TRUE(
+        engine.RegisterDtd("hospital", workload::kHospitalDtd, "hospital")
+            .ok());
+    ASSERT_TRUE(engine.LoadDocument("ward", kHospitalDoc).ok());
+    ASSERT_TRUE(engine
+                    .DefineView("autism-group", "hospital",
+                                workload::kHospitalPolicyAutism)
+                    .ok());
+    std::vector<BatchQueryItem> items;
+    for (const char* view : {"", "autism-group"}) {
+      for (const char* q : {"//patient", "//medication",
+                            "hospital/patient[visit]/pname",
+                            "//patient[parent/patient]//treatment"}) {
+        BatchQueryItem item;
+        item.query = q;
+        item.options.view = view;
+        item.options.mode = EvalMode::kStax;
+        items.push_back(item);
+      }
+    }
+    auto check = [&](const char* when) {
+      auto batch = engine.QueryBatch("ward", items);
+      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+      ASSERT_EQ(batch->size(), items.size());
+      size_t answers = 0;
+      for (size_t i = 0; i < items.size(); ++i) {
+        const QueryAnswer& a = (*batch)[i];
+        const std::string what = std::string(when) + ", " +
+                                 std::to_string(threads) + " thread(s), " +
+                                 items[i].query + " view '" +
+                                 items[i].options.view + "'";
+        ASSERT_TRUE(a.status.ok()) << what << ": " << a.status.ToString();
+        auto streamed = engine.Query("ward", items[i].query, items[i].options);
+        QueryOptions dom = items[i].options;
+        dom.mode = EvalMode::kDom;
+        auto walked = engine.Query("ward", items[i].query, dom);
+        ASSERT_TRUE(streamed.ok() && walked.ok()) << what;
+        EXPECT_EQ(a.answers_xml, streamed->answers_xml) << what;
+        EXPECT_EQ(a.answers_xml, walked->answers_xml) << what;
+        EXPECT_EQ(a.answer_ids, walked->answer_ids) << what;
+        EXPECT_EQ(a.doc_epoch, walked->doc_epoch) << what;
+        EXPECT_EQ(a.stats.batch_plans, 0u) << what;
+        EXPECT_EQ(a.stats.buffered_bytes, 0u) << what;
+        answers += a.answers_xml.size();
+      }
+      EXPECT_GT(answers, 10u) << when;
+    };
+    check("before the update");
+    auto up = engine.Update(
+        "ward",
+        "insert into hospital/patient[pname = 'Carol'] "
+        "<visit><treatment><medication>autism</medication></treatment>"
+        "<date>d9</date></visit>");
+    ASSERT_TRUE(up.ok()) << up.status().ToString();
+    ASSERT_EQ(*engine.DocumentEpoch("ward"), 1u);
+    check("after the update");
+  }
+}
+
+// A batch of StAX items reads only the DOM: after an update (whose
+// snapshot has no text yet) it leaves the text unserialized, while a
+// streamed single Query still serializes it.
+TEST(SmoqeBatchTest, StaxBatchDoesNotSerializeTheSnapshot) {
+  Smoqe engine;
+  ASSERT_TRUE(
+      engine.RegisterDtd("hospital", workload::kHospitalDtd, "hospital").ok());
+  ASSERT_TRUE(engine.LoadDocument("ward", kHospitalDoc).ok());
+  ASSERT_TRUE(engine.Update("ward", "delete hospital/patient[pname = 'Carol']")
+                  .ok());
+  auto snap = engine.Snapshot("ward");
+  ASSERT_TRUE(snap.ok());
+  ASSERT_EQ((*snap)->text_if_ready(), nullptr);
+  QueryOptions stax;
+  stax.mode = EvalMode::kStax;
+  auto batch = engine.QueryBatch("ward", {{"//pname", stax}, {"//date", stax}});
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ((*batch)[0].answers_xml.size(), 2u);
+  EXPECT_EQ((*snap)->text_if_ready(), nullptr);
+  ASSERT_TRUE(engine.Query("ward", "//pname", stax).ok());
+  EXPECT_NE((*snap)->text_if_ready(), nullptr);
+}
+
+// StAX batch items under explain carry the V/P/C/A tree of their DOM
+// walk; a StAX item asking for TAX still fails on its own, even with the
+// index built, and its siblings answer.
+TEST(SmoqeBatchTest, StaxItemsExplainAndRejectTax) {
+  Smoqe engine;
+  ASSERT_TRUE(engine.LoadDocument("ward", kHospitalDoc).ok());
+  ASSERT_TRUE(engine.BuildIndex("ward").ok());
+  QueryOptions explain;
+  explain.mode = EvalMode::kStax;
+  explain.explain = true;
+  QueryOptions stax_tax;
+  stax_tax.mode = EvalMode::kStax;
+  stax_tax.use_tax = true;
+  auto batch = engine.QueryBatch(
+      "ward", {{"//patient[visit]/pname", explain}, {"//pname", stax_tax}});
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  const QueryAnswer& a = (*batch)[0];
+  ASSERT_TRUE(a.status.ok()) << a.status.ToString();
+  EXPECT_FALSE(a.mfa_dump.empty());
+  EXPECT_NE(a.trace_tree.find("V.CA     pname"), std::string::npos)
+      << a.trace_tree;
+  EXPECT_EQ(a.answer_ids.size(), a.answers_xml.size());
+  EXPECT_EQ((*batch)[1].status.code(), StatusCode::kInvalidArgument)
+      << (*batch)[1].status.ToString();
+  EXPECT_TRUE((*batch)[1].answers_xml.empty());
+}
+
 TEST_F(SmoqeTest, HandWrittenViewSpecification) {
   // The paper's other view-definition mode: register a view written
   // directly as view DTD + sigma, type-checked against the document DTD.

@@ -365,9 +365,8 @@ TEST(BatchEvalTest, SerialScanChargesTheTailBeforeAssembling) {
       << r.status().ToString();
 }
 
-// Facade batch over the shared StAX scan: a failing item (parse error,
-// mode conflict) fails only itself; its siblings — including items that
-// ride the same streaming pass — still complete (ISSUE S3 / smoqe.h
+// Facade batch with StAX items: a failing item (parse error, mode
+// conflict) fails only itself; its siblings still complete (smoqe.h
 // QueryAnswer::status contract).
 TEST(BatchEvalTest, FacadeStaxBatchFailsPerItem) {
   Smoqe engine;
@@ -405,8 +404,8 @@ TEST(BatchEvalTest, FacadeStaxBatchFailsPerItem) {
       << "DOM sibling must be unaffected by StAX item failures";
 }
 
-// An invalid StAX item must not poison the shared scan for later calls:
-// the next identical batch answers byte-identically.
+// An invalid StAX item must not poison later calls: the next identical
+// batch answers byte-identically.
 TEST(BatchEvalTest, FacadeStaxBatchRecoversAfterItemFailure) {
   Smoqe engine;
   ASSERT_TRUE(engine.LoadDocument("ward", kHospitalDoc).ok());

@@ -225,9 +225,9 @@ class GuardrailFacadeTest : public ::testing::Test {
       QueryOptions stax;
       stax.mode = EvalMode::kStax;
       for (int i = 0; i < 8; ++i) cached->push_back({kHotQuery, stax});
-      // Double the batch until an ungoverned pass takes ≥250ms: the
-      // shared StAX scan advances every plan per event, so cost scales
-      // with the item count.
+      // Double the batch until an ungoverned pass takes ≥250ms: every
+      // item is its own walk of the tree, so cost scales with the item
+      // count.
       while (cached->size() < 1024) {
         Clock::time_point t0 = Clock::now();
         auto r = engine_.QueryBatch("big", *cached);
@@ -264,6 +264,41 @@ TEST_F(GuardrailFacadeTest, DeadlineExceededWithinSlack) {
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_FALSE((*again)[0].answers_xml.empty() &&
                (*again)[0].status.ok() == false);
+}
+
+TEST_F(GuardrailFacadeTest, DeadlineCutsABatchOfShortWalks) {
+  // Batch items walk the DOM one after another on a serial engine. On a
+  // small ward a walk ends before its first guard tick, so once one item
+  // has seen the deadline pass, the items after it must not run at all:
+  // the call returns about when the deadline trips, not when the batch
+  // would have finished.
+  EngineOptions opts;
+  opts.max_threads = 1;
+  Smoqe serial(opts);
+  ASSERT_TRUE(serial.LoadDocument("ward", testutil::kHospitalDoc).ok());
+  QueryOptions stax;
+  stax.mode = EvalMode::kStax;
+  std::vector<BatchQueryItem> items(256, {"//patient[visit]/pname", stax});
+  // Double the batch until an ungoverned call takes ≥ 200ms.
+  int64_t full_ms = 0;
+  while (items.size() < (size_t{1} << 18)) {
+    Clock::time_point t0 = Clock::now();
+    ASSERT_TRUE(serial.QueryBatch("ward", items).ok());
+    full_ms = ElapsedMs(t0);
+    if (full_ms >= 200) break;
+    const std::vector<BatchQueryItem> half = items;
+    items.insert(items.end(), half.begin(), half.end());
+  }
+  RequestOptions req;
+  req.deadline_ms = static_cast<uint64_t>(full_ms / 4);
+  Clock::time_point t0 = Clock::now();
+  auto r = serial.QueryBatch("ward", items, req);
+  const int64_t elapsed = ElapsedMs(t0);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded)
+      << r.status().ToString();
+  EXPECT_LE(elapsed, full_ms / 2)
+      << items.size() << " items, " << full_ms << " ms ungoverned";
 }
 
 TEST_F(GuardrailFacadeTest, SingleQueryDeadlineTripsDuringTheScan) {
@@ -372,6 +407,65 @@ TEST_F(GuardrailFacadeTest, MaterializationChargesTheBudget) {
   EXPECT_GE(e.telemetry()->registry().GetCounter("guard.budget_exceeded")
                 .Value(),
             tripped_before + 1);
+}
+
+// What a HyPE engine alone charges for one walk of `doc`: the same
+// Enter / Text / Leave sequence a DOM walk without pruning drives,
+// without the driver's own structures.
+uint64_t EngineOnlyWalkBytes(const automata::Mfa& mfa,
+                             const xml::Document& doc) {
+  eval::HypeEngine engine(mfa);
+  auto walk = [&](const auto& self, const xml::Node* n) -> void {
+    if (n->is_text()) {
+      engine.Text(n->text);
+      return;
+    }
+    engine.Enter(n->label, eval::AttrProvider::None(), nullptr);
+    for (const xml::Node* c = n->first_child; c != nullptr;
+         c = c->next_sibling) {
+      self(self, c);
+    }
+    engine.Leave();
+  };
+  walk(walk, doc.root());
+  return engine.TakeAllocBytes();
+}
+
+TEST_F(GuardrailFacadeTest, DomWalkChargesItsNodeMap) {
+  // A direct //* visits and answers every element. The walk keeps one
+  // 8-byte node pointer per entered element, and that map must count
+  // against the request budget: a budget that covers the engine and the
+  // materialized answers but only half the map stops the request; one
+  // that covers twice the map (vector growth) does not.
+  auto names = xml::NameTable::Create();
+  auto doc = workload::GenHospital(7, 100000, names);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  ASSERT_GE(doc->num_elements(), 30000);
+  const std::string text = xml::SerializeDocument(*doc);
+  constexpr char kQuery[] = "//*";
+  auto mfa = automata::Mfa::Compile(*testutil::MustQuery(kQuery), names);
+  ASSERT_TRUE(mfa.ok());
+  auto walked = eval::EvalHypeDom(*mfa, *doc);
+  ASSERT_TRUE(walked.ok());
+  const uint64_t visited = walked->stats.nodes_visited;
+  ASSERT_EQ(visited, static_cast<uint64_t>(doc->num_elements()));
+  MemoryBudget ser_budget;
+  Guardrail ser_guard(Deadline(), nullptr, &ser_budget);
+  ASSERT_TRUE(xml::SerializeNodes(walked->answers, *names, &ser_guard).ok());
+  const uint64_t others = EngineOnlyWalkBytes(*mfa, *doc) + ser_budget.used();
+
+  Smoqe e;
+  ASSERT_TRUE(e.LoadDocument("ward", text).ok());
+  RequestOptions req;
+  req.max_memory_bytes = others + 4 * visited;
+  auto tripped = e.Query("ward", kQuery, {}, req);
+  ASSERT_FALSE(tripped.ok()) << "the walk's node map must charge the budget";
+  EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted)
+      << tripped.status().ToString();
+  req.max_memory_bytes = others + 16 * visited;
+  auto fits = e.Query("ward", kQuery, {}, req);
+  ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+  EXPECT_EQ(fits->answers_xml.size(), visited);
 }
 
 TEST_F(GuardrailFacadeTest, PreCancelledTokenFailsFast) {

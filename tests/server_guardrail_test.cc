@@ -306,7 +306,7 @@ TEST_F(ServerGuardrailTest, DisconnectMidRequestCancelsAndServerSurvives) {
     ASSERT_TRUE(conn.Dial(server_->port()));
     ASSERT_TRUE(RawHandshake(conn, ""));
     // A wide StAX batch over `big` runs far longer than the loop takes
-    // to notice the disconnect, however fast one scan is.
+    // to notice the disconnect, however fast one item is.
     QueryBatchRequest q;
     q.id = 42;
     q.doc = "big";

@@ -63,9 +63,7 @@ void CheckServerSpanTree(const tel::Trace& trace) {
   EXPECT_EQ(spans.back().name, "write_flush");
   bool saw_evaluate = false;
   for (const tel::SpanRecord& s : spans) {
-    if (s.name == "evaluate" || s.name == "evaluate.stax_scan") {
-      saw_evaluate = true;
-    }
+    if (s.name == "evaluate") saw_evaluate = true;
   }
   EXPECT_TRUE(saw_evaluate) << "facade stages missing from the wire trace";
 }

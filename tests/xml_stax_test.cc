@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "src/common/guardrail.h"
+
 namespace smoqe::xml {
 namespace {
 
@@ -266,6 +268,56 @@ TEST(StaxTest, ErrorMessagesCarryExactPositions) {
     EXPECT_EQ(st.message(), c.message) << c.doc;
   }
 }
+
+// Errors are sticky: every call after the first error returns that same
+// status, never an event scanned past the bad byte (on the document
+// below the reader used to go on with the text "bogus;x" and </a>).
+TEST(StaxTest, ErrorsAreSticky) {
+  StaxReader r("<a>&bogus;x</a>");
+  ASSERT_TRUE(r.Next().ok());  // kStartDocument
+  ASSERT_TRUE(r.Next().ok());  // <a>
+  auto first = r.Next();
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.status().message(),
+            "unknown entity '&bogus;' at line 1, column 5");
+  for (int i = 0; i < 3; ++i) {
+    auto again = r.Next();
+    ASSERT_FALSE(again.ok()) << "call " << i << " after the error";
+    EXPECT_EQ(again.status().code(), first.status().code());
+    EXPECT_EQ(again.status().message(), first.status().message());
+  }
+  for (const char* doc : {"<a><b></c></a>", "<a>x &#; y</a><b/>",
+                          "<a/><b/>", "<a><b v='1' v='2'/><c/></a>"}) {
+    StaxReader d(doc);
+    Status st;
+    while (st.ok()) {
+      auto e = d.Next();
+      ASSERT_FALSE(e.ok() && *e == StaxEvent::kEndDocument) << doc;
+      st = e.status();
+    }
+    auto again = d.Next();
+    ASSERT_FALSE(again.ok()) << doc;
+    EXPECT_EQ(again.status().message(), st.message()) << doc;
+  }
+}
+
+#ifdef SMOQE_FAULT_INJECTION
+// An injected tokenizer fault is an error like any other: the reader
+// stays failed instead of resuming the scan on the next call.
+TEST(StaxTest, InjectedFaultIsSticky) {
+  fault::FaultInjector::Instance().Arm("stax.read", 2);
+  StaxReader r("<a><b/></a>");
+  ASSERT_TRUE(r.Next().ok());
+  auto first = r.Next();
+  fault::FaultInjector::Instance().Reset();
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.status().code(), StatusCode::kIOError);
+  auto again = r.Next();
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(again.status().message(), first.status().message());
+}
+#endif
 
 TEST(StaxTest, SurrogateAndControlRefsRejectedInAttrValues) {
   EXPECT_EQ(DrainToError("<a v='&#xDC00;'/>").code(),

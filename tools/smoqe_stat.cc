@@ -103,7 +103,7 @@ int RunWorkload(smoqe::core::Smoqe& engine) {
     if (!q3.ok()) return Fail("Query(nurse,stax)", q3.status());
   }
 
-  // A multi-user batch: one shared StAX scan plus DOM items on the pool.
+  // A multi-user batch: StAX and DOM items, each a DOM walk on the pool.
   std::vector<BatchQueryItem> items;
   items.push_back({"//treatment", nurse_stax});
   items.push_back({"//treatment/test", nurse_stax});
