@@ -23,6 +23,7 @@ void EvalStats::MergeFrom(const EvalStats& other) {
   plan_cache_hits += other.plan_cache_hits;
   plan_cache_misses += other.plan_cache_misses;
   batch_plans += other.batch_plans;
+  dom_parts += other.dom_parts;
 }
 
 std::string EvalStats::ToString() const {
@@ -56,6 +57,9 @@ std::string EvalStats::ToString() const {
   }
   if (batch_plans > 0) {
     s += " batch_plans=" + std::to_string(batch_plans);
+  }
+  if (dom_parts > 0) {
+    s += " dom_parts=" + std::to_string(dom_parts);
   }
   return s;
 }

@@ -37,11 +37,15 @@ struct EvalStats {
   uint64_t batch_plans = 0;        ///< plans co-evaluated on this StAX scan
                                    ///< (1 = single-query streaming; 0 = not
                                    ///< a streaming evaluation)
+  uint64_t dom_parts = 0;          ///< engines the DOM walk ran (1 = serial,
+                                   ///< more = split at the root; 0 = not a
+                                   ///< DOM walk)
 
   void Reset() { *this = EvalStats(); }
 
   /// Folds another evaluation's stats into this one, making `this` the
-  /// batch-level aggregate: additive counters sum; the two peak values
+  /// batch-level aggregate: additive counters sum (`dom_parts` too, so a
+  /// batch reports the engines all its walks ran); the two peak values
   /// (`max_active_pairs`, and `buffered_bytes`, which reports a shared
   /// capture footprint in batch mode) take the max. Used by
   /// `Smoqe::QueryBatch` so batch stats equal the sum of per-plan stats

@@ -1,8 +1,11 @@
 /// \file
 /// \brief Work-stealing thread pool backing the parallel query-serving
-/// layer (docs/DESIGN.md §7): `Smoqe::QueryBatch` fans DOM items and
-/// per-plan StAX advancement across it, smoqed runs its wire requests on
-/// it (§10.3), and bench_parallel (E13) sweeps its size.
+/// layer (docs/DESIGN.md §7): `Smoqe::QueryBatch` fans its DOM items
+/// across it, a single DOM `Query` splits its walk over it at the root
+/// (`DomEvalOptions::pool`, §3.7), the shared StAX scan
+/// (`BatchEvaluator::RunParallel`) advances its plans on it, smoqed runs
+/// its wire requests on it (§10.3), and bench_parallel (E13) sweeps its
+/// size.
 
 #ifndef SMOQE_COMMON_THREAD_POOL_H_
 #define SMOQE_COMMON_THREAD_POOL_H_

@@ -494,7 +494,7 @@ Result<QueryAnswer> Smoqe::EvalCompiled(const DocumentSnapshot& snap,
                                         const Guardrail* guard,
                                         tel::Trace* tr) {
   if (options.mode != EvalMode::kStax) {
-    return EvalOnDom(snap, pu, options, guard, tr);
+    return EvalOnDom(snap, pu, options, guard, tr, pool_.get());
   }
   // The streaming pass captures answer subtrees as it scans, so
   // evaluation and materialization are one span here.
@@ -510,10 +510,12 @@ Result<QueryAnswer> Smoqe::EvalCompiled(const DocumentSnapshot& snap,
 Result<QueryAnswer> Smoqe::EvalOnDom(const DocumentSnapshot& snap,
                                      const PlanUse& pu,
                                      const QueryOptions& options,
-                                     const Guardrail* guard, tel::Trace* tr) {
+                                     const Guardrail* guard, tel::Trace* tr,
+                                     ThreadPool* pool) {
   QueryAnswer out;
   eval::DomEvalOptions dom_opts;
   dom_opts.guard = guard;
+  dom_opts.pool = pool;
   if (options.use_tax) dom_opts.tax = snap.tax.get();
   eval::DomEvalResult r;
   {
@@ -710,7 +712,8 @@ Status Smoqe::EvalBatchOnSnapshot(const DocumentSnapshot& snap,
     // parented under the shared dom_items span; workers append
     // concurrently, which Trace supports.
     tel::SpanScope item_span(tr, "item", dom_span.index());
-    auto answer = EvalOnDom(snap, plans[i], items[i].options, guard, tr);
+    auto answer =
+        EvalOnDom(snap, plans[i], items[i].options, guard, tr, nullptr);
     if (answer.ok()) {
       (*out)[i] = std::move(*answer);
     } else {
@@ -991,7 +994,8 @@ Result<UpdateResult> Smoqe::UpdateImpl(const std::string& doc_name,
   // path (DESIGN.md §6.1): the plan cache's plan — for view updates the
   // target rewritten into an MFA over the document, so the view is never
   // materialized — run by HyPE over the pinned base snapshot, TAX-pruned
-  // when it is indexed and governed by the request's guard.
+  // when it is indexed and governed by the request's guard. The walk is
+  // serial: a writer leaves the pool to the readers.
   std::set<int32_t> target_ids;
   {
     tel::SpanScope span(tr, "resolve");

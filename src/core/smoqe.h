@@ -475,12 +475,15 @@ class Smoqe {
                                    const QueryOptions& options,
                                    const Guardrail* guard, tel::Trace* tr);
   /// The DOM half of EvalCompiled, whatever `options.mode` says: one
-  /// HyPE walk of the snapshot's tree (TAX-pruned under `use_tax`), then
-  /// materialization. Batch items of every mode run here.
+  /// HyPE walk of the snapshot's tree (TAX-pruned under `use_tax`; split
+  /// across `pool` at the root when it qualifies, docs/DESIGN.md §3.7),
+  /// then materialization. Batch items of every mode run here, serially
+  /// (`pool` nullptr): the batch fans its items out over the pool instead.
   Result<QueryAnswer> EvalOnDom(const DocumentSnapshot& snap,
                                 const PlanUse& plan,
                                 const QueryOptions& options,
-                                const Guardrail* guard, tel::Trace* tr);
+                                const Guardrail* guard, tel::Trace* tr,
+                                ThreadPool* pool);
 
   /// The one request envelope every public entry point runs in
   /// (docs/DESIGN.md §9.3), in this order: admission gate → guardrail →

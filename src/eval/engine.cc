@@ -446,6 +446,15 @@ HypeEngine::EnterResult HypeEngine::Enter(xml::NameId label,
   return res;
 }
 
+bool HypeEngine::FrameIsClosed() const {
+  const Frame& cur = stack_[depth_ - 1];
+  if (cur.needs_text) return false;
+  for (const Run& r : cur.runs) {
+    if (!r.is_selection || r.guard != GuardPool::kEmpty) return false;
+  }
+  return true;
+}
+
 void HypeEngine::ResolveFrame(Frame* frame) {
   // Reverse creation order: nested instances (created later, same anchor)
   // resolve before the instances that reference them.

@@ -103,6 +103,14 @@ class HypeEngine {
   /// Engine id that will be assigned to the next entered element.
   int32_t next_id() const { return next_id_; }
 
+  /// True iff every run of the current frame is a selection run with the
+  /// empty guard and no text check is pending here. Then nothing below
+  /// the current element reaches outside its own child subtree: every
+  /// instance a child creates is anchored inside it, and every instance
+  /// anchored here or above is settled already. So its children's
+  /// subtrees can be walked by separate engines (docs/DESIGN.md §3.7).
+  bool FrameIsClosed() const;
+
   /// Approximate bytes of run/instance/frame state allocated since the
   /// last call, plus the growth of the engine's arenas (witness lists,
   /// Cans, guard sets) since then; drivers drain this into the request's

@@ -81,7 +81,7 @@ std::string ProfileRenderer::Text(const Profile& profile) {
          " answers=" + std::to_string(profile.stats.answers) +
          " cans=" + std::to_string(profile.stats.cans_entries) +
          " max_active_pairs=" + std::to_string(profile.stats.max_active_pairs) +
-         "\n";
+         " dom_parts=" + std::to_string(profile.stats.dom_parts) + "\n";
   return out;
 }
 
@@ -119,7 +119,8 @@ std::string ProfileRenderer::Json(const Profile& profile) {
   AppendU64(out, "buffered_bytes", st.buffered_bytes, true);
   AppendU64(out, "plan_cache_hits", st.plan_cache_hits, true);
   AppendU64(out, "plan_cache_misses", st.plan_cache_misses, true);
-  AppendU64(out, "batch_plans", st.batch_plans, false);
+  AppendU64(out, "batch_plans", st.batch_plans, true);
+  AppendU64(out, "dom_parts", st.dom_parts, false);
   out += "}}";
   return out;
 }

@@ -610,6 +610,8 @@ TEST(BatchParallelTest, FacadeBatchCountersEqualAggregatedItemStats) {
             agg.subtrees_pruned);
   EXPECT_EQ(reg.GetCounter("query.answers").Value(), agg.answers);
   EXPECT_EQ(reg.GetCounter("batch.items").Value(), items.size());
+  // Every item, StAX mode included, is one serial DOM walk.
+  EXPECT_EQ(agg.dom_parts, items.size());
 }
 
 TEST(BatchParallelTest, NestedRunParallelOnSaturatedPoolCompletes) {

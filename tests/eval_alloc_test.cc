@@ -355,7 +355,7 @@ TEST_F(EvalAllocTest, DomChargeCoversTheEngineHeap) {
         PeakBytesDuring([&] { r = EvalHypeDom(mfa, *doc_, opts); });
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     const int64_t driver = static_cast<int64_t>(
-        2 * r->nodes_by_engine_id.size() * sizeof(const xml::Node*));
+        2 * r->stats.nodes_visited * sizeof(const xml::Node*));
     const int64_t engine = std::max<int64_t>(peak - driver, 0);
     EXPECT_GE(static_cast<int64_t>(accounting.used()), engine / 2)
         << q << ": charged " << accounting.used() << " bytes, heap peak "

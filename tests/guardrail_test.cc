@@ -1,19 +1,22 @@
 // Guardrail tests (docs/DESIGN.md §9): unit coverage of the primitives
 // (Deadline, CancelToken, MemoryBudget, Guardrail, GuardTicker,
-// FaultInjector), facade-level deadline / budget / cancellation /
-// admission semantics, and the deterministic fault matrix — after every
-// injected failure the engine must answer the *next* request
-// byte-identically to an engine that never faulted.
+// FaultInjector), the split DOM walk under a guard, facade-level
+// deadline / budget / cancellation / admission semantics, and the
+// deterministic fault matrix — after every injected failure the engine
+// must answer the *next* request byte-identically to an engine that
+// never faulted.
 
 #include "src/common/guardrail.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/common/thread_pool.h"
 #include "src/core/smoqe.h"
 #include "src/eval/hype_dom.h"
 #include "src/rewrite/rewriter.h"
@@ -177,6 +180,134 @@ TEST(FaultInjectorTest, SeededArmIsDeterministic) {
 
 }  // namespace
 }  // namespace smoqe
+
+// ---------------------------------------------------------------------
+// A DOM walk split across a pool (docs/DESIGN.md §3.7) under a guard:
+// every part charges the shared budget and polls the shared guard, and a
+// trip in any part fails the whole call with no answer.
+// ---------------------------------------------------------------------
+
+namespace smoqe::eval {
+namespace {
+
+// Per-node obligations under every element: about 25 ms serially on a
+// 100k-node ward (4 vCPU, Release), so a split walk is still running
+// well after a 1 ms deadline.
+constexpr char kHeavyQuery[] = "hospital//*[not(.//medication = 'zz')]";
+
+class SplitWalkGuardTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    names_ = new std::shared_ptr<xml::NameTable>(xml::NameTable::Create());
+    ward_ = new xml::Document(testutil::MakeWard(false, 9, 100000, *names_));
+  }
+  static void TearDownTestSuite() {
+    delete ward_;
+    delete names_;
+  }
+
+  automata::Mfa Compile(const char* q) {
+    auto mfa = automata::Mfa::Compile(*testutil::MustQuery(q), *names_);
+    EXPECT_TRUE(mfa.ok()) << mfa.status().ToString();
+    return std::move(*mfa);
+  }
+
+  /// Options that split `mfa`'s walk of the ward on `pool_`; asserts
+  /// that an ungoverned walk does split.
+  DomEvalOptions SplitOptions(const automata::Mfa& mfa) {
+    DomEvalOptions opts;
+    opts.pool = &pool_;
+    auto r = EvalHypeDom(mfa, *ward_, opts);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (r.ok()) {
+      EXPECT_GT(r->stats.dom_parts, 1u);
+    }
+    return opts;
+  }
+
+  static std::shared_ptr<xml::NameTable>* names_;
+  static xml::Document* ward_;
+  ThreadPool pool_{4};
+};
+
+std::shared_ptr<xml::NameTable>* SplitWalkGuardTest::names_ = nullptr;
+xml::Document* SplitWalkGuardTest::ward_ = nullptr;
+
+TEST_F(SplitWalkGuardTest, BudgetTheSerialWalkTripsTripsTheSplitWalk) {
+  ASSERT_GE(ward_->num_nodes(), 100000);
+  const automata::Mfa mfa = Compile("//*");
+  DomEvalOptions opts = SplitOptions(mfa);
+  opts.pool = nullptr;
+  MemoryBudget accounting;
+  Guardrail counted(Deadline(), nullptr, &accounting);
+  opts.guard = &counted;
+  ASSERT_TRUE(EvalHypeDom(mfa, *ward_, opts).ok());
+  ASSERT_GT(accounting.used(), 0u);
+
+  MemoryBudget serial_budget(accounting.used() / 2);
+  Guardrail serial_guard(Deadline(), nullptr, &serial_budget);
+  opts.guard = &serial_guard;
+  auto serial = EvalHypeDom(mfa, *ward_, opts);
+  ASSERT_FALSE(serial.ok());
+  EXPECT_EQ(serial.status().code(), StatusCode::kResourceExhausted);
+
+  MemoryBudget split_budget(accounting.used() / 2);
+  Guardrail split_guard(Deadline(), nullptr, &split_budget);
+  opts.guard = &split_guard;
+  opts.pool = &pool_;
+  auto split = EvalHypeDom(mfa, *ward_, opts);
+  ASSERT_FALSE(split.ok()) << "the split walk must trip the same budget";
+  EXPECT_EQ(split.status().code(), serial.status().code())
+      << split.status().ToString();
+}
+
+TEST_F(SplitWalkGuardTest, CancelFromAnotherThreadStopsEveryPart) {
+  const automata::Mfa mfa = Compile(kHeavyQuery);
+  DomEvalOptions opts = SplitOptions(mfa);
+  bool cancelled = false;
+  // The canceller waits for the walk's first guard ticks; should a walk
+  // finish before its cancel lands, try again.
+  for (int attempt = 0; attempt < 5 && !cancelled; ++attempt) {
+    CancelToken token;
+    Guardrail guard(Deadline(), &token, nullptr);
+    opts.guard = &guard;
+    std::atomic<bool> done{false};
+    std::thread canceller([&] {
+      while (guard.checks() < 4 && !done.load()) std::this_thread::yield();
+      token.Cancel();
+    });
+    auto r = EvalHypeDom(mfa, *ward_, opts);
+    done.store(true);
+    canceller.join();
+    if (r.ok()) continue;
+    EXPECT_EQ(r.status().code(), StatusCode::kCancelled)
+        << r.status().ToString();
+    // Every part has returned with the call: none polls the guard later.
+    const uint64_t checks = guard.checks();
+    SleepMs(20);
+    EXPECT_EQ(guard.checks(), checks) << "a part outlived the call";
+    cancelled = true;
+  }
+  EXPECT_TRUE(cancelled) << "no walk saw the cancel";
+}
+
+TEST_F(SplitWalkGuardTest, OneMillisecondDeadlineStopsTheSplitWalkPromptly) {
+  const automata::Mfa mfa = Compile(kHeavyQuery);
+  DomEvalOptions opts = SplitOptions(mfa);
+  Guardrail guard(Deadline::After(1), nullptr, nullptr);
+  opts.guard = &guard;
+  const auto t0 = std::chrono::steady_clock::now();
+  auto r = EvalHypeDom(mfa, *ward_, opts);
+  const auto elapsed = std::chrono::duration_cast<Millis>(
+      std::chrono::steady_clock::now() - t0);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded)
+      << r.status().ToString();
+  EXPECT_LE(elapsed.count(), 50);
+}
+
+}  // namespace
+}  // namespace smoqe::eval
 
 // ---------------------------------------------------------------------
 // Facade semantics: admission, deadline precision, budgets, cancellation,

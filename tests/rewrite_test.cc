@@ -13,7 +13,6 @@
 #include "src/rxpath/printer.h"
 #include "src/view/derive.h"
 #include "src/view/materialize.h"
-#include "src/workload/workloads.h"
 #include "tests/test_util.h"
 
 namespace smoqe::rewrite {
@@ -24,18 +23,13 @@ using testutil::kHospitalDtd;
 using testutil::MustDoc;
 using testutil::MustDtd;
 using testutil::MustQuery;
+using testutil::NamedPolicy;
+using testutil::kPolicyS0;
+using testutil::PropertyPolicies;
 using view::DeriveView;
 using view::Materialize;
 using view::Policy;
 using view::ViewDefinition;
-
-constexpr char kPolicyS0[] = R"(
-  hospital/patient : [visit/treatment/medication = 'autism'];
-  patient/pname    : N;
-  patient/visit    : N;
-  visit/treatment  : [medication];
-  treatment/test   : N;
-)";
 
 ViewDefinition MustView(const xml::Dtd& dtd, std::string_view policy_text) {
   auto policy = Policy::Parse(dtd, policy_text);
@@ -154,21 +148,6 @@ std::vector<const char*> UpdateTargetCorpus() {
       "//parent[patient[not(visit) and not(parent)]]",
       "//medication[. = 'headache']",
       "//visit[date = 'dx']",
-  };
-}
-
-/// S0 plus the policies the update suites update through.
-struct NamedPolicy {
-  const char* name;
-  const char* text;
-};
-
-std::vector<NamedPolicy> PropertyPolicies() {
-  return {
-      {"S0", kPolicyS0},
-      {"research", workload::kHospitalPolicyResearch},
-      {"autism-group", workload::kHospitalPolicyAutism},
-      {"no-visits", "patient/visit : N;\n"},
   };
 }
 

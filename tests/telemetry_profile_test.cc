@@ -35,6 +35,7 @@ TEST(ProfileRendererTest, JsonCarriesEveryField) {
   p.stages.push_back({"parse", -1, 200});
   p.stages.push_back({"evaluate", -1, 700});
   p.stages.push_back({"item 0", 1, 650});
+  p.stats.dom_parts = 5;
   const std::string json = ProfileRenderer::Json(p);
   EXPECT_NE(json.find("\"trace_id\": 42"), std::string::npos);
   EXPECT_NE(json.find("\"op\": \"query\""), std::string::npos);
@@ -45,9 +46,11 @@ TEST(ProfileRendererTest, JsonCarriesEveryField) {
   EXPECT_NE(json.find("\"guard_ticks\": 7"), std::string::npos);
   EXPECT_NE(json.find("{\"name\": \"item 0\", \"parent\": 1, \"ns\": 650}"),
             std::string::npos);
+  EXPECT_NE(json.find("\"dom_parts\": 5"), std::string::npos);
   const std::string text = ProfileRenderer::Text(p);
   EXPECT_NE(text.find("query"), std::string::npos);
   EXPECT_NE(text.find("evaluate"), std::string::npos);
+  EXPECT_NE(text.find("dom_parts=5"), std::string::npos);
 }
 
 TEST(SlowQueryLogTest, BoundedRingEvictsOldestAndKeepsSeq) {

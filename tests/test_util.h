@@ -10,9 +10,11 @@
 
 #include "src/rxpath/naive_eval.h"
 #include "src/rxpath/parser.h"
+#include "src/workload/workloads.h"
 #include "src/xml/dtd_parser.h"
 #include "src/xml/generator.h"
 #include "src/xml/parser.h"
+#include "src/xml/serializer.h"
 
 namespace smoqe::testutil {
 
@@ -50,6 +52,31 @@ inline constexpr char kHospitalDoc[] =
     "</patient>"
     "</hospital>";
 
+/// The paper's access-control policy S0 (Fig. 3(b)) over kHospitalDtd.
+inline constexpr char kPolicyS0[] = R"(
+  hospital/patient : [visit/treatment/medication = 'autism'];
+  patient/pname    : N;
+  patient/visit    : N;
+  visit/treatment  : [medication];
+  treatment/test   : N;
+)";
+
+struct NamedPolicy {
+  const char* name;
+  const char* text;
+};
+
+/// S0 plus the policies the update suites update through: the views the
+/// rewrite property tests and the split differential run through.
+inline std::vector<NamedPolicy> PropertyPolicies() {
+  return {
+      {"S0", kPolicyS0},
+      {"research", workload::kHospitalPolicyResearch},
+      {"autism-group", workload::kHospitalPolicyAutism},
+      {"no-visits", "patient/visit : N;\n"},
+  };
+}
+
 inline xml::Document MustDoc(std::string_view text,
                              std::shared_ptr<xml::NameTable> names = nullptr) {
   xml::ParseOptions opts;
@@ -86,6 +113,35 @@ inline xml::Document GenHospital(uint64_t seed, size_t target_nodes,
   auto doc = xml::GenerateDocument(dtd, opts);
   EXPECT_TRUE(doc.ok()) << doc.status().ToString();
   return doc.MoveValue();
+}
+
+/// A ward like the benchmark's: generated patient forests concatenated
+/// under one <hospital> root until it has at least `nodes` nodes, then a
+/// marker patient 'Zed' last. A GenHospitalDeep forest has one top-level
+/// patient, and a large GenHospital document one patient holding nearly
+/// all of it, so a lone generated document gives a split walk
+/// (docs/DESIGN.md §3.7) nothing to split.
+inline xml::Document MakeWard(
+    bool deep, uint64_t seed, size_t nodes,
+    const std::shared_ptr<xml::NameTable>& names = nullptr) {
+  std::string body;
+  size_t have = 1;
+  for (uint64_t sub = seed * 1000; have < nodes && sub < seed * 1000 + 1000;
+       ++sub) {
+    Result<xml::Document> doc = deep ? workload::GenHospitalDeep(sub, 4000)
+                                     : workload::GenHospital(sub, 4000);
+    EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+    if (!doc.ok()) break;
+    const std::string text = xml::SerializeDocument(*doc);
+    const size_t open = text.find('>');
+    const size_t close = text.rfind("</hospital>");
+    if (close == std::string::npos) continue;  // a bare root
+    body.append(text, open + 1, close - open - 1);
+    have += static_cast<size_t>(doc->num_nodes()) - 1;
+  }
+  return MustDoc(
+      "<hospital>" + body + "<patient><pname>Zed</pname></patient></hospital>",
+      names);
 }
 
 /// Document-order node ids selected by the reference evaluator.

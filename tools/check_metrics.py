@@ -246,6 +246,7 @@ PROFILE_STAT_KEYS = [
     "answers",
     "cans_entries",
     "max_active_pairs",
+    "dom_parts",
 ]
 
 
